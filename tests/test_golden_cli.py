@@ -1,0 +1,35 @@
+"""Byte-for-byte gate on command output: the SHA-256 of the stdout of a fixed list of commands.
+
+The list covers `gk` and `nu` (symbolic and at q = 2, in every basis where the
+table lies in Q(q), for A1 A2 B2 G2 at the Borel and the maximal parabolics),
+`satake-check`, `intertwine` (forward, inverse, with and without
+`--roundtrip`), `weyl-identities`, `char` and `oracle-mu`. A refactor must
+leave every digest as it is. After an intended change of output, re-record with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from heckelat import cli
+
+GOLDEN = Path(__file__).with_name("golden_cli_stdout.json")
+
+
+def _digest(argv) -> str:
+    out, _manifest = cli.run_capture(argv)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_cli_stdout_matches_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) > 100
+    changed = [argv for argv, sha in golden if _digest(argv) != sha]
+    assert not changed, f"{len(changed)} commands print other bytes, first: {changed[:3]}"
+
+
+if __name__ == "__main__":
+    entries = [(argv, _digest(argv)) for argv, _sha in json.loads(GOLDEN.read_text())]
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
