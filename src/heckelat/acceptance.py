@@ -27,6 +27,16 @@ class CheckResult:
         return f"[{status}] {self.name} ({self.seconds:.1f}s){msg}"
 
 
+class CheckFailed(Exception):
+    """A criterion's identity does not hold; the message names the witness."""
+
+
+def _require(condition, message: str) -> None:
+    """Fail the running check unless condition holds (unlike assert, kept under python -O)."""
+    if not condition:
+        raise CheckFailed(message)
+
+
 def _timed(name):
     def wrap(fn):
         def run(*args, **kwargs) -> CheckResult:
@@ -34,8 +44,10 @@ def _timed(name):
             try:
                 detail = fn(*args, **kwargs) or ""
                 passed = True
-            except AssertionError as e:
+            except CheckFailed as e:
                 detail, passed = str(e), False
+            except Exception as e:  # a check that raises fails; the later checks still run
+                detail, passed = f"{type(e).__name__}: {e}", False
             return CheckResult(name, passed, time.monotonic() - start, detail)
 
         run.check_name = name
@@ -65,9 +77,9 @@ def check_gk_oracle(datums=None):
         for n in range(0, 7):
             oracle = padic.mu_oracle("SL2", (n,), q, 3)
             table = ind.coeff((n,)).eval(Fraction(q))
-            assert oracle == table, f"SL2 q={q} n={n}: oracle {oracle} vs table {table}"
+            _require(oracle == table, f"SL2 q={q} n={n}: oracle {oracle} vs table {table}")
             again = padic.mu_oracle("SL2", (n,), q, 4)
-            assert again == oracle, f"SL2 q={q} n={n}: precision dependence"
+            _require(again == oracle, f"SL2 q={q} n={n}: precision dependence")
     rd2 = load_root_datum("A2")
     ind2 = hecke.gk_mu(rd2, ParabolicType(rd2, []), 14).to_basis(hecke.INDICATOR_BASIS)
     targets = [(a, b) for a in range(4) for b in range(4) if 0 < a + b <= 3] + [(0, 0)]
@@ -75,9 +87,9 @@ def check_gk_oracle(datums=None):
         prec = max(lam) + 2
         oracle = padic.mu_oracle("SL3", lam, 2, prec)
         table = ind2.coeff(lam).eval(Fraction(2))
-        assert oracle == table, f"SL3 q=2 lam={lam}: oracle {oracle} vs table {table}"
-    assert padic.conservation_check("SL2", 3, 2, 2), "SL2 ball conservation"
-    assert padic.conservation_check("SL3", 2, 1, 2), "SL3 ball conservation"
+        _require(oracle == table, f"SL3 q=2 lam={lam}: oracle {oracle} vs table {table}")
+    _require(padic.conservation_check("SL2", 3, 2, 2), "SL2 ball conservation")
+    _require(padic.conservation_check("SL3", 2, 1, 2), "SL3 ball conservation")
 
 
 @_timed("2. Convolution inversion: gk * nu = unit to height 10 (A1 A2 B2 G2 A3; J empty and maximal)")
@@ -90,8 +102,8 @@ def check_inversion(datums=("A1", "A2", "B2", "G2", "A3")):
             mu = hecke.gk_mu(rd, par, 10)
             nu_s = mu.invert()
             unit = hecke.GradedSeries.unit(rd, par, 10)
-            assert hecke.convolve(mu, nu_s) == unit, f"{name} J={J}: mu*nu != unit"
-            assert hecke.convolve(nu_s, mu) == unit, f"{name} J={J}: nu*mu != unit"
+            _require(hecke.convolve(mu, nu_s) == unit, f"{name} J={J}: mu*nu != unit")
+            _require(hecke.convolve(nu_s, mu) == unit, f"{name} J={J}: nu*mu != unit")
 
 
 @_timed("3. Inverse series has constant term 1 for every preset datum and parabolic")
@@ -100,7 +112,7 @@ def check_nu_constant_term(datums=None):
         rd = load_root_datum(name)
         for J in _all_parabolic_subsets(rd):
             par = ParabolicType(rd, J)
-            assert hecke.nu(rd, par, 4).constant_term() == ONE, f"{name} J={J}"
+            _require(hecke.nu(rd, par, 4).constant_term() == ONE, f"{name} J={J}")
 
 
 @_timed("4. Langlands retraction properties on 1000 random rational coweights per datum (A1 A2 B2 G2)")
@@ -114,11 +126,11 @@ def check_retraction(datums=("A1", "A2", "B2", "G2"), trials=1000):
         for t in range(trials):
             lam = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(rd.rank))
             val, J = cones.langlands_retraction(rd, lam)
-            assert rd.is_dominant(val), f"{name} {lam}: retraction not dominant"
+            _require(rd.is_dominant(val), f"{name} {lam}: retraction not dominant")
             diff = tuple(a - b for a, b in zip(val, lam))
-            assert cones.in_cone(pos, diff), f"{name} {lam}: retraction does not majorize"
+            _require(cones.in_cone(pos, diff), f"{name} {lam}: retraction does not majorize")
             val2, _ = cones.langlands_retraction(rd, val)
-            assert val2 == val, f"{name} {lam}: not idempotent"
+            _require(val2 == val, f"{name} {lam}: not idempotent")
             for eps in (Fraction(1), Fraction(1, 64)):
                 for i in range(rd.n_simple):
                     if pair(rd.simple_roots[i], val) > 0:
@@ -128,13 +140,14 @@ def check_retraction(datums=("A1", "A2", "B2", "G2"), trials=1000):
                         still = rd.is_dominant(probe) and cones.in_cone(
                             pos, tuple(a - b for a, b in zip(probe, lam))
                         )
-                        assert not still, f"{name} {lam}: minimality probe failed at {i}"
+                        _require(not still, f"{name} {lam}: minimality probe failed at {i}")
             if t % 10 == 0:
                 for J2 in subsets:
                     par = pars[tuple(J2)]
                     lam_m = tuple(rd.dominant_representative(lam, par.indices))
-                    assert cones.check_retraction_property(rd, par, lam_m), (
-                        f"{name} J={J2} {lam_m}: retract-difference membership failed"
+                    _require(
+                        cones.check_retraction_property(rd, par, lam_m),
+                        f"{name} J={J2} {lam_m}: retract-difference membership failed",
                     )
 
 
@@ -144,9 +157,9 @@ def check_cone_certificates(datums=None):
         rd = load_root_datum(name)
         for J in _all_parabolic_subsets(rd):
             par = ParabolicType(rd, J)
-            assert cones.check_pos_U_intersection(rd, par), f"{name} J={J}: intersection"
-            assert cones.check_dual_cone(rd, par), f"{name} J={J}: duality"
-            assert cones.check_pos_U_consequent(rd, par), f"{name} J={J}: consequent"
+            _require(cones.check_pos_U_intersection(rd, par), f"{name} J={J}: intersection")
+            _require(cones.check_dual_cone(rd, par), f"{name} J={J}: duality")
+            _require(cones.check_pos_U_consequent(rd, par), f"{name} J={J}: consequent")
 
 
 @_timed("6. Character-ring identities to height 8 (A2 B2 G2): product expansion and bridge unit")
@@ -156,9 +169,9 @@ def check_character_identities(datums=("A2", "B2", "G2")):
         subsets = [[]] + [list(t) for t in _maximal_subsets(rd)]
         for J in subsets:
             par = ParabolicType(rd, J)
-            assert hecke.verify_alternating_sym_expansion(rd, par, 8), f"{name} J={J}: product expansion"
-            assert hecke.verify_series_reformulation(rd, par, 8), f"{name} J={J}: series reformulation"
-            assert hecke.verify_smu_snu_unit(rd, par, 8), f"{name} J={J}: bridge unit"
+            _require(hecke.verify_alternating_sym_expansion(rd, par, 8), f"{name} J={J}: product expansion")
+            _require(hecke.verify_series_reformulation(rd, par, 8), f"{name} J={J}: series reformulation")
+            _require(hecke.verify_smu_snu_unit(rd, par, 8), f"{name} J={J}: bridge unit")
 
 
 @_timed("7. Local intertwiner round-trip on 100 random windowed functions per datum and parabolic")
@@ -184,8 +197,8 @@ def check_local_roundtrip(trials=100):
             inv_first = iw.apply_R_inverse_K(rd, par, nu_s, phi, out_points=need)
             fwd_last = iw.apply_R_K(rd, par, mu, inv_first, out_points=outer)
             for p in outer:
-                assert back.value(p) == phi.value(p), f"{name} J={J} trial {t}: R^-1 R != id at {p}"
-                assert fwd_last.value(p) == phi.value(p), f"{name} J={J} trial {t}: R R^-1 != id at {p}"
+                _require(back.value(p) == phi.value(p), f"{name} J={J} trial {t}: R^-1 R != id at {p}")
+                _require(fwd_last.value(p) == phi.value(p), f"{name} J={J} trial {t}: R R^-1 != id at {p}")
 
 
 @_timed("8. Weyl vanishing sweeps and double-coset transversals (A1 A2 B2 G2 A3 B3 C3)")
@@ -193,14 +206,15 @@ def check_weyl_identities(datums=("A1", "A2", "B2", "G2", "A3", "B3", "C3")):
     for name in datums:
         rd = load_root_datum(name)
         rep_a = weylids.verify_vanishing_A(rd)
-        assert rep_a.passed, f"{name} A: {rep_a.witnesses[:2]}"
+        _require(rep_a.passed, f"{name} A: {rep_a.witnesses[:2]}")
         rep_b = weylids.verify_vanishing_B(rd)
-        assert rep_b.passed, f"{name} B: {rep_b.witnesses[:2]}"
+        _require(rep_b.passed, f"{name} B: {rep_b.witnesses[:2]}")
         for J in _all_parabolic_subsets(rd):
             for J2 in _all_parabolic_subsets(rd):
                 par, par2 = ParabolicType(rd, J), ParabolicType(rd, J2)
-                assert weylids.check_w_bullet_transversal(rd, par, par2), (
-                    f"{name} J={J} J'={J2}: double-coset transversal"
+                _require(
+                    weylids.check_w_bullet_transversal(rd, par, par2),
+                    f"{name} J={J} J'={J2}: double-coset transversal",
                 )
 
 
@@ -211,11 +225,11 @@ def check_global_adjunction(trials=100):
     for t in range(trials):
         f = gs.GFunction.from_dict({n: rng.randint(-4, 4) for n in range(0, 5)}, qv)
         phi = gs.TFunction.from_dict({d: rng.randint(-4, 4) for d in range(-4, 4)}, qv)
-        assert gs.verify_adjunction(f, phi, qv), f"trial {t}: adjunction residual nonzero"
+        _require(gs.verify_adjunction(f, phi, qv), f"trial {t}: adjunction residual nonzero")
         ct = gs.ct_B(f, qv)
         for d in range(f.upper + 1, f.upper + 6):
-            assert ct.value(d) == ZERO, f"trial {t}: constant term not bounded above"
-    assert gs.verify_functional_equation(qv), "composition functional equation"
+            _require(ct.value(d) == ZERO, f"trial {t}: constant term not bounded above")
+    _require(gs.verify_functional_equation(qv), "composition functional equation")
 
 
 @_timed("9b. Global round-trips: L then L-inverse and back, numeric (n<=5, q=2,3) and symbolic (n<=3)")
@@ -228,19 +242,20 @@ def check_global_roundtrip():
             g = gs.op_L(f, qv)
             ct_honest = gs.ct_B(g, qv)
             for d in range(g.psc_ct.lower - probe, probe):
-                assert ct_honest.value(d) == g.psc_ct.value(d), (
-                    f"trial {t}: honest constant term differs from the certificate at {d}"
+                _require(
+                    ct_honest.value(d) == g.psc_ct.value(d),
+                    f"trial {t}: honest constant term differs from the certificate at {d}",
                 )
             back = gs.op_L_inverse(g, qv)
             for n in range(0, nmax + probe):
-                assert back.value(n) == f.value(n), f"trial {t}: L^-1 L != id at {n}"
+                _require(back.value(n) == f.value(n), f"trial {t}: L^-1 L != id at {n}")
             # forward again: L L^-1 = id on the certified pseudo-compact vector
             back_fin = gs.GFunction.from_dict(
                 {n: back.value(n) for n in range(0, nmax + probe)}, qv
             )
             g2 = gs.op_L(back_fin, qv)
             for n in range(0, nmax + probe):
-                assert g2.value(n) == g.value(n), f"trial {t}: L L^-1 != id at {n}"
+                _require(g2.value(n) == g.value(n), f"trial {t}: L L^-1 != id at {n}")
 
     run(Q, 3, 4, 5)
     for q in (2, 3):
@@ -255,13 +270,13 @@ def check_global_form(trials=100):
         f1 = gs.GFunction.from_dict({n: rng.randint(-3, 3) for n in range(0, 4)}, qv)
         f2 = gs.GFunction.from_dict({n: rng.randint(-3, 3) for n in range(0, 4)}, qv)
         b12 = gs.form_B(f1, f2, qv)
-        assert b12 == gs.form_B(f2, f1, qv), f"trial {t}: form not symmetric"
+        _require(b12 == gs.form_B(f2, f1, qv), f"trial {t}: form not symmetric")
         lf1 = gs.op_L(f1, qv)
         rhs = sum(
             (lf1.value(n) * f2.value(n) / gs.aut_count(n, qv) for n in range(0, f2.upper + 1)),
             ZERO,
         )
-        assert b12 == rhs, f"trial {t}: form differs from naive(L f1, f2)"
+        _require(b12 == rhs, f"trial {t}: form differs from naive(L f1, f2)")
 
 
 @_timed("9d. Cuspidal vectors: the model has none except zero, and the identity term of L has sign +1")
@@ -273,18 +288,19 @@ def check_global_cuspidal(trials=25):
     for d in range(0, 8):
         for n in range(0, 8):
             expected = ONE if n == d else ZERO
-            assert gs.ct_kernel(n, d, qv) == expected, "kernel not identity in nonnegative degrees"
+            _require(gs.ct_kernel(n, d, qv) == expected, "kernel not identity in nonnegative degrees")
     zero = gs.GFunction.from_dict({}, qv)
     lzero = gs.op_L(zero, qv)
-    assert all(lzero.value(n) == ZERO for n in range(0, 8)), "L(0) != 0"
+    _require(all(lzero.value(n) == ZERO for n in range(0, 8)), "L(0) != 0")
     # identity-term sign: L f + Eis- R^-1 CT f = +f exactly
     for t in range(trials):
         f = gs.GFunction.from_dict({n: rng.randint(-4, 4) for n in range(0, 4)}, qv)
         lf = gs.op_L(f, qv)
         eis_term = gs.eis_B_minus(gs.global_R_inverse(gs.ct_B(f, qv), qv), qv)
         for n in range(0, 8):
-            assert lf.value(n) + eis_term.value(n) == f.value(n), (
-                f"trial {t}: identity term of L is not +1 at {n}"
+            _require(
+                lf.value(n) + eis_term.value(n) == f.value(n),
+                f"trial {t}: identity term of L is not +1 at {n}",
             )
 
 
@@ -294,11 +310,11 @@ def check_determinism():
 
     out1, man1 = cli.run_capture(["gk", "--datum", "A2", "--height", "6"])
     out2, man2 = cli.run_capture(["gk", "--datum", "A2", "--height", "6"])
-    assert out1 == out2, "outputs differ between runs"
-    assert man1 == man2, "manifests differ between runs"
+    _require(out1 == out2, "outputs differ between runs")
+    _require(man1 == man2, "manifests differ between runs")
     out3, man3 = cli.run_capture(["retract", "--datum", "B2", "--coweight=-3/2,1"])
     out4, man4 = cli.run_capture(["retract", "--datum", "B2", "--coweight=-3/2,1"])
-    assert out3 == out4 and man3 == man4, "retract runs differ"
+    _require(out3 == out4 and man3 == man4, "retract runs differ")
 
 
 ALL_CHECKS = [

@@ -5,8 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qfield import ONE, RatFunc, ZERO, as_ratfunc
+from .hecke import GradedSeries
+from .qfield import ONE, as_ratfunc
 from .rootdata import ParabolicType, RootDatum, Vec, dominance_leq, mat_apply, pair
+
+# The completed character ring is the cone-series ring of hecke: its e-basis
+# coefficients are the Hecke side's indicator-basis coefficients.
+CharSeries = GradedSeries
 
 
 class CharError(ValueError):
@@ -51,111 +56,6 @@ class WeightFunction:
                 if self.mults.get(img, 0) != m:
                     return False
         return True
-
-
-class CharSeries:
-    """Truncated series in the completed character ring: coweight -> Q(q) coefficient.
-
-    Support lies in the pos_U cone of the parabolic; the truncation height is
-    measured by the pairing with 2rho_P.
-    """
-
-    def __init__(self, rd: RootDatum, par: ParabolicType, height: int, coeffs: dict):
-        self.rd = rd
-        self.par = par
-        self.height = int(height)
-        from .hecke import in_support_cone
-
-        clean = {}
-        for k, v in coeffs.items():
-            v = as_ratfunc(v)
-            if not v.is_zero():
-                key = tuple(int(x) for x in k)
-                if pair(par.two_rho_check_P, key) > self.height:
-                    continue
-                if not in_support_cone(rd, par, key):
-                    raise CharError(f"support point {key} lies outside the support cone")
-                clean[key] = v
-        self.coeffs: dict[Vec, RatFunc] = clean
-
-    @staticmethod
-    def unit(rd, par, height) -> "CharSeries":
-        return CharSeries(rd, par, height, {(0,) * rd.rank: ONE})
-
-    def coeff(self, lam) -> RatFunc:
-        return self.coeffs.get(tuple(int(x) for x in lam), ZERO)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharSeries)
-            and self.height == other.height
-            and self.coeffs == other.coeffs
-        )
-
-    def __mul__(self, other: "CharSeries") -> "CharSeries":
-        if self.par.indices != other.par.indices:
-            raise CharError("mismatched parabolic types")
-        h = min(self.height, other.height)
-        two_rho_p = self.par.two_rho_check_P
-        out: dict[Vec, RatFunc] = {}
-        for a, ca in self.coeffs.items():
-            ha = pair(two_rho_p, a)
-            for b, cb in other.coeffs.items():
-                if ha + pair(two_rho_p, b) > h:
-                    continue
-                key = tuple(x + y for x, y in zip(a, b))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return CharSeries(self.rd, self.par, h, out)
-
-    def graded_component(self, theta_class) -> dict[Vec, RatFunc]:
-        """Coefficients supported on the given class of the quotient grading lattice."""
-        target = tuple(Fraction(x) for x in theta_class)
-        return {
-            k: v for k, v in self.coeffs.items() if tuple(self.par.project(k)) == target
-        }
-
-    def classes(self) -> list:
-        return sorted({tuple(self.par.project(k)) for k in self.coeffs})
-
-    def invert(self) -> "CharSeries":
-        """Graded Neumann inversion; requires an invertible constant term."""
-        zero = (0,) * self.rd.rank
-        c0 = self.coeffs.get(zero)
-        if c0 is None or c0.is_zero():
-            raise CharError("series has zero constant term")
-        two_rho_p = self.par.two_rho_check_P
-        pos = {k: v for k, v in self.coeffs.items() if k != zero}
-        support = _monoid_points(list(pos), self.height, lambda v: pair(two_rho_p, v))
-        inv: dict[Vec, RatFunc] = {zero: ONE / c0}
-        for lam in support:
-            if lam == zero:
-                continue
-            acc = ZERO
-            for mu, cmu in pos.items():
-                rest = tuple(a - b for a, b in zip(lam, mu))
-                prev = inv.get(rest)
-                if prev is not None:
-                    acc = acc + cmu * prev
-            inv[lam] = -acc / c0
-        return CharSeries(self.rd, self.par, self.height, inv)
-
-
-def _monoid_points(generators, height_bound, height_fn) -> list:
-    """All sums of the generators with height <= bound, sorted by (height, point)."""
-    zero = tuple(0 for _ in generators[0]) if generators else ()
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in generators:
-                q = tuple(a + b for a, b in zip(p, g))
-                if q not in seen and height_fn(q) <= height_bound:
-                    seen.add(q)
-                    new.append(q)
-        frontier = new
-    return sorted(seen, key=lambda v: (height_fn(v), v))
 
 
 def lambda_series(rd: RootDatum, par: ParabolicType, t, piece: GradedPiece, height: int) -> CharSeries:

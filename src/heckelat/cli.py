@@ -51,13 +51,6 @@ def _coweight_str(lam) -> str:
     return "(" + ",".join(str(x) for x in lam) + ")"
 
 
-def _emit_series(series, basis: str) -> None:
-    print("coweight,coefficient")
-    shown = series.to_basis(basis) if basis != series.basis else series
-    for lam in sorted(shown.coeffs):
-        print(f'"{_coweight_str(lam)}",{_fmt(shown.coeffs[lam])}')
-
-
 def _resolve_datum(datum: str):
     if datum not in PRESET_NAMES:
         import os
@@ -75,34 +68,24 @@ def _load(args):
     return _resolve_datum(args.datum)
 
 
-def cmd_gk(args) -> int:
+def _series_table(args, build) -> int:
     rd = _load(args)
     par = _parse_parabolic(args.parabolic, rd)
-    series = hecke.gk_mu(rd, par, args.height)
-    if args.q != "sym":
-        qv = Fraction(args.q)
-        print("coweight,coefficient")
-        shown = series.to_basis(args.basis)
-        for lam in sorted(shown.coeffs):
-            print(f'"{_coweight_str(lam)}",{shown.coeffs[lam].eval(qv)}')
-        return 0
-    _emit_series(series, args.basis)
+    shown = build(rd, par, args.height).to_basis(args.basis)
+    qv = None if args.q == "sym" else Fraction(args.q)
+    print("coweight,coefficient")
+    for lam in sorted(shown.coeffs):
+        c = shown.coeffs[lam]
+        print(f'"{_coweight_str(lam)}",{_fmt(c if qv is None else c.eval(qv))}')
     return 0
+
+
+def cmd_gk(args) -> int:
+    return _series_table(args, hecke.gk_mu)
 
 
 def cmd_nu(args) -> int:
-    rd = _load(args)
-    par = _parse_parabolic(args.parabolic, rd)
-    series = hecke.nu(rd, par, args.height)
-    if args.q != "sym":
-        qv = Fraction(args.q)
-        print("coweight,coefficient")
-        shown = series.to_basis(args.basis)
-        for lam in sorted(shown.coeffs):
-            print(f'"{_coweight_str(lam)}",{shown.coeffs[lam].eval(qv)}')
-        return 0
-    _emit_series(series, args.basis)
-    return 0
+    return _series_table(args, hecke.nu)
 
 
 def cmd_satake_check(args) -> int:

@@ -78,11 +78,6 @@ def in_cone(gens, v) -> bool:
     return nonneg_combination(gens, v) is not None
 
 
-def cone_leq(gens_a, gens_b) -> bool:
-    """cone(gens_a) subseteq cone(gens_b)."""
-    return all(in_cone(gens_b, g) for g in gens_a)
-
-
 # ---------------------------------------------------------------------------
 # double description: extreme rays of {y : <c, y> >= 0 for all constraints c}
 
@@ -142,12 +137,6 @@ def _pivot_columns(rows) -> set[int]:
     return set(pivots)
 
 
-def primal_constraints(gens, dim: int):
-    """(equalities, inequalities) cutting out cone(gens): equalities from the dual lineality."""
-    lin, rays = rays_from_inequalities(gens, dim)
-    return lin, rays
-
-
 # ---------------------------------------------------------------------------
 # named cones
 
@@ -179,18 +168,6 @@ def neg_pos_U(indices) -> ConeId:
     return ConeId("neg_pos_U", frozenset(indices))
 
 
-def dom_M(indices) -> ConeId:
-    return ConeId("dom_M", frozenset(indices))
-
-
-def pos_GP(indices) -> ConeId:
-    return ConeId("pos_GP", frozenset(indices))
-
-
-def neg_pos_GP(indices) -> ConeId:
-    return ConeId("neg_pos_GP", frozenset(indices))
-
-
 def cone_generators(rd: RootDatum, cone: ConeId):
     """A finite generating set (lineality directions appear with both signs)."""
     tag = cone.tag
@@ -203,21 +180,6 @@ def cone_generators(rd: RootDatum, cone: ConeId):
     if tag in ("pos_U", "neg_pos_U"):
         gens = [fvec(a) for a in par.pos_coroots_unipotent]
         return gens if tag == "pos_U" else [vneg_t(g) for g in gens]
-    if tag == "dom_M":
-        rows = [fvec(rd.simple_roots[j]) for j in sorted(cone.indices)]
-        lin, rays = rays_from_inequalities(rows, rd.rank)
-        return rays + lin + [vneg_t(l) for l in lin]
-    if tag in ("pos_GP", "neg_pos_GP"):
-        gens = []
-        seen = set()
-        for a in rd.positive_coroots:
-            v = par.project(a)
-            if any(x != 0 for x in v):
-                key = tuple(v)
-                if key not in seen:
-                    seen.add(key)
-                    gens.append(key)
-        return gens if tag == "pos_GP" else [vneg_t(g) for g in gens]
     raise ConeError(f"unknown cone tag {tag!r}")
 
 
@@ -247,10 +209,6 @@ class SupportShape:
         gens = cone_generators(rd, self.cone)
         return any(in_cone(gens, tuple(x - y for x, y in zip(lam, b))) for b in self.base)
 
-    def shift_base(self, rd: RootDatum, offsets) -> "SupportShape":
-        pts = [tuple(Fraction(x) + Fraction(y) for x, y in zip(b, o)) for b in self.base for o in offsets]
-        return SupportShape.make(pts, self.cone)
-
 
 def dominant_weight_rays(rd: RootDatum):
     """(lineality, rays) of the rational dominant-weight cone."""
@@ -278,7 +236,8 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
     if rd.rank > RANK_CAP:
         raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
     pos_u = [fvec(a) for a in par.pos_coroots_unipotent]
-    eqs, ineqs = primal_constraints([fvec(a) for a in rd.positive_coroots], rd.rank)
+    # the dual cone's lineality and extreme rays are the equalities and inequalities cutting out pos_G
+    eqs, ineqs = rays_from_inequalities([fvec(a) for a in rd.positive_coroots], rd.rank)
     all_cons = []
     for w in sorted(par.weyl_levi):
         for e in eqs:
@@ -304,7 +263,7 @@ def check_pos_U_consequent(rd: RootDatum, par: ParabolicType) -> bool:
     neg_dom = [vneg_t(fvec(rd.simple_roots[j])) for j in sorted(par.indices)]
 
     def side(gens):
-        eqs, ineqs = primal_constraints(gens, rd.rank)
+        eqs, ineqs = rays_from_inequalities(gens, rd.rank)
         cons = list(ineqs) + list(eqs) + [vneg_t(e) for e in eqs] + neg_dom
         lin, rays = rays_from_inequalities(cons, rd.rank)
         return lin, rays, cons

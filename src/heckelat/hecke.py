@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charring import CharSeries, _monoid_points, lambda_series, sym_series, u_P_graded_pieces
 from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow
 from .rootdata import ParabolicType, RootDatum, Vec, mat_apply, pair
 
@@ -21,8 +20,12 @@ _CONE_MEMO: dict = {}
 
 
 def in_support_cone(rd, par, lam) -> bool:
-    """Cached membership of a lattice point in the parabolic's unipotent support cone."""
-    key = (rd.name, tuple(sorted(par.indices)), tuple(lam))
+    """Cached membership of a lattice point in the parabolic's unipotent support cone.
+
+    The memo is keyed on the cone's generators, not on names, so data that share
+    a name but not a cone never share entries.
+    """
+    key = (par.pos_coroots_unipotent, tuple(lam))
     hit = _CONE_MEMO.get(key)
     if hit is None:
         from . import cones
@@ -37,12 +40,20 @@ E_BASIS = "e"
 INDICATOR_BASIS = "indicator"
 
 
+def twist_scale(par: ParabolicType) -> int:
+    """1 if <rho_P, a> is integral on every unipotent coroot a, else 2: exponents are doubled (q = u^2)."""
+    return 1 if all(pair(par.two_rho_check_P, a) % 2 == 0 for a in par.pos_coroots_unipotent) else 2
+
+
 class GradedSeries:
     """Truncated series supported on lattice points of the unipotent cone.
 
     Coefficients live in Q(q); the truncation height is the pairing with 2rho_P.
-    The multiplicative e-basis is primary; the indicator basis differs by the
-    exact scalar q^{<rho_P, lam>} per lattice point.
+    The basis tag says how to read them. On the Hecke side the multiplicative
+    e-basis is primary and the indicator basis differs by the exact scalar
+    q^{<rho_P, lam>} per lattice point; the completed character ring reads the
+    indicator coefficients as its own e-basis (see satake_character_bridge).
+    In either basis the product is the cone-graded Cauchy product.
     """
 
     def __init__(self, rd: RootDatum, par: ParabolicType, height: int, coeffs: dict, basis: str = E_BASIS):
@@ -85,9 +96,6 @@ class GradedSeries:
             and self.coeffs == other.coeffs
         )
 
-    def support(self) -> list[Vec]:
-        return sorted(self.coeffs, key=lambda v: (pair(self.par.two_rho_check_P, v), v))
-
     def is_levi_invariant(self) -> bool:
         """Coefficient map is constant along W_M-orbits on the lattice."""
         for w in self.par.weyl_levi:
@@ -97,23 +105,37 @@ class GradedSeries:
                     return False
         return True
 
-    # -- basis conversion --------------------------------------------------
-    def rho_p_exponent(self, lam) -> Fraction:
-        return Fraction(pair(self.par.two_rho_check_P, lam), 2)
+    def graded_component(self, theta_class) -> dict[Vec, RatFunc]:
+        """Coefficients supported on the given class of the quotient grading lattice."""
+        target = tuple(Fraction(x) for x in theta_class)
+        return {
+            k: v for k, v in self.coeffs.items() if tuple(self.par.project(k)) == target
+        }
 
-    def to_basis(self, basis: str) -> "GradedSeries":
+    def classes(self) -> list:
+        return sorted({tuple(self.par.project(k)) for k in self.coeffs})
+
+    # -- basis conversion --------------------------------------------------
+    def to_basis(self, basis: str, scale: int = 1) -> "GradedSeries":
+        """The same element in the given basis: the indicator coefficient at lam is c q^{<rho_P, lam>}.
+
+        With scale 2 the indicator coefficients are read in u = q^{1/2}: c(u^2) u^{<2rho_P, lam>}.
+        That is integral where <rho_P, lam> is not; twist_scale picks the scale.
+        """
+        if scale != 1 and (self.basis, basis) != (E_BASIS, INDICATOR_BASIS):
+            raise HeckeError("only the e-basis converts to the doubled indicator basis")
         if basis == self.basis:
             return self
         sign = 1 if basis == INDICATOR_BASIS else -1
         out = {}
         for lam, c in self.coeffs.items():
-            e = self.rho_p_exponent(lam)
-            if e.denominator != 1:
+            e = scale * pair(self.par.two_rho_check_P, lam)
+            if e % 2:
                 raise HeckeError(
-                    f"basis conversion at {lam} needs q^{e}: half-integral powers of q do not "
+                    f"basis conversion at {lam} needs q^{Fraction(e, 2)}: half-integral powers of q do not "
                     "lie in Q(q); keep the e-basis or work with doubled exponents"
                 )
-            out[lam] = c * q_pow(sign * int(e))
+            out[lam] = (c if scale == 1 else c.double_exponents()) * q_pow(sign * e // 2)
         return GradedSeries(self.rd, self.par, self.height, out, basis)
 
     # -- algebra ----------------------------------------------------------
@@ -121,6 +143,7 @@ class GradedSeries:
         return convolve(self, other)
 
     def invert(self) -> "GradedSeries":
+        """Graded Neumann inversion; requires an invertible constant term."""
         c0 = self.constant_term()
         if c0.is_zero():
             raise HeckeError("series has zero constant term; not a unit")
@@ -140,6 +163,23 @@ class GradedSeries:
                     acc = acc + cmu * prev
             inv[lam] = -acc / c0
         return GradedSeries(self.rd, self.par, self.height, inv, self.basis)
+
+
+def _monoid_points(generators, height_bound, height_fn) -> list:
+    """All sums of the generators with height <= bound, sorted by (height, point)."""
+    zero = tuple(0 for _ in generators[0])
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in generators:
+                q = tuple(a + b for a, b in zip(p, g))
+                if q not in seen and height_fn(q) <= height_bound:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    return sorted(seen, key=lambda v: (height_fn(v), v))
 
 
 def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
@@ -184,10 +224,6 @@ def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
     return out
 
 
-def invert(s: GradedSeries) -> GradedSeries:
-    return s.invert()
-
-
 def nu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
     """Convolution inverse of the Gindikin-Karpelevich series; constant term is asserted to be 1."""
     out = gk_mu(rd, par, height).invert()
@@ -198,39 +234,31 @@ def nu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
 
 # ---------------------------------------------------------------------------
 # character-ring bridge
+#
+# charring builds its series on the type above, so it is imported where used.
 
 
-def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries, height: int | None = None) -> CharSeries:
+def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries, height: int | None = None) -> GradedSeries:
     """Reinterpret a W_M-invariant e-basis series as an element of the completed character ring.
 
     The character-side coefficient at a lattice point is the indicator-basis
-    coefficient there; products of series correspond to products of characters.
+    coefficient there, read in u = q^{1/2} when twist_scale(par) is 2; products
+    of series correspond to products of characters.
     """
     if not s.is_levi_invariant():
         raise HeckeError("series is not W_M-invariant")
     h = s.height if height is None else min(height, s.height)
-    ind = s.to_basis(INDICATOR_BASIS) if s.basis == E_BASIS else s
-    return CharSeries(rd, par, h, dict(ind.coeffs))
+    return GradedSeries(rd, par, h, s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs)
 
 
-def _doubled_series_coeffs(s: GradedSeries) -> dict:
-    """Indicator coefficients with q replaced by q^2 (so q^{1/2}-twists become integral)."""
-    out = {}
-    for lam, c in s.coeffs.items():
-        e = s.rho_p_exponent(lam)
-        out[lam] = c.double_exponents() * q_pow(int(2 * e))
-    return out
-
-
-def _lambda_product_side(rd, par, height: int, swap: bool, scale: int) -> CharSeries:
+def _lambda_product_side(rd, par, height: int, swap: bool) -> GradedSeries:
     """Product over graded pieces of Lambda(q^{a-1}, piece)/Lambda(q^a, piece) (or its reciprocal)."""
-    out = CharSeries.unit(rd, par, height)
+    from .charring import lambda_series, u_P_graded_pieces
+
+    scale = twist_scale(par)
+    out = GradedSeries.unit(rd, par, height)
     for piece in u_P_graded_pieces(rd, par):
-        e_hi = scale * piece.level
-        e_lo = scale * (piece.level - 1)
-        if e_hi.denominator != 1 or e_lo.denominator != 1:
-            raise HeckeError("piece level is not integral at this scale")
-        num_t, den_t = q_pow(int(e_lo)), q_pow(int(e_hi))
+        num_t, den_t = q_pow(int(scale * (piece.level - 1))), q_pow(int(scale * piece.level))
         if swap:
             num_t, den_t = den_t, num_t
         num = lambda_series(rd, par, num_t, piece, height)
@@ -243,34 +271,22 @@ def verify_series_reformulation(rd: RootDatum, par: ParabolicType, height: int) 
     """Check both character-ring reformulations of the GK series and its inverse.
 
     Levels with half-integral values are handled by doubling all exponents
-    (q -> q^2), which is injective on Q(q).
+    (q -> u^2, see twist_scale), which is injective on Q(q).
     """
-    pieces = u_P_graded_pieces(rd, par)
-    scale = 1 if all(p.level.denominator == 1 for p in pieces) else 2
     mu_s = gk_mu(rd, par, height)
-    nu_s = mu_s.invert()
-    if scale == 1:
-        smu = satake_character_bridge(rd, par, mu_s)
-        snu = satake_character_bridge(rd, par, nu_s)
-    else:
-        smu = CharSeries(rd, par, height, _doubled_series_coeffs(mu_s))
-        snu = CharSeries(rd, par, height, _doubled_series_coeffs(nu_s))
-    lhs_mu = _lambda_product_side(rd, par, height, swap=False, scale=scale)
-    lhs_nu = _lambda_product_side(rd, par, height, swap=True, scale=scale)
+    smu = satake_character_bridge(rd, par, mu_s)
+    snu = satake_character_bridge(rd, par, mu_s.invert())
+    lhs_mu = _lambda_product_side(rd, par, height, swap=False)
+    lhs_nu = _lambda_product_side(rd, par, height, swap=True)
     return smu == lhs_mu and snu == lhs_nu
 
 
 def verify_smu_snu_unit(rd: RootDatum, par: ParabolicType, height: int) -> bool:
     """The bridge is multiplicative: S(mu) S(nu) = 1 in the completed character ring."""
     mu_s = gk_mu(rd, par, height)
-    nu_s = mu_s.invert()
-    try:
-        smu = satake_character_bridge(rd, par, mu_s)
-        snu = satake_character_bridge(rd, par, nu_s)
-    except HeckeError:
-        smu = CharSeries(rd, par, height, _doubled_series_coeffs(mu_s))
-        snu = CharSeries(rd, par, height, _doubled_series_coeffs(nu_s))
-    return smu * snu == CharSeries.unit(rd, par, height)
+    smu = satake_character_bridge(rd, par, mu_s)
+    snu = satake_character_bridge(rd, par, mu_s.invert())
+    return smu * snu == GradedSeries.unit(rd, par, height)
 
 
 def verify_alternating_sym_expansion(rd: RootDatum, par: ParabolicType, height: int) -> bool:
@@ -279,9 +295,10 @@ def verify_alternating_sym_expansion(rd: RootDatum, par: ParabolicType, height: 
     The left side inverts the denominator by graded Neumann inversion; the right
     side expands the symmetric series independently from its generating product.
     """
-    pieces = u_P_graded_pieces(rd, par)
-    scale = 1 if all(p.level.denominator == 1 for p in pieces) else 2
-    for piece in pieces:
+    from .charring import lambda_series, sym_series, u_P_graded_pieces
+
+    scale = twist_scale(par)
+    for piece in u_P_graded_pieces(rd, par):
         e_hi = int(scale * piece.level)
         e_lo = int(scale * (piece.level - 1))
         lam_hi = lambda_series(rd, par, q_pow(e_hi), piece, height)

@@ -2,43 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cones
 from .cones import SupportShape
-from .hecke import GradedSeries, TruncationError, gk_mu
+from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, gk_mu, twist_scale
 from .qfield import RatFunc, ZERO, as_ratfunc, q_pow
 from .rootdata import ParabolicType, RootDatum, Vec, pair
 
 
 class IntertwineError(ValueError):
     pass
-
-
-def kernel_scale(rd: RootDatum, par: ParabolicType) -> int:
-    """1 if the half-sum pairing is integral on the support cone, else 2 (exponents doubled, q = u^2)."""
-    return 1 if all(pair(par.two_rho_check_P, a) % 2 == 0 for a in par.pos_coroots_unipotent) else 2
-
-
-def lift_scalar(c: RatFunc, scale: int) -> RatFunc:
-    """Interpret a Q(q) scalar in the working field (q -> u^scale)."""
-    return c if scale == 1 else c.double_exponents()
-
-
-@dataclass(frozen=True)
-class ModulusCharacter:
-    """The modulus character lam -> q^{-<2rho_P, lam>}, multiplicative in lam."""
-
-    rd: RootDatum
-    par: ParabolicType
-    scale: int = 1
-
-    def __call__(self, lam) -> RatFunc:
-        return q_pow(-self.scale * pair(self.par.two_rho_check_P, lam))
-
-    def inverse(self, lam) -> RatFunc:
-        return q_pow(self.scale * pair(self.par.two_rho_check_P, lam))
 
 
 class SphericalFunction:
@@ -74,26 +48,12 @@ class SphericalFunction:
         return max((pair(two_rho_p, lam) for lam in self.values), default=0)
 
 
-def _indicator_kernel(series: GradedSeries, scale: int) -> dict[Vec, RatFunc]:
-    """Indicator-basis coefficients of the series, in the working field."""
-    out = {}
-    for lam, c in series.coeffs.items():
-        e = series.rho_p_exponent(lam)
-        exp = scale * e
-        if exp.denominator != 1:
-            raise IntertwineError(
-                "kernel needs half-integral powers of q; use kernel_scale to double exponents"
-            )
-        out[lam] = lift_scalar(c, scale) * q_pow(int(exp))
-    return out
-
-
 def _apply_kernel(rd, par, series, phi, out_points, twist):
     """Twisted shift convolution out(lam) = twist(lam, theta) sum kernel(theta) phi(lam + theta)."""
     if series.par.indices != par.indices:
         raise IntertwineError("series parabolic does not match")
-    scale = kernel_scale(rd, par)
-    kernel = _indicator_kernel(series, scale)
+    scale = twist_scale(par)
+    kernel = series.to_basis(INDICATOR_BASIS, scale).coeffs
     two_rho_p = par.two_rho_check_P
     max_h = phi.max_height()
     if out_points is None:
@@ -155,5 +115,4 @@ def asymp_delta_K(rd: RootDatum, par: ParabolicType, lam, height: int | None = N
     if not cones.cone_member(rd, cones.pos_U(par.indices), lam):
         return ZERO
     nu_s = gk_mu(rd, par, height).invert()
-    scale = kernel_scale(rd, par)
-    return _indicator_kernel(nu_s, scale).get(lam, ZERO)
+    return nu_s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeff(lam)

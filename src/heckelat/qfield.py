@@ -159,9 +159,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num == (1,) and self.den == (1,)
 
-    def is_polynomial(self) -> bool:
-        return self.den == (1,)
-
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "RatFunc":
         other = _coerce(other)

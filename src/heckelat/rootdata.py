@@ -34,6 +34,12 @@ def mat_apply(m: Matrix, v) -> tuple:
     return tuple(dot(row, v) for row in m)
 
 
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of integer matrices, in integers."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 def _as_vec(v) -> Vec:
     return tuple(int(x) for x in v)
 
@@ -62,7 +68,11 @@ class RootDatum:
         )
         self._check_cartan()
         self._simple_reflections = tuple(self._reflection(i) for i in range(self.n_simple))
-        self._enumerate_weyl(weyl_cap)
+        self.weyl_elements: tuple[Matrix, ...] = tuple(self._weyl_bfs(range(self.n_simple), weyl_cap))
+        expected = self.expected_weyl_order()
+        if len(self.weyl_elements) != expected:
+            raise RootDatumError(f"|W| = {len(self.weyl_elements)} does not match classification ({expected})")
+        self._subgroup_cache: dict[frozenset, frozenset] = {}
         self._w_inverse = {w: self._invert(w) for w in self.weyl_elements}
         self._build_roots()
         self.w0 = self._find_longest(range(self.n_simple))
@@ -121,28 +131,29 @@ class RootDatum:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def _enumerate_weyl(self, cap: int) -> None:
+    def _weyl_bfs(self, indices, cap: int = WEYL_CAP):
+        """Elements of the subgroup generated by the listed simple reflections, breadth first by length.
+
+        Elements of equal length come out sorted.
+        """
+        gens = [self._simple_reflections[i] for i in sorted(indices)]
         ident = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
         seen = {ident}
         frontier = [ident]
-        order = [ident]
+        yield ident
         while frontier:
             new = []
             for w in frontier:
-                for s in self._simple_reflections:
-                    ws = tuple(tuple(dot(s_row, col) for col in zip(*w)) for s_row in s)
+                for s in gens:
+                    ws = mat_mul(s, w)
                     if ws not in seen:
                         seen.add(ws)
                         new.append(ws)
                         if len(seen) > cap:
                             raise WeylEnumerationError(f"Weyl enumeration exceeded cap {cap}")
             new.sort()
-            order.extend(new)
+            yield from new
             frontier = new
-        self.weyl_elements: tuple[Matrix, ...] = tuple(order)
-        expected = self.expected_weyl_order()
-        if len(self.weyl_elements) != expected:
-            raise RootDatumError(f"|W| = {len(self.weyl_elements)} does not match classification ({expected})")
 
     def _build_roots(self) -> None:
         coroots = set()
@@ -231,35 +242,12 @@ class RootDatum:
     def w_inverse(self, w: Matrix) -> Matrix:
         return self._w_inverse.get(w) or self._invert(w)
 
-    def reflection(self, i: int) -> Matrix:
-        return self._simple_reflections[i]
-
-    def is_in_subgroup(self, w: Matrix, indices) -> bool:
-        """Membership of w in the subgroup generated by the listed simple reflections."""
-        return w in self.subgroup(frozenset(indices))
-
-    def subgroup(self, indices: frozenset) -> frozenset:
+    def subgroup(self, indices) -> frozenset:
+        """The parabolic subgroup W_J generated by the listed simple reflections (cached)."""
         key = frozenset(indices)
-        cache = getattr(self, "_subgroup_cache", None)
-        if cache is None:
-            cache = {}
-            self._subgroup_cache = cache
-        if key not in cache:
-            ident = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
-            seen = {ident}
-            frontier = [ident]
-            gens = [self._simple_reflections[i] for i in sorted(key)]
-            while frontier:
-                new = []
-                for w in frontier:
-                    for s in gens:
-                        ws = tuple(tuple(dot(s_row, col) for col in zip(*w)) for s_row in s)
-                        if ws not in seen:
-                            seen.add(ws)
-                            new.append(ws)
-                frontier = new
-            cache[key] = frozenset(seen)
-        return cache[key]
+        if key not in self._subgroup_cache:
+            self._subgroup_cache[key] = frozenset(self._weyl_bfs(key))
+        return self._subgroup_cache[key]
 
     def in_span_of_simples(self, v: Vec, indices) -> bool:
         coeffs = self.coroot_coordinates(v)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootdata import Matrix, ParabolicType, RootDatum
+from .rootdata import Matrix, ParabolicType, RootDatum, mat_mul
 
 RANK_CAP = 4
 
@@ -51,10 +51,10 @@ def w_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list[Matrix
     # post hoc: verify both defining conditions element by element
     for w in out:
         winv = rd.w_inverse(w)
-        assert all(_is_positive_root(rd, _act_root(rd, winv, chi)) for chi in par2.pos_roots_levi)
-        assert all(
-            _act_root(rd, w, rd.simple_roots[j]) in simple_set & roots_m2 for j in par.indices
-        )
+        if not all(_is_positive_root(rd, _act_root(rd, winv, chi)) for chi in par2.pos_roots_levi):
+            raise WeylIdentityError(f"{w} in the relative Weyl set is not positive on the roots of M'")
+        if not all(_act_root(rd, w, rd.simple_roots[j]) in simple_set & roots_m2 for j in par.indices):
+            raise WeylIdentityError(f"{w} in the relative Weyl set does not send M to a standard Levi of M'")
     return out
 
 
@@ -82,17 +82,12 @@ def double_cosets(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> lis
         w = min(remaining)
         coset = set()
         for a in left:
-            aw = tuple(tuple(int(x) for x in row) for row in _mat_mul(a, w))
+            aw = mat_mul(a, w)
             for b in right:
-                coset.add(tuple(tuple(int(x) for x in row) for row in _mat_mul(aw, b)))
+                coset.add(mat_mul(aw, b))
         cosets.append(frozenset(coset))
         remaining -= coset
     return cosets
-
-
-def _mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def check_w_bullet_transversal(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> bool:
@@ -186,8 +181,7 @@ def verify_vanishing_B(rd: RootDatum) -> VanishingReport:
     for j2 in _subsets(rd.n_simple):
         par2 = ParabolicType(rd, j2)
         pos_m2 = set(par2.pos_roots_levi)
-        survivor = _mat_mul(par2.w0_levi, rd.w0)
-        survivor = tuple(tuple(int(x) for x in row) for row in survivor)
+        survivor = mat_mul(par2.w0_levi, rd.w0)
         for w in rd.weyl_elements:
             winv = rd.w_inverse(w)
             if not all(_is_positive_root(rd, _act_root(rd, winv, chi)) for chi in par2.pos_roots_levi):

@@ -1,8 +1,14 @@
 """Acceptance gate: every exit criterion runs at its stated tolerance (exact) and prints one line."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from heckelat import acceptance
+from heckelat import acceptance, hecke
 
 
 @pytest.mark.parametrize("check", acceptance.ALL_CHECKS, ids=lambda c: c.check_name)
@@ -10,3 +16,38 @@ def test_acceptance_criterion(check):
     result = check()
     print(result.line())
     assert result.passed, result.detail
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_checks_still_fail_under_python_O():
+    # criterion 2 with an inversion that returns its input, criterion 3 with an inverse series that raises
+    script = textwrap.dedent("""
+        from heckelat import acceptance, hecke
+
+        def broken_nu(rd, par, height):
+            raise ZeroDivisionError("sabotaged")
+
+        hecke.GradedSeries.invert = lambda self: self
+        hecke.nu = broken_nu
+        print(acceptance.check_inversion(("A1",)).line())
+        print(acceptance.check_nu_constant_term(("A1",)).line())
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    inversion, constant_term = proc.stdout.splitlines()
+    assert inversion.startswith("[FAIL] 2.") and "mu*nu != unit" in inversion
+    assert constant_term.startswith("[FAIL] 3.") and "ZeroDivisionError: sabotaged" in constant_term
+
+
+def test_check_that_raises_is_reported_as_a_named_failure(monkeypatch):
+    def broken_nu(rd, par, height):
+        raise ZeroDivisionError("sabotaged")
+
+    monkeypatch.setattr(hecke, "nu", broken_nu)
+    result = acceptance.check_nu_constant_term(("A1",))
+    assert not result.passed
+    assert result.detail == "ZeroDivisionError: sabotaged"
+    assert result.line().startswith("[FAIL] 3.")

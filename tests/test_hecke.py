@@ -151,3 +151,12 @@ def test_height_slab_is_finite():
         heights[h] = heights.get(h, 0) + 1
     assert all(count < 100 for count in heights.values())
     assert max(heights) <= 10
+
+
+def test_cone_memo_is_keyed_on_content_not_name():
+    from heckelat.rootdata import RootDatum
+
+    a2_shaped = RootDatum("X", 2, [[1, 0], [0, 1]], [[2, -1], [-1, 2]])
+    gl2_shaped = RootDatum("X", 2, [[1, -1]], [[1, -1]])
+    assert hk.in_support_cone(a2_shaped, parabolic(a2_shaped, []), (1, 0))
+    assert not hk.in_support_cone(gl2_shaped, parabolic(gl2_shaped, []), (1, 0))

@@ -41,8 +41,8 @@ def test_matrix_oracle_dense_convolution():
     par = parabolic(rd, [0])
     height = 15
     mu = hk.gk_mu(rd, par, height)
-    scale = iw.kernel_scale(rd, par)
-    kernel = iw._indicator_kernel(mu, scale)
+    scale = hk.twist_scale(par)
+    kernel = mu.to_basis(hk.INDICATOR_BASIS, scale).coeffs
     rng = random.Random(23)
     pts = [(a, b) for a in range(-1, 2) for b in range(-1, 2)]
     values = {p: rng.randint(-4, 4) for p in pts}
@@ -105,15 +105,6 @@ def test_window_propagation_class():
     assert out.window.cone.tag == "neg_pos_U"
     for lam in out.values:
         assert out.window.contains(rd, lam)
-
-
-def test_modulus_character_multiplicative():
-    rd = load_root_datum("B2")
-    par = parabolic(rd, [1])
-    delta = iw.ModulusCharacter(rd, par)
-    a, b = (1, -1), (0, 2)
-    ab = tuple(x + y for x, y in zip(a, b))
-    assert delta(ab) == delta(a) * delta(b)
 
 
 def test_asymptotics_values():
