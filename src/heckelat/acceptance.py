@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import cones, globalsl2 as gs, hecke, intertwine as iw, padic, weylids
 from .qfield import ONE, Q, ZERO
-from .rootdata import PRESET_NAMES, ParabolicType, load_root_datum, pair
+from .rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum, pair
 
 SEED = 20260808
 
@@ -54,11 +54,6 @@ def _timed(name):
         return run
 
     return wrap
-
-
-def _all_parabolic_subsets(rd):
-    for mask in range(1 << rd.n_simple):
-        yield [i for i in range(rd.n_simple) if mask >> i & 1]
 
 
 def _maximal_subsets(rd):
@@ -110,7 +105,7 @@ def check_inversion(datums=("A1", "A2", "B2", "G2", "A3")):
 def check_nu_constant_term(datums=None):
     for name in datums or PRESET_NAMES:
         rd = load_root_datum(name)
-        for J in _all_parabolic_subsets(rd):
+        for J in index_subsets(rd.n_simple):
             par = ParabolicType(rd, J)
             _require(hecke.nu(rd, par, 4).constant_term() == ONE, f"{name} J={J}")
 
@@ -121,7 +116,7 @@ def check_retraction(datums=("A1", "A2", "B2", "G2"), trials=1000):
     for name in datums:
         rd = load_root_datum(name)
         pos = [cones.fvec(a) for a in rd.positive_coroots]
-        subsets = list(_all_parabolic_subsets(rd))
+        subsets = list(index_subsets(rd.n_simple))
         pars = {tuple(J): ParabolicType(rd, J) for J in subsets}
         for t in range(trials):
             lam = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(rd.rank))
@@ -155,7 +150,7 @@ def check_retraction(datums=("A1", "A2", "B2", "G2"), trials=1000):
 def check_cone_certificates(datums=None):
     for name in datums or PRESET_NAMES:
         rd = load_root_datum(name)
-        for J in _all_parabolic_subsets(rd):
+        for J in index_subsets(rd.n_simple):
             par = ParabolicType(rd, J)
             _require(cones.check_pos_U_intersection(rd, par), f"{name} J={J}: intersection")
             _require(cones.check_dual_cone(rd, par), f"{name} J={J}: duality")
@@ -209,8 +204,8 @@ def check_weyl_identities(datums=("A1", "A2", "B2", "G2", "A3", "B3", "C3")):
         _require(rep_a.passed, f"{name} A: {rep_a.witnesses[:2]}")
         rep_b = weylids.verify_vanishing_B(rd)
         _require(rep_b.passed, f"{name} B: {rep_b.witnesses[:2]}")
-        for J in _all_parabolic_subsets(rd):
-            for J2 in _all_parabolic_subsets(rd):
+        for J in index_subsets(rd.n_simple):
+            for J2 in index_subsets(rd.n_simple):
                 par, par2 = ParabolicType(rd, J), ParabolicType(rd, J2)
                 _require(
                     weylids.check_w_bullet_transversal(rd, par, par2),

@@ -30,10 +30,10 @@ def u_P_graded_pieces(rd: RootDatum, par: ParabolicType) -> list[GradedPiece]:
     """Partition of the non-Levi positive coroots by the pairing with rho_P (levels ascending)."""
     buckets: dict[Fraction, list[Vec]] = {}
     for a in par.pos_coroots_unipotent:
-        lvl = Fraction(pair(par.two_rho_check_P, a), 2)
+        lvl = Fraction(par.height(a), 2)
         if lvl <= 0:
             raise CharError(f"nonpositive grading level {lvl} for weight {a}")
-        buckets.setdefault(lvl, []).append(tuple(int(x) for x in a))
+        buckets.setdefault(lvl, []).append(a)
     return [GradedPiece(lvl, tuple(sorted(ws))) for lvl, ws in sorted(buckets.items())]
 
 
@@ -52,8 +52,7 @@ class WeightFunction:
     def is_levi_invariant(self, rd: RootDatum, par: ParabolicType) -> bool:
         for w in par.weyl_levi:
             for lam, m in self.mults.items():
-                img = tuple(int(x) for x in mat_apply(w, lam))
-                if self.mults.get(img, 0) != m:
+                if self.mults.get(mat_apply(w, lam), 0) != m:
                     return False
         return True
 
@@ -71,10 +70,9 @@ def lambda_series(rd: RootDatum, par: ParabolicType, t, piece: GradedPiece, heig
 def sym_series(rd: RootDatum, par: ParabolicType, t, piece: GradedPiece, height: int) -> CharSeries:
     """Symmetric-power series of a graded piece: the product of geometric series in t e^w."""
     t = as_ratfunc(t)
-    two_rho_p = par.two_rho_check_P
     out = CharSeries.unit(rd, par, height)
     for w in piece.weights:
-        hw = pair(two_rho_p, w)
+        hw = par.height(w)
         if hw <= 0:
             raise CharError(f"weight {w} is not strictly positive in the grading; series not summable")
         coeffs = {}
@@ -96,8 +94,8 @@ def _levi_form(rd: RootDatum, par: ParabolicType):
     """A W_M-invariant symmetric form on the coweight lattice, positive on the Levi root span."""
     roots = sorted(par.roots_levi)
 
-    def form(x, y) -> Fraction:
-        return sum((Fraction(pair(r, x)) * Fraction(pair(r, y)) for r in roots), Fraction(0))
+    def form(x, y):
+        return sum(pair(r, x) * pair(r, y) for r in roots)
 
     return form
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import __version__, acceptance, charring, cones, globalsl2 as gs, hecke, intertwine as iw, padic, weylids
 from .qfield import Q, RatFunc, as_ratfunc
-from .rootdata import PRESET_NAMES, ParabolicType, load_root_datum
+from .rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum
 
 
 class UsageError(ValueError):
@@ -117,10 +117,7 @@ def cmd_cone_check(args) -> int:
     subsets = (
         [sorted(_parse_parabolic(args.parabolic, rd).indices)]
         if args.parabolic
-        else [
-            [i for i in range(rd.n_simple) if mask >> i & 1]
-            for mask in range(1 << rd.n_simple)
-        ]
+        else index_subsets(rd.n_simple)
     )
     print("parabolic,intersection,duality,consequent")
     all_ok = True
@@ -218,19 +215,16 @@ def cmd_weyl_identities(args) -> int:
     print("identity,cases,result,witnesses")
     print(f"vanishing-A,{rep_a.cases},{_pf(rep_a.passed)},\"{';'.join(rep_a.witnesses)}\"")
     print(f"vanishing-B,{rep_b.cases},{_pf(rep_b.passed)},\"{';'.join(rep_b.witnesses)}\"")
-    ok = rep_a.passed and rep_b.passed
-    for mask in range(1 << rd.n_simple):
-        J = [i for i in range(rd.n_simple) if mask >> i & 1]
+    transversals_ok = True
+    for J in index_subsets(rd.n_simple):
         par = ParabolicType(rd, J)
-        for mask2 in range(1 << rd.n_simple):
-            J2 = [i for i in range(rd.n_simple) if mask2 >> i & 1]
-            par2 = ParabolicType(rd, J2)
-            okc = weylids.check_w_bullet_transversal(rd, par, par2)
-            ok = ok and okc
+        for J2 in index_subsets(rd.n_simple):
+            okc = weylids.check_w_bullet_transversal(rd, par, ParabolicType(rd, J2))
+            transversals_ok = transversals_ok and okc
             if not okc:
                 print(f"transversal J={J} J'={J2},1,fail,")
-    print(f"transversals,{(1 << rd.n_simple) ** 2},{_pf(ok)},")
-    return 0 if ok else 1
+    print(f"transversals,{(1 << rd.n_simple) ** 2},{_pf(transversals_ok)},")
+    return 0 if rep_a.passed and rep_b.passed and transversals_ok else 1
 
 
 def cmd_global(args) -> int:

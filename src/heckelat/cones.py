@@ -7,8 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .linalg import dot, fvec, nullspace, primitive_vector
-from .rootdata import ParabolicType, RootDatum, pair
+from .linalg import dot, fvec, nullspace, primitive_vector, vneg
+from .rootdata import ParabolicType, RootDatum, index_subsets, pair
 
 RANK_CAP = 4  # exact double description is only run for ranks up to this bound
 
@@ -120,14 +120,10 @@ def rays_from_inequalities(constraints, dim: int):
     # drop rays that are not extreme (possible when constraints are degenerate)
     out = []
     for i, r in enumerate(rays):
-        others = [x for j, x in enumerate(rays) if j != i] + [l for l in lin] + [vneg_t(l) for l in lin]
+        others = [x for j, x in enumerate(rays) if j != i] + [l for l in lin] + [vneg(l) for l in lin]
         if not in_cone(others, r):
             out.append(r)
     return lin, out
-
-
-def vneg_t(v):
-    return tuple(-Fraction(x) for x in v)
 
 
 def _pivot_columns(rows) -> set[int]:
@@ -173,13 +169,13 @@ def cone_generators(rd: RootDatum, cone: ConeId):
     tag = cone.tag
     if tag in ("pos_G", "neg_pos_G"):
         gens = [fvec(a) for a in rd.positive_coroots]
-        return gens if tag == "pos_G" else [vneg_t(g) for g in gens]
+        return gens if tag == "pos_G" else [vneg(g) for g in gens]
     if cone.indices is None:
         raise ConeError(f"cone {tag} requires a parabolic index set")
     par = ParabolicType(rd, cone.indices)
     if tag in ("pos_U", "neg_pos_U"):
         gens = [fvec(a) for a in par.pos_coroots_unipotent]
-        return gens if tag == "pos_U" else [vneg_t(g) for g in gens]
+        return gens if tag == "pos_U" else [vneg(g) for g in gens]
     raise ConeError(f"unknown cone tag {tag!r}")
 
 
@@ -222,7 +218,7 @@ def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
     is nonpositive on the shape's cone (the base is finite by construction).
     """
     lin, rays = dominant_weight_rays(rd)
-    tests = list(rays) + list(lin) + [vneg_t(l) for l in lin]
+    tests = list(rays) + list(lin) + [vneg(l) for l in lin]
     gens = cone_generators(rd, shape.cone)
     return all(dot(chi, g) <= 0 for chi in tests for g in gens)
 
@@ -242,17 +238,17 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
     for w in sorted(par.weyl_levi):
         for e in eqs:
             we = rd.act_on_weight(w, e)
-            all_cons.append(fvec(we))
-            all_cons.append(vneg_t(we))
+            all_cons.append(we)
+            all_cons.append(vneg(we))
         for c in ineqs:
-            all_cons.append(fvec(rd.act_on_weight(w, c)))
+            all_cons.append(rd.act_on_weight(w, c))
     # inclusion pos_U subseteq intersection: every generator satisfies every constraint
     for g in pos_u:
         if any(dot(c, g) < 0 for c in all_cons):
             return False
     # inclusion intersection subseteq pos_U: every extreme ray is a nonneg combination
     lin, rays = rays_from_inequalities(all_cons, rd.rank)
-    for v in list(rays) + list(lin) + [vneg_t(l) for l in lin]:
+    for v in list(rays) + list(lin) + [vneg(l) for l in lin]:
         if not in_cone(pos_u, v):
             return False
     return True
@@ -260,18 +256,18 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
 
 def check_pos_U_consequent(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that pos_U meets -dom_M in the same cone as pos_G does."""
-    neg_dom = [vneg_t(fvec(rd.simple_roots[j])) for j in sorted(par.indices)]
+    neg_dom = [vneg(rd.simple_roots[j]) for j in sorted(par.indices)]
 
     def side(gens):
         eqs, ineqs = rays_from_inequalities(gens, rd.rank)
-        cons = list(ineqs) + list(eqs) + [vneg_t(e) for e in eqs] + neg_dom
+        cons = list(ineqs) + list(eqs) + [vneg(e) for e in eqs] + neg_dom
         lin, rays = rays_from_inequalities(cons, rd.rank)
         return lin, rays, cons
 
     lin1, rays1, cons1 = side([fvec(a) for a in par.pos_coroots_unipotent])
     lin2, rays2, cons2 = side([fvec(a) for a in rd.positive_coroots])
-    pts1 = list(rays1) + list(lin1) + [vneg_t(l) for l in lin1]
-    pts2 = list(rays2) + list(lin2) + [vneg_t(l) for l in lin2]
+    pts1 = list(rays1) + list(lin1) + [vneg(l) for l in lin1]
+    pts2 = list(rays2) + list(lin2) + [vneg(l) for l in lin2]
     return all(all(dot(c, v) >= 0 for c in cons2) for v in pts1) and all(
         all(dot(c, v) >= 0 for c in cons1) for v in pts2
     )
@@ -283,19 +279,19 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
         raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
     gens_u = [fvec(a) for a in par.pos_coroots_unipotent]
     lin_c, rays_c = dominant_weight_rays(rd)
-    chamber_pts = list(rays_c) + list(lin_c) + [vneg_t(l) for l in lin_c]
+    chamber_pts = list(rays_c) + list(lin_c) + [vneg(l) for l in lin_c]
     w_levi = sorted(par.weyl_levi)
     # (i) every W_M-translate of the dominant cone pairs >= 0 with pos_U
     for w in w_levi:
         for v in chamber_pts:
-            wv = tuple(dot(fvec(v), col) for col in zip(*rd.w_inverse(w)))
+            wv = rd.act_on_weight(w, v)
             if any(dot(wv, g) < 0 for g in gens_u):
                 return False
     # (ii) every extreme ray of the dual cone lies in some W_M-translate of the dominant cone
     lin_d, rays_d = rays_from_inequalities(gens_u, rd.rank)
-    for v in list(rays_d) + list(lin_d) + [vneg_t(l) for l in lin_d]:
+    for v in list(rays_d) + list(lin_d) + [vneg(l) for l in lin_d]:
         if not any(
-            all(pair(tuple(dot(fvec(v), col) for col in zip(*rd.w_inverse(w))), a) >= 0 for a in rd.simple_coroots)
+            all(pair(rd.act_on_weight(w, v), a) >= 0 for a in rd.simple_coroots)
             for w in w_levi
         ):
             return False
@@ -304,10 +300,10 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
         for i in range(rd.n_simple):
             if i in par.indices:
                 continue  # glued to the neighboring chamber w s_i inside W_M
-            wall_cons = [fvec(a) for a in rd.simple_coroots] + [vneg_t(fvec(rd.simple_coroots[i]))]
+            wall_cons = [fvec(a) for a in rd.simple_coroots] + [vneg(rd.simple_coroots[i])]
             lin_w, rays_w = rays_from_inequalities(wall_cons, rd.rank)
-            wall_pts = list(rays_w) + list(lin_w) + [vneg_t(l) for l in lin_w]
-            translated = [tuple(dot(fvec(v), col) for col in zip(*rd.w_inverse(w))) for v in wall_pts]
+            wall_pts = list(rays_w) + list(lin_w) + [vneg(l) for l in lin_w]
+            translated = [rd.act_on_weight(w, v) for v in wall_pts]
             if not any(all(dot(tv, g) == 0 for tv in translated) for g in gens_u):
                 return False
     return True
@@ -327,8 +323,7 @@ def langlands_retraction(rd: RootDatum, lam):
     lam = fvec(lam)
     n = rd.n_simple
     solutions = []
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
+    for idx in index_subsets(n):
         if idx:
             a = [[Fraction(rd.cartan[i][j]) for j in idx] for i in idx]
             rhs = [-pair(rd.simple_roots[i], lam) for i in idx]
@@ -365,4 +360,4 @@ def check_retraction_property(rd: RootDatum, par: ParabolicType, lam) -> bool:
     diff = tuple(a - b for a, b in zip(val, lam))
     if not in_cone([fvec(a) for a in par.pos_coroots_unipotent], diff):
         return False
-    return rd.is_dominant(vneg_t(diff), par.indices)
+    return rd.is_dominant(vneg(diff), par.indices)

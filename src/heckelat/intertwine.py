@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import cones
 from .cones import SupportShape
-from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, gk_mu, twist_scale
+from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, gk_mu, in_support_cone, twist_scale
 from .qfield import RatFunc, ZERO, as_ratfunc, q_pow
-from .rootdata import ParabolicType, RootDatum, Vec, pair
+from .rootdata import ParabolicType, RootDatum, Vec
 
 
 class IntertwineError(ValueError):
@@ -44,8 +42,7 @@ class SphericalFunction:
         return not self.values
 
     def max_height(self):
-        two_rho_p = self.par.two_rho_check_P
-        return max((pair(two_rho_p, lam) for lam in self.values), default=0)
+        return max(map(self.par.height, self.values), default=0)
 
 
 def _apply_kernel(rd, par, series, phi, out_points, twist):
@@ -54,19 +51,18 @@ def _apply_kernel(rd, par, series, phi, out_points, twist):
         raise IntertwineError("series parabolic does not match")
     scale = twist_scale(par)
     kernel = series.to_basis(INDICATOR_BASIS, scale).coeffs
-    two_rho_p = par.two_rho_check_P
     max_h = phi.max_height()
     if out_points is None:
         # default to the certified part of the potential support; requested
         # points outside the certificate raise instead of truncating silently
         potential = {tuple(a - b for a, b in zip(p, th)) for p in phi.values for th in kernel}
-        out_points = sorted(lam for lam in potential if max_h - pair(two_rho_p, lam) <= series.height)
+        out_points = sorted(lam for lam in potential if max_h - par.height(lam) <= series.height)
     else:
-        bad = [lam for lam in out_points if max_h - pair(two_rho_p, lam) > series.height]
+        bad = [lam for lam in out_points if max_h - par.height(lam) > series.height]
         if bad:
             raise TruncationError(
                 f"series height {series.height} cannot certify outputs at {bad[:3]} "
-                f"(needs height {max(max_h - pair(two_rho_p, lam) for lam in bad)})"
+                f"(needs height {max(max_h - par.height(lam) for lam in bad)})"
             )
     out_set = set(out_points)
     out: dict[Vec, RatFunc] = {}
@@ -78,28 +74,22 @@ def _apply_kernel(rd, par, series, phi, out_points, twist):
                 prev = out.get(lam)
                 out[lam] = term if prev is None else prev + term
     out = {k2: v2 for k2, v2 in out.items() if not v2.is_zero()}
-    window = SupportShape.make(
-        [tuple(Fraction(x) for x in b) for b in phi.window.base], cones.neg_pos_U(par.indices)
-    )
+    window = SupportShape.make(phi.window.base, cones.neg_pos_U(par.indices))
     return SphericalFunction(rd, par, out, window, check_window=False)
 
 
 def apply_R_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, phi: SphericalFunction, out_points=None) -> SphericalFunction:
     """The K-invariant intertwining operator: modulus-inverse prefactor times shift convolution with the series."""
-    two_rho_p = par.two_rho_check_P
-
     def twist(scale, lam, theta):
-        return q_pow(scale * pair(two_rho_p, lam))
+        return q_pow(scale * par.height(lam))
 
     return _apply_kernel(rd, par, series, phi, out_points, twist)
 
 
 def apply_R_inverse_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, phi: SphericalFunction, out_points=None) -> SphericalFunction:
     """The inverse operator: modulus evaluated at the input point inside the sum, kernel the inverse series."""
-    two_rho_p = par.two_rho_check_P
-
     def twist(scale, lam, theta):
-        return q_pow(-scale * (pair(two_rho_p, lam) + pair(two_rho_p, theta)))
+        return q_pow(-scale * (par.height(lam) + par.height(theta)))
 
     return _apply_kernel(rd, par, series, phi, out_points, twist)
 
@@ -107,12 +97,12 @@ def apply_R_inverse_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, p
 def asymp_delta_K(rd: RootDatum, par: ParabolicType, lam, height: int | None = None) -> RatFunc:
     """Asymptotics of the basic spherical vector: the indicator-basis value of the inverse series at lam."""
     lam = tuple(int(x) for x in lam)
-    h = pair(par.two_rho_check_P, lam)
+    h = par.height(lam)
     if height is None:
         height = max(h, 0)
     if h > height:
         raise IntertwineError(f"{lam} lies outside the computed window (height {height})")
-    if not cones.cone_member(rd, cones.pos_U(par.indices), lam):
+    if not in_support_cone(rd, par, lam):
         return ZERO
     nu_s = gk_mu(rd, par, height).invert()
     return nu_s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeff(lam)

@@ -1,4 +1,9 @@
-"""Exact linear algebra over Q (Fraction matrices as tuples of row tuples)."""
+"""Exact linear algebra over Q, on vectors and matrices stored as tuples (matrices as tuples of row tuples).
+
+Products (`dot`, `mat_vec`, `mat_mul`, `identity`) keep their inputs' type: integer
+inputs give integers, and one rational input gives Fractions. The vector
+helpers and the elimination routines always return Fractions.
+"""
 
 from __future__ import annotations
 
@@ -13,8 +18,8 @@ def fvec(v) -> QVec:
     return tuple(Fraction(x) for x in v)
 
 
-def dot(a, b) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def vadd(a, b):
@@ -43,8 +48,8 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def identity(n: int) -> QMat:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

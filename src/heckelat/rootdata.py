@@ -1,4 +1,9 @@
-"""Split based root data, standard parabolic types, and finite Weyl groups, all in exact integer arithmetic."""
+"""Split based root data, standard parabolic types, and finite Weyl groups, all in exact integer arithmetic.
+
+Pairings and Weyl actions keep their inputs' type (see linalg): on lattice
+points they are integers, on rational coweights Fractions. Heights, the pairing
+with 2rho_P, come only from ParabolicType.height.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import linalg
-from .linalg import dot
+from .linalg import dot, mat_mul
 
 Vec = tuple[int, ...]  # coweight, coordinates in the ambient lattice Z^rank
 Covec = tuple[int, ...]  # weight, a functional on the coweight lattice via the dot product
@@ -26,7 +31,7 @@ class WeylEnumerationError(RuntimeError):
 
 
 def pair(chi, lam):
-    """Pairing <chi, lam> of a weight with a (possibly rational) coweight."""
+    """Pairing <chi, lam> of a weight with a coweight: an int on the lattice, a Fraction on a rational coweight."""
     return dot(chi, lam)
 
 
@@ -34,10 +39,10 @@ def mat_apply(m: Matrix, v) -> tuple:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of integer matrices, in integers."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+def index_subsets(n: int):
+    """Every subset of range(n) as an ascending list, in the order of the bit masks 0, 1, ..., 2^n - 1."""
+    for mask in range(1 << n):
+        yield [i for i in range(n) if mask >> i & 1]
 
 
 def _as_vec(v) -> Vec:
@@ -63,7 +68,7 @@ class RootDatum:
             if len(v) != self.rank:
                 raise RootDatumError("vector length does not match rank")
         self.cartan: tuple[Vec, ...] = tuple(
-            tuple(int(pair(self.simple_roots[i], self.simple_coroots[j])) for j in range(self.n_simple))
+            tuple(pair(self.simple_roots[i], self.simple_coroots[j]) for j in range(self.n_simple))
             for i in range(self.n_simple)
         )
         self._check_cartan()
@@ -96,9 +101,8 @@ class RootDatum:
         # finite type: symmetrize and require all principal minors positive
         d = self._symmetrizer()
         sym = [[Fraction(d[i]) * c[i][j] for j in range(n)] for i in range(n)]
-        for subset in range(1, 1 << n):
-            idx = [i for i in range(n) if subset >> i & 1]
-            if _det([[sym[i][j] for j in idx] for i in idx]) <= 0:
+        for idx in index_subsets(n):
+            if idx and _det([[sym[i][j] for j in idx] for i in idx]) <= 0:
                 raise RootDatumError("Cartan matrix is not of finite type (nonpositive principal minor)")
 
     def _symmetrizer(self) -> list[Fraction]:
@@ -137,7 +141,7 @@ class RootDatum:
         Elements of equal length come out sorted.
         """
         gens = [self._simple_reflections[i] for i in sorted(indices)]
-        ident = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
+        ident = linalg.identity(self.rank)
         seen = {ident}
         frontier = [ident]
         yield ident
@@ -159,7 +163,7 @@ class RootDatum:
         coroots = set()
         for i, a in enumerate(self.simple_coroots):
             for w in self.weyl_elements:
-                coroots.add(tuple(int(x) for x in mat_apply(w, a)))
+                coroots.add(mat_apply(w, a))
         pos, neg = [], []
         for v in sorted(coroots):
             coeffs = self.coroot_coordinates(v)
@@ -174,7 +178,7 @@ class RootDatum:
         roots = set()
         for i, chk in enumerate(self.simple_roots):
             for w in self.weyl_elements:
-                roots.add(tuple(int(x) for x in self.act_on_weight(w, chk)))
+                roots.add(self.act_on_weight(w, chk))
         posr = []
         for chi in sorted(roots):
             coeffs = self.root_coordinates(chi)
@@ -183,6 +187,7 @@ class RootDatum:
         if 2 * len(posr) != len(roots) or len(posr) != len(pos):
             raise RootDatumError("root system is not split into positive/negative halves")
         self.positive_roots: tuple[Covec, ...] = tuple(posr)
+        self.positive_root_set: frozenset[Covec] = frozenset(posr)
         self.roots: frozenset[Covec] = frozenset(roots)
 
     def _invert(self, w: Matrix) -> Matrix:
@@ -236,8 +241,7 @@ class RootDatum:
 
     def act_on_weight(self, w: Matrix, chi) -> Covec:
         """(w . chi)(lam) = chi(w^{-1} lam); chi as a covector row."""
-        winv = self._w_inverse.get(w) or self._invert(w)
-        return tuple(dot(chi, col) for col in zip(*winv))
+        return tuple(dot(chi, col) for col in zip(*self.w_inverse(w)))
 
     def w_inverse(self, w: Matrix) -> Matrix:
         return self._w_inverse.get(w) or self._invert(w)
@@ -266,7 +270,7 @@ class RootDatum:
             neg = next((i for i in idx if pair(self.simple_roots[i], cur) < 0), None)
             if neg is None:
                 return cur
-            cur = tuple(Fraction(x) for x in mat_apply(self._simple_reflections[neg], cur))
+            cur = mat_apply(self._simple_reflections[neg], cur)
 
     def config(self) -> dict:
         return {
@@ -366,11 +370,11 @@ class ParabolicType:
         )
         self.two_rho_check_P: Covec = tuple(a - b for a, b in zip(rd.two_rho_check, self.two_rho_check_levi))
         for j in idx:
-            if pair(self.two_rho_check_P, rd.simple_coroots[j]) != 0:
+            if self.height(rd.simple_coroots[j]) != 0:
                 raise RootDatumError("2rho_P does not annihilate the Levi coroots")
         self.weyl_levi: frozenset[Matrix] = rd.subgroup(self.indices)
         self.w0_levi: Matrix = self._longest_levi()
-        w2 = linalg.mat_mul(self.w0_levi, self.w0_levi)
+        w2 = mat_mul(self.w0_levi, self.w0_levi)
         if w2 != linalg.identity(rd.rank):
             raise RootDatumError("w0_M does not square to the identity")
         self.projection: tuple[QVec, ...] = self._projection_matrix()
@@ -389,13 +393,13 @@ class ParabolicType:
         n = rd.rank
         if not idx:
             return linalg.identity(n)
-        a = [[Fraction(pair(rd.simple_roots[i], rd.simple_coroots[j])) for j in idx] for i in idx]
+        a = [[rd.cartan[i][j] for j in idx] for i in idx]
         ainv = linalg.inverse(a)
         # P(lam) = lam - sum_j c_j(lam) alpha_j where A c = (<alpha-check_i, lam>)_{i in J}
         cols = []
         for c in range(n):
             e = [Fraction(int(r == c)) for r in range(n)]
-            rhs = [Fraction(pair(rd.simple_roots[i], e)) for i in idx]
+            rhs = [rd.simple_roots[i][c] for i in idx]
             coeffs = linalg.mat_vec(ainv, rhs)
             img = list(e)
             for ji, j in enumerate(idx):
@@ -409,7 +413,7 @@ class ParabolicType:
         return linalg.mat_vec(self.projection, tuple(Fraction(x) for x in lam))
 
     def height(self, lam):
-        """Grading <2rho_P, lam> used for all truncations."""
+        """Grading <2rho_P, lam> used for all truncations: an int on the lattice."""
         return pair(self.two_rho_check_P, lam)
 
     def is_levi_dominant(self, lam) -> bool:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootdata import Matrix, ParabolicType, RootDatum, mat_mul
+from .linalg import mat_mul
+from .rootdata import Matrix, ParabolicType, RootDatum, index_subsets
 
 RANK_CAP = 4
 
@@ -18,55 +19,37 @@ def parabolic_sign(rd: RootDatum, indices) -> int:
     return -1 if (rd.rank - len(frozenset(indices))) % 2 else 1
 
 
-def _act_root(rd: RootDatum, w: Matrix, chi):
-    return tuple(int(x) for x in rd.act_on_weight(w, chi))
-
-
 def _is_positive_root(rd: RootDatum, chi) -> bool:
-    if chi in rd._pos_root_set:
+    if chi in rd.positive_root_set:
         return True
-    if tuple(-x for x in chi) in rd._pos_root_set:
+    if tuple(-x for x in chi) in rd.positive_root_set:
         return False
     raise WeylIdentityError(f"{chi} is not a root")
 
 
-def _prepare(rd: RootDatum) -> None:
-    if not hasattr(rd, "_pos_root_set"):
-        rd._pos_root_set = frozenset(rd.positive_roots)
-
-
 def w_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list[Matrix]:
     """Elements w with w^{-1} positive on the roots of M' and wMw^{-1} a standard Levi of M'."""
-    _prepare(rd)
     simple_set = set(rd.simple_roots)
     roots_m2 = set(par2.roots_levi)
     out = []
     for w in rd.weyl_elements:
         winv = rd.w_inverse(w)
-        if not all(_is_positive_root(rd, _act_root(rd, winv, chi)) for chi in par2.pos_roots_levi):
+        if not all(_is_positive_root(rd, rd.act_on_weight(winv, chi)) for chi in par2.pos_roots_levi):
             continue
-        image_simples = [_act_root(rd, w, rd.simple_roots[j]) for j in sorted(par.indices)]
+        image_simples = [rd.act_on_weight(w, rd.simple_roots[j]) for j in sorted(par.indices)]
         if all(chi in simple_set and chi in roots_m2 for chi in image_simples):
             out.append(w)
-    # post hoc: verify both defining conditions element by element
-    for w in out:
-        winv = rd.w_inverse(w)
-        if not all(_is_positive_root(rd, _act_root(rd, winv, chi)) for chi in par2.pos_roots_levi):
-            raise WeylIdentityError(f"{w} in the relative Weyl set is not positive on the roots of M'")
-        if not all(_act_root(rd, w, rd.simple_roots[j]) in simple_set & roots_m2 for j in par.indices):
-            raise WeylIdentityError(f"{w} in the relative Weyl set does not send M to a standard Levi of M'")
     return out
 
 
 def w_bullet_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list[Matrix]:
     """Minimal-length representatives of the double cosets W_{M'} \\ W / W_M."""
-    _prepare(rd)
     out = []
     for w in rd.weyl_elements:
         winv = rd.w_inverse(w)
-        if not all(_is_positive_root(rd, _act_root(rd, w, chi)) for chi in par.pos_roots_levi):
+        if not all(_is_positive_root(rd, rd.act_on_weight(w, chi)) for chi in par.pos_roots_levi):
             continue
-        if not all(_is_positive_root(rd, _act_root(rd, winv, chi)) for chi in par2.pos_roots_levi):
+        if not all(_is_positive_root(rd, rd.act_on_weight(winv, chi)) for chi in par2.pos_roots_levi):
             continue
         out.append(w)
     return out
@@ -116,11 +99,6 @@ class VanishingReport:
             self.witnesses.append(msg)
 
 
-def _subsets(n: int):
-    for mask in range(1 << n):
-        yield frozenset(i for i in range(n) if mask >> i & 1)
-
-
 def verify_vanishing_A(rd: RootDatum) -> VanishingReport:
     """Alternating Levi sums over {M' : M' cap B^- in w'Bw'^{-1}, w'Mw'^{-1} in M'} vanish except at w' = w0^M.
 
@@ -130,28 +108,27 @@ def verify_vanishing_A(rd: RootDatum) -> VanishingReport:
     """
     if rd.rank > RANK_CAP:
         raise WeylIdentityError(f"rank {rd.rank} exceeds the sweep cap {RANK_CAP}")
-    _prepare(rd)
     report = VanishingReport(rd.name, "A")
     simple_set = set(rd.simple_roots)
     neg_roots = [tuple(-x for x in chi) for chi in rd.positive_roots]
-    for indices in _subsets(rd.n_simple):
+    for indices in index_subsets(rd.n_simple):
         par = ParabolicType(rd, indices)
         roots_m = set(par.roots_levi)
         for w in rd.weyl_elements:
             report.cases += 1
-            translated_neg = {_act_root(rd, w, chi) for chi in neg_roots}
-            translated_m = {_act_root(rd, w, chi) for chi in roots_m}
+            translated_neg = {rd.act_on_weight(w, chi) for chi in neg_roots}
+            translated_m = {rd.act_on_weight(w, chi) for chi in roots_m}
             constraint_lower = {chi for chi in simple_set if chi in translated_m}
             constraint_upper = {chi for chi in simple_set if chi in translated_neg}
             total = 0
             admissible = []
-            for j2 in _subsets(rd.n_simple):
+            for j2 in index_subsets(rd.n_simple):
                 simples_m2 = {rd.simple_roots[j] for j in j2}
                 if simples_m2 <= constraint_upper and constraint_lower <= simples_m2:
                     total += parabolic_sign(rd, j2)
-                    admissible.append(j2)
+                    admissible.append(frozenset(j2))
             no_simple_hit = not (
-                {_act_root(rd, w, tuple(-x for x in chi)) for chi in rd.positive_roots if chi not in roots_m}
+                {rd.act_on_weight(w, tuple(-x for x in chi)) for chi in rd.positive_roots if chi not in roots_m}
                 & simple_set
             )
             if total != 0 and not no_simple_hit:
@@ -171,38 +148,36 @@ def verify_vanishing_B(rd: RootDatum) -> VanishingReport:
     over Levis M with fixed M cap w^{-1}M'w vanishes unless w = w0^{M'} w0 (and
     that w is admissible with the full Levi choice forced).
     (ii) The parabolic Moebius sum over P containing a fixed P2 vanishes unless
-    P2 = G.
+    P2 = G, where it is the sign of G itself: (-1)^(rank - number of simple roots).
     """
     if rd.rank > RANK_CAP:
         raise WeylIdentityError(f"rank {rd.rank} exceeds the sweep cap {RANK_CAP}")
-    _prepare(rd)
     report = VanishingReport(rd.name, "B")
-    simple_set = set(rd.simple_roots)
-    for j2 in _subsets(rd.n_simple):
+    for j2 in index_subsets(rd.n_simple):
         par2 = ParabolicType(rd, j2)
         pos_m2 = set(par2.pos_roots_levi)
         survivor = mat_mul(par2.w0_levi, rd.w0)
         for w in rd.weyl_elements:
             winv = rd.w_inverse(w)
-            if not all(_is_positive_root(rd, _act_root(rd, winv, chi)) for chi in par2.pos_roots_levi):
+            if not all(_is_positive_root(rd, rd.act_on_weight(winv, chi)) for chi in par2.pos_roots_levi):
                 continue
             report.cases += 1
             # simple roots grouped by where w sends them
             inside = frozenset(
-                j for j in range(rd.n_simple) if _act_root(rd, w, rd.simple_roots[j]) in pos_m2
+                j for j in range(rd.n_simple) if rd.act_on_weight(w, rd.simple_roots[j]) in pos_m2
             )
             outside_pos = frozenset(
                 j
                 for j in range(rd.n_simple)
-                if j not in inside and _is_positive_root(rd, _act_root(rd, w, rd.simple_roots[j]))
+                if j not in inside and _is_positive_root(rd, rd.act_on_weight(w, rd.simple_roots[j]))
             )
             empty_d = not outside_pos
             if empty_d != (w == survivor):
                 report.fail(f"J'={sorted(j2)}: D empty iff w = w0^M' w0 fails at {w}")
-            for j1 in _subsets(len(inside)):
+            for j1 in index_subsets(len(inside)):
                 j1_set = frozenset(sorted(inside)[i] for i in j1)
                 total = 0
-                for extra in _subsets(len(outside_pos)):
+                for extra in index_subsets(len(outside_pos)):
                     extra_set = frozenset(sorted(outside_pos)[i] for i in extra)
                     total += parabolic_sign(rd, j1_set | extra_set)
                 if outside_pos and total != 0:
@@ -210,11 +185,12 @@ def verify_vanishing_B(rd: RootDatum) -> VanishingReport:
                 if not outside_pos and total != parabolic_sign(rd, j1_set):
                     report.fail(f"J'={sorted(j2)} w={w}: surviving sum wrong")
     # (ii) Moebius sums over the parabolic poset
-    for j2 in _subsets(rd.n_simple):
+    full = frozenset(range(rd.n_simple))
+    for j2 in index_subsets(rd.n_simple):
         total = sum(
-            parabolic_sign(rd, j) for j in _subsets(rd.n_simple) if frozenset(j2) <= frozenset(j)
+            parabolic_sign(rd, j) for j in index_subsets(rd.n_simple) if frozenset(j2) <= frozenset(j)
         )
-        expected = 1 if frozenset(j2) == frozenset(range(rd.n_simple)) else 0
+        expected = parabolic_sign(rd, full) if frozenset(j2) == full else 0
         report.cases += 1
         if total != expected:
             report.fail(f"Moebius sum from J2={sorted(j2)} is {total}, expected {expected}")

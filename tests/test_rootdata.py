@@ -8,6 +8,7 @@ from heckelat.rootdata import (
     PRESET_NAMES,
     RootDatumError,
     dominance_leq,
+    index_subsets,
     load_root_datum,
     mat_apply,
     pair,
@@ -27,6 +28,34 @@ def test_presets_load_and_enumerate(name):
     # w0 sends positives to negatives
     neg = {tuple(-x for x in a) for a in rd.positive_coroots}
     assert all(tuple(int(x) for x in mat_apply(rd.w0, a)) in neg for a in rd.positive_coroots)
+
+
+def _all_int(vectors) -> bool:
+    return all(type(x) is int for v in vectors for x in v)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_lattice_data_and_products_stay_integral(name):
+    rd = load_root_datum(name)
+    assert all(_all_int(w) for w in rd.weyl_elements)
+    for vectors in (rd.coroots, rd.roots, rd.positive_coroots, rd.positive_roots, rd.cartan):
+        assert _all_int(vectors)
+    assert _all_int([rd.two_rho_check])
+    pars = [parabolic(rd, J) for J in index_subsets(rd.n_simple)]
+    assert all(_all_int([par.two_rho_check_P]) for par in pars)
+    lam = tuple(range(1, rd.rank + 1))
+    rational = tuple(Fraction(k, 3) for k in lam)
+    chi = rd.simple_roots[0]
+    for w in rd.weyl_elements:
+        assert _all_int([mat_apply(w, lam), rd.act_on_weight(w, chi)])
+        moved = mat_apply(w, rational)
+        assert all(type(x) is Fraction for x in moved)
+        assert all(type(x) is Fraction for x in rd.act_on_weight(w, rational))
+    assert type(pair(chi, lam)) is int and type(pair(chi, rational)) is Fraction
+    for par in pars:
+        assert type(par.height(lam)) is int
+        assert type(par.height(rational)) is Fraction
+        assert par.height(rational) * 3 == par.height(lam)
 
 
 def test_a2_positive_coroots_from_closure():

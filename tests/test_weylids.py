@@ -1,7 +1,7 @@
 import pytest
 
 from heckelat import weylids as wi
-from heckelat.rootdata import load_root_datum, parabolic
+from heckelat.rootdata import index_subsets, load_root_datum, mat_apply, parabolic
 
 
 def ident(rank):
@@ -30,8 +30,26 @@ def test_w_set_examples():
     movers = wi.w_set(rd, p1, p2)
     assert movers, "some element conjugates the first Levi into the second"
     for w in movers:
-        img = tuple(int(x) for x in rd.act_on_weight(w, rd.simple_roots[0]))
-        assert img == rd.simple_roots[1]
+        assert rd.act_on_weight(w, rd.simple_roots[0]) == rd.simple_roots[1]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "GL2"])
+def test_w_set_agrees_with_its_coroot_side_definition(name):
+    # second route to the same set: act on coweights by the matrices themselves
+    # instead of on weights by the inverse transpose
+    rd = load_root_datum(name)
+    positive = set(rd.positive_coroots)
+    for J in index_subsets(rd.n_simple):
+        for J2 in index_subsets(rd.n_simple):
+            par, par2 = parabolic(rd, J), parabolic(rd, J2)
+            simples_j2 = {rd.simple_coroots[k] for k in J2}
+            expected = [
+                w
+                for w in rd.weyl_elements
+                if all(mat_apply(rd.w_inverse(w), a) in positive for a in par2.pos_coroots_levi)
+                and all(mat_apply(w, rd.simple_coroots[j]) in simples_j2 for j in J)
+            ]
+            assert wi.w_set(rd, par, par2) == expected, (name, J, J2)
 
 
 def test_w_bullet_counts():
@@ -52,7 +70,7 @@ def test_w_bullet_transversal_b2():
     assert wi.check_w_bullet_transversal(rd, p1, p2)
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "GL2"])
 def test_vanishing_sweeps(name):
     rd = load_root_datum(name)
     rep_a = wi.verify_vanishing_A(rd)
