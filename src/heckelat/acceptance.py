@@ -83,8 +83,24 @@ def check_gk_oracle(datums=None):
         oracle = padic.mu_oracle("SL3", lam, 2, prec)
         table = ind2.coeff(lam).eval(Fraction(2))
         _require(oracle == table, f"SL3 q=2 lam={lam}: oracle {oracle} vs table {table}")
-    _require(padic.conservation_check("SL2", 3, 2, 2), "SL2 ball conservation")
-    _require(padic.conservation_check("SL3", 2, 1, 2), "SL3 ball conservation")
+    _require_ball_fibres("SL2", 3, 2, ind, dim_u=1)
+    _require_ball_fibres("SL3", 2, 1, ind2, dim_u=3)
+
+
+def _require_ball_fibres(group, q, depth, table, dim_u):
+    """The fibres of iwasawa_ord on the depth-`depth` ball fill its volume and match the GK table at q.
+
+    Every coweight with max <= depth has its whole fibre inside the ball; for
+    SL2 no other coweight occurs there.
+    """
+    hist = padic.ball_histogram(group, q, depth, 2)
+    total = sum(hist.values())
+    _require(total == q ** (depth * dim_u), f"{group} q={q} D={depth}: fibres sum to {total}, not q^{depth * dim_u}")
+    for lam in sorted({lam for lam in set(hist) | set(table.coeffs) if max(lam) <= depth}):
+        got, want = hist.get(lam, 0), table.coeff(lam).eval(Fraction(q))
+        _require(got == want, f"{group} q={q} D={depth} lam={lam}: ball fibre {got} vs table {want}")
+    if group == "SL2":
+        _require(all(max(lam) <= depth for lam in hist), f"SL2 q={q} D={depth}: fibres outside the ball {sorted(hist)}")
 
 
 @_timed("2. Convolution inversion: gk * nu = unit to height 10 (A1 A2 B2 G2 A3; J empty and maximal)")

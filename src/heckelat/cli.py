@@ -230,7 +230,7 @@ def cmd_weyl_identities(args) -> int:
 def cmd_global(args) -> int:
     qv = _parse_q(args.q)
     if args.explain_conventions:
-        print(gs.explain_conventions())
+        print(gs.CONVENTIONS)
         return 0
     values = {}
     if args.input:

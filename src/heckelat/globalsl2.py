@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .qfield import Q
 
-DEFAULT_PROBE = 8
+PROBE = 8  # degrees below a pseudo-compactness certificate that op_L_inverse re-checks
 
 
 class GlobalError(ValueError):
@@ -201,7 +201,7 @@ def gk_degree_series_euler(order: int, qv, inverse: bool = False) -> list:
 
     The forward series multiplies (1 - t^deg)/(1 - (q t)^deg) per closed point;
     `inverse` swaps numerator and denominator. This is the independent oracle for
-    the closed forms in gk_degree_series.
+    the closed forms mu_hat and nu_hat.
     """
     out = [_one_like(qv)] + [_zero_like(qv) for _ in range(order)]
     for m in range(1, order + 1):
@@ -224,17 +224,6 @@ def gk_degree_series_euler(order: int, qv, inverse: bool = False) -> list:
         for _ in range(steps):
             power = _series_mul(power, base, order)
         out = _series_mul(out, power, order)
-    return out
-
-
-def gk_degree_series(order: int, qv, inverse: bool = False) -> list:
-    """Closed-form degree series: (1 - t)/(1 - q^2 t), or its reciprocal when `inverse`.
-
-    Forward coefficients: 1, then q^{2m} - q^{2m-2}; inverse: 1, then 1 - q^2.
-    """
-    out = [_one_like(qv)]
-    for m in range(1, order + 1):
-        out.append((1 - qv**2) if inverse else qv ** (2 * m) - qv ** (2 * m - 2))
     return out
 
 
@@ -502,18 +491,18 @@ def op_L(f: GFunction, qv) -> GFunction:
     return out
 
 
-def op_L_inverse(g: GFunction, qv, probe: int = DEFAULT_PROBE) -> GFunction:
+def op_L_inverse(g: GFunction, qv) -> GFunction:
     """L^{-1} = (identity term) - Eis_B CT_B on certified pseudo-compactly supported functions.
 
     The input must carry a pseudo-compactness certificate (a lower bound for the
     support of its constant term); the certificate is verified against the
-    honestly computed constant term on a probe window below the bound.
+    honestly computed constant term on the PROBE degrees below the bound.
     """
     cert = getattr(g, "psc_ct", None)
     if cert is None or cert.lower is None:
         raise CertificationError("input carries no pseudo-compact support certificate")
     ct = ct_B(g, qv)
-    for d in range(cert.lower - probe, cert.lower):
+    for d in range(cert.lower - PROBE, cert.lower):
         if ct.value(d) != 0:
             raise CertificationError(f"constant term does not vanish at {d} despite the certificate")
     bounded_ct = TFunction(ct.value, upper=None, lower=cert.lower, qv=qv)
@@ -557,10 +546,6 @@ def verify_adjunction(f: GFunction, phi: TFunction, qv) -> bool:
     lhs = t_pairing(ct_B(f, qv), phi, qv)
     rhs = naive_pairing(f, eis_B(phi, qv), qv)
     return lhs == rhs
-
-
-def explain_conventions() -> str:
-    return CONVENTIONS
 
 
 CONVENTIONS = """\

@@ -345,20 +345,18 @@ def _profile_count(q: int, exps: list[int], pc: dict, lp: int, a: int, b: int) -
     return (q - 1) * q ** (L - a - 1) if a < L else 1
 
 
-def conservation_check(group: str, q: int, ball_depth: int, precision: int) -> bool:
-    """Total measure over a bounded valuation ball equals the ball's Haar volume."""
-    if group == "SL2":
-        total = Fraction(0)
-        for x in _cell_values(q, -ball_depth, precision):
-            iwasawa_ord("SL2", unipotent_sl2(q, x, precision))
-            total += Fraction(1, q**precision)
-        return total == Fraction(q**ball_depth)
-    if group == "SL3":
-        total = Fraction(0)
-        for x12 in _cell_values(q, -ball_depth, precision):
-            for x13 in _cell_values(q, -ball_depth, precision):
-                for x23 in _cell_values(q, -ball_depth, precision):
-                    iwasawa_ord("SL3", unipotent_sl3(q, x12, x13, x23, precision))
-                    total += Fraction(1, q ** (3 * precision))
-        return total == Fraction(q ** (3 * ball_depth))
-    raise OracleError(f"unknown group {group!r}")
+def ball_histogram(group: str, q: int, ball_depth: int, precision: int) -> dict:
+    """Measure of each fibre {lam: mes(iwasawa_ord = lam)} on the ball t^{-ball_depth} O^{dim U}.
+
+    The fibres partition the ball, so the values sum to its volume
+    q^{ball_depth * dim U}; a fibre that leaves the ball is only partly counted.
+    """
+    if group not in _GROUP_SIZES:
+        raise OracleError(f"unknown group {group!r}")
+    r = _GROUP_SIZES[group]
+    hist: dict = {}
+    for coords in product(_cell_values(q, -ball_depth, precision), repeat=r * (r - 1) // 2):
+        cell = UnipotentCell(q, coords, precision)
+        lam = iwasawa_ord(group, cell.matrix())
+        hist[lam] = hist.get(lam, 0) + cell.measure()
+    return hist

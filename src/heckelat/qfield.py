@@ -1,4 +1,12 @@
-"""Exact rational-function arithmetic over Q in one formal variable q."""
+"""Exact rational-function arithmetic over Q in one formal variable q.
+
+An element of Q(q) is a pair num/den of integer polynomials (coefficient tuples
+in Z[q]) in canonical form: coprime in Q[q], no common integer content, and a
+positive leading coefficient of den; zero is ()/(1,). The form is unique, so
+equality and hashing compare the tuples. Polynomial gcd (primitive
+pseudo-remainder sequence) and exact division run in Z[q]; `Fraction` appears
+only at the boundary: `from_fraction`, `eval` and `q_pow`.
+"""
 
 from __future__ import annotations
 
@@ -54,24 +62,20 @@ def _primitive(a: Coeffs) -> Coeffs:
 
 
 def _qrem(a: Coeffs, b: Coeffs) -> Coeffs:
-    # remainder of a by b over Q, then cleared to a primitive integer polynomial
-    r = [Fraction(x) for x in a]
-    lb = Fraction(b[-1])
+    # primitive part of the pseudo-remainder of a by b, computed in Z[q]
+    r = list(a)
+    lb = b[-1]
     while len(r) >= len(b):
-        c = r[-1] / lb
-        if c:
-            for i in range(len(b)):
-                r[len(r) - len(b) + i] -= c * b[i]
+        g = _int_gcd(r[-1], lb)
+        s, c = lb // g, r[-1] // g
+        off = len(r) - len(b)
+        r = [x * s for x in r]
+        for i, y in enumerate(b):
+            r[off + i] -= c * y
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    if not r:
-        return ()
-    den_lcm = 1
-    for x in r:
-        den_lcm = den_lcm * x.denominator // _int_gcd(den_lcm, x.denominator)
-    ints = [int(x * den_lcm) for x in r]
-    return _primitive(_strip(ints))
+    return _primitive(tuple(r))
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -86,25 +90,25 @@ def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _pdiv_exact(a: Coeffs, b: Coeffs) -> Coeffs:
-    # exact division (raises if not divisible)
-    if not a:
-        return ()
-    r = [Fraction(x) for x in a]
-    out: list[Fraction] = []
-    lb = Fraction(b[-1])
+    # exact quotient in Z[q] (raises if b does not divide a there)
+    if b == (1,):
+        return a
+    r = list(a)
+    out: list[int] = []
+    lb = b[-1]
     while len(r) >= len(b):
-        c = r[-1] / lb
+        c, rem = divmod(r[-1], lb)
+        if rem:
+            raise QFieldError("inexact polynomial division")
         out.append(c)
-        if c:
-            for i in range(len(b)):
-                r[len(r) - len(b) + i] -= c * b[i]
+        off = len(r) - len(b)
+        for i, y in enumerate(b):
+            r[off + i] -= c * y
         r.pop()
-    if any(x != 0 for x in r):
+    if any(r):
         raise QFieldError("inexact polynomial division")
     out.reverse()
-    if any(x.denominator != 1 for x in out):
-        raise QFieldError("inexact polynomial division")
-    return _strip([int(x) for x in out])
+    return _strip(out)
 
 
 def _poly_str(a: Coeffs, var: str) -> str:
@@ -197,10 +201,8 @@ class RatFunc:
         # cross-reduce before multiplying to keep degrees small
         g1 = _pgcd(self.num, other.den)
         g2 = _pgcd(other.num, self.den)
-        n1 = _pdiv_exact(self.num, g1) if g1 and g1 != (1,) else self.num
-        d2 = _pdiv_exact(other.den, g1) if g1 and g1 != (1,) else other.den
-        n2 = _pdiv_exact(other.num, g2) if g2 and g2 != (1,) else other.num
-        d1 = _pdiv_exact(self.den, g2) if g2 and g2 != (1,) else self.den
+        n1, d2 = _pdiv_exact(self.num, g1), _pdiv_exact(other.den, g1)
+        n2, d1 = _pdiv_exact(other.num, g2), _pdiv_exact(self.den, g2)
         return RatFunc(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
@@ -285,9 +287,7 @@ def _canonicalize(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     if not num:
         return (), (1,)
     g = _pgcd(num, den)
-    if g and g != (1,):
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
+    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
     cn, cd = _content(num), _content(den)
     c = _int_gcd(cn, cd)
     if c > 1:

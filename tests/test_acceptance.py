@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import acceptance, hecke
+from heckelat import acceptance, hecke, padic
+from heckelat.rootdata import ParabolicType, load_root_datum
 
 
 @pytest.mark.parametrize("check", acceptance.ALL_CHECKS, ids=lambda c: c.check_name)
@@ -51,3 +52,17 @@ def test_check_that_raises_is_reported_as_a_named_failure(monkeypatch):
     assert not result.passed
     assert result.detail == "ZeroDivisionError: sabotaged"
     assert result.line().startswith("[FAIL] 3.")
+
+
+def test_ball_fibre_check_fails_for_a_constant_iwasawa_ord(monkeypatch):
+    a1, a2 = load_root_datum("A1"), load_root_datum("A2")
+    sl2 = hecke.gk_mu(a1, ParabolicType(a1, []), 6).to_basis(hecke.INDICATOR_BASIS)
+    sl3 = hecke.gk_mu(a2, ParabolicType(a2, []), 6).to_basis(hecke.INDICATOR_BASIS)
+    acceptance._require_ball_fibres("SL2", 3, 2, sl2, dim_u=1)
+    acceptance._require_ball_fibres("SL3", 2, 1, sl3, dim_u=3)
+    monkeypatch.setattr(padic, "iwasawa_ord", lambda group, g: (0,) * (len(g) - 1))
+    with pytest.raises(acceptance.CheckFailed, match="ball fibre"):
+        acceptance._require_ball_fibres("SL2", 3, 2, sl2, dim_u=1)
+    with pytest.raises(acceptance.CheckFailed, match="ball fibre"):
+        acceptance._require_ball_fibres("SL3", 2, 1, sl3, dim_u=3)
+    assert not acceptance.check_gk_oracle().passed

@@ -120,10 +120,11 @@ def test_cell_cap_enforced():
         pd.mu_oracle("SL3", (6, 6), 2, 8)
 
 
-def test_conservation():
-    assert pd.conservation_check("SL2", 2, 2, 2)
-    assert pd.conservation_check("SL2", 3, 1, 2)
-    assert pd.conservation_check("SL3", 2, 1, 2)
+def test_ball_histogram():
+    assert pd.ball_histogram("SL2", 3, 2, 2) == {(0,): 1, (1,): 2, (2,): 6}
+    assert pd.ball_histogram("SL2", 2, 2, 2) == {(0,): 1, (1,): 1, (2,): 2}
+    # (2, 1) leaves the depth-1 ball: only 2 of its fibre's measure 4 lies inside
+    assert pd.ball_histogram("SL3", 2, 1, 2) == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 3, (2, 1): 2}
 
 
 def test_sl3_precision_independence():

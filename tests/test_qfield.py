@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from heckelat.qfield import ONE, Q, QFieldError, RatFunc, ZERO, as_ratfunc, q_pow
+from heckelat.qfield import ONE, Q, QFieldError, RatFunc, ZERO, _content, _pdiv_exact, _pgcd, _pmul, as_ratfunc, q_pow
 
 
 def test_basic_identities():
@@ -54,3 +56,80 @@ def test_str_is_deterministic():
     f = (Q**2 - Q) / (Q + 1)
     assert str(f) == str((Q**2 - Q) / (Q + 1))
     assert str(Q**2 - Q) == "q^2 - q"
+
+
+# -- differential checks of the Z[q] gcd and exact division ------------------
+
+def _linear_product(roots):
+    out = (1,)
+    for r in roots:
+        out = _pmul(out, (-r, 1))
+    return out
+
+
+def _rand_poly(rng, max_deg=4, span=6):
+    while True:
+        c = tuple(rng.randint(-span, span) for _ in range(rng.randint(1, max_deg + 1)))
+        if c and c[-1]:
+            return c
+
+
+def _rand_ratfunc(rng):
+    num = _rand_poly(rng) if rng.random() > 0.1 else ()
+    shared = _linear_product(rng.sample(range(-3, 4), rng.randint(0, 2)))
+    return RatFunc(_pmul(num, shared), _pmul(_rand_poly(rng, 3), shared))
+
+
+def _assert_canonical(r: RatFunc):
+    if not r.num:
+        assert r.den == (1,)
+        return
+    assert r.den[-1] > 0
+    assert gcd(_content(r.num), _content(r.den)) == 1
+    assert _pgcd(r.num, r.den) == (1,)
+
+
+def test_pgcd_recovers_a_planted_factor():
+    rng = random.Random(20161)
+    for _ in range(200):
+        f = _rand_poly(rng, 4, 9)
+        roots = rng.sample(range(-6, 7), rng.randint(0, 5))
+        cut = rng.randint(0, len(roots))
+        u, v = _linear_product(roots[:cut]), _linear_product(roots[cut:])
+        c = rng.choice([-12, -3, -1, 1, 2, 5, 30])
+        got = _pgcd(_pmul((c,), _pmul(f, u)), _pmul(f, v))
+        expected = tuple(x // _content(f) for x in f)
+        if expected[-1] < 0:
+            expected = tuple(-x for x in expected)
+        assert got == expected, (f, roots, cut, c)
+
+
+def test_field_operations_commute_with_evaluation():
+    rng = random.Random(20162)
+    checked = 0
+    for _ in range(300):
+        a, b = _rand_ratfunc(rng), _rand_ratfunc(rng)
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        try:
+            ax, bx = a.eval(x), b.eval(x)
+        except ZeroDivisionError:
+            continue
+        results = [(a + b, ax + bx), (a - b, ax - bx), (a * b, ax * bx)]
+        if not b.is_zero():
+            results.append((a / b, ax / bx if bx else None))
+        for r, expected in results:
+            _assert_canonical(r)
+            if expected is not None:
+                assert r.eval(x) == expected, (a, b, x)
+        checked += 1
+    assert checked > 200
+
+
+def test_pdiv_exact_rejects_inexact_quotients():
+    with pytest.raises(QFieldError):
+        _pdiv_exact((1, 0, 1), (1, 1))  # (q^2 + 1) / (q + 1)
+    with pytest.raises(QFieldError):
+        _pdiv_exact((1, 1), (2,))  # (1 + q) / 2
+    a = (3, 0, -2, 5)
+    assert _pdiv_exact(a, (1,)) == a
+    assert _pdiv_exact(_pmul(a, (1, 1)), (1, 1)) == a
