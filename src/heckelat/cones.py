@@ -1,13 +1,25 @@
-"""Rational polyhedral cone decision procedures: membership, duality certificates, the Langlands retraction, and support shapes."""
+"""Rational polyhedral cone decision procedures: membership, duality certificates, the Langlands retraction, and support shapes.
+
+Membership is an exact phase-1 simplex over Q. The double description
+(`rays_from_inequalities`) runs in integers: constraints, lineality basis and
+extreme rays are primitive int vectors, and each candidate ray is the
+generalised cross product (signed maximal minors, Bareiss determinants) of d - 1
+constraints restricted to a pointed section of dimension d. A feasible
+candidate is tight on d - 1 independent constraints, so it spans a
+one-dimensional face of the pointed section and is extreme; no extremality
+filter is needed. The certificates keep coroots, roots and rays as int
+vectors, so their Weyl actions and pairings stay in Z.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from . import linalg
-from .linalg import dot, fvec, nullspace, primitive_vector, vneg
+from .linalg import dot, fvec, primitive_vector, vneg
 from .rootdata import ParabolicType, RootDatum, index_subsets, pair
 
 RANK_CAP = 4  # exact double description is only run for ranks up to this bound
@@ -83,54 +95,119 @@ def in_cone(gens, v) -> bool:
 
 
 def rays_from_inequalities(constraints, dim: int):
-    """Return (lineality_basis, extreme_rays) of the cone cut out by the constraints."""
-    cons = []
-    seen = set()
-    for c in constraints:
-        c = fvec(c)
-        if all(x == 0 for x in c):
-            continue
-        key = primitive_vector(c)
-        if key not in seen:
-            seen.add(key)
-            cons.append(key)
+    """Return (lineality_basis, extreme_rays) of the cone cut out by the constraints, as primitive int vectors.
+
+    The cone is L + C, with L the lineality space (the common kernel of the
+    constraints) and C its section by the span of the coordinate vectors that
+    are not pivots of L. C is pointed, so a vector of C that is tight on d - 1
+    linearly independent constraints of the section (d = dim C) spans a
+    one-dimensional face: it is an extreme ray, and every extreme ray arises
+    this way. Each (d - 1)-subset gives its candidate as the generalised cross
+    product of its rows, which is zero exactly when the rows are dependent.
+    """
+    cons = _distinct_directions(constraints)
     if not cons:
-        return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)], []
-    lin = nullspace(cons)
-    pivots = _pivot_columns(lin)
-    comp = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim) if j not in pivots]
-    d2 = len(comp)
-    if d2 == 0:
+        return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
+    lin = _nullspace(cons, dim)
+    pivots = _echelon(lin)[1] if lin else []
+    section = [j for j in range(dim) if j not in pivots]
+    d = len(section)
+    if d == 0:
         return lin, []
-    cons2 = [tuple(dot(c, e) for e in comp) for c in cons]
-    rays2 = set()
-    for subset in combinations(range(len(cons2)), d2 - 1):
-        ns = nullspace([cons2[s] for s in subset] or [(Fraction(0),) * d2])
-        if len(ns) != 1:
+    cons = _distinct_directions([tuple(c[j] for j in section) for c in cons])
+    rays = set()
+    for rows in combinations(cons, d - 1):
+        v = _cross(rows, d)
+        if not any(v):
             continue
-        v = ns[0]
-        vals = [dot(c, v) for c in cons2]
-        if all(x >= 0 for x in vals):
-            rays2.add(primitive_vector(v))
-        elif all(x <= 0 for x in vals):
-            rays2.add(primitive_vector(tuple(-x for x in v)))
-    rays = sorted(
-        primitive_vector(tuple(sum(v[k] * comp[k][i] for k in range(d2)) for i in range(dim))) for v in rays2
-    )
-    # drop rays that are not extreme (possible when constraints are degenerate)
+        if all(dot(c, v) >= 0 for c in cons):
+            rays.add(primitive_vector(v))
+        elif all(dot(c, v) <= 0 for c in cons):
+            rays.add(primitive_vector(vneg(v)))
     out = []
-    for i, r in enumerate(rays):
-        others = [x for j, x in enumerate(rays) if j != i] + [l for l in lin] + [vneg(l) for l in lin]
-        if not in_cone(others, r):
-            out.append(r)
-    return lin, out
+    for v in rays:
+        ray = [0] * dim
+        for j, x in zip(section, v):
+            ray[j] = x
+        out.append(tuple(ray))
+    return lin, sorted(out)
 
 
-def _pivot_columns(rows) -> set[int]:
-    if not rows:
-        return set()
-    _, pivots = linalg._rref([list(r) for r in rows])
-    return set(pivots)
+def _distinct_directions(vectors) -> list[tuple[int, ...]]:
+    """The distinct primitive int directions of the nonzero vectors, in first-seen order."""
+    out, seen = [], set()
+    for v in vectors:
+        if any(v):
+            key = primitive_vector(v)
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return out
+
+
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of int rows: (nonzero rows, pivot columns).
+
+    Row r has its pivot in column pivots[r], and every other row is 0 there.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top, pv = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows[: len(pivots)], pivots
+
+
+def _nullspace(rows, dim: int) -> list[tuple[int, ...]]:
+    """Primitive int basis of {x : <row, x> = 0 for all rows}, one vector per free column, positive there."""
+    rows, pivots = _echelon(rows)
+    scale = lcm(*(abs(row[c]) for row, c in zip(rows, pivots)))
+    basis = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        v = [0] * dim
+        v[f] = scale
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] * (scale // row[c])
+        basis.append(primitive_vector(v))
+    return basis
+
+
+def _cross(rows, d: int) -> tuple[int, ...]:
+    """Generalised cross product of d - 1 int vectors of length d: the signed maximal minors."""
+    return tuple((-1) ** k * _det([r[:k] + r[k + 1 :] for r in rows]) for k in range(d))
+
+
+def _det(m) -> int:
+    """Determinant of a small square int matrix by Bareiss elimination (exact integer division)."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            p = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if p is None:
+                return 0
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +245,15 @@ def cone_generators(rd: RootDatum, cone: ConeId):
     """A finite generating set (lineality directions appear with both signs)."""
     tag = cone.tag
     if tag in ("pos_G", "neg_pos_G"):
-        gens = [fvec(a) for a in rd.positive_coroots]
-        return gens if tag == "pos_G" else [vneg(g) for g in gens]
-    if cone.indices is None:
+        gens = list(rd.positive_coroots)
+    elif cone.indices is None:
         raise ConeError(f"cone {tag} requires a parabolic index set")
-    par = ParabolicType(rd, cone.indices)
-    if tag in ("pos_U", "neg_pos_U"):
-        gens = [fvec(a) for a in par.pos_coroots_unipotent]
-        return gens if tag == "pos_U" else [vneg(g) for g in gens]
-    raise ConeError(f"unknown cone tag {tag!r}")
+    elif tag in ("pos_U", "neg_pos_U"):
+        # the unipotent coroots, by the rule of ParabolicType.pos_coroots_unipotent
+        gens = [a for a in rd.positive_coroots if not rd.in_span_of_simples(a, cone.indices)]
+    else:
+        raise ConeError(f"unknown cone tag {tag!r}")
+    return gens if tag.startswith("pos") else [vneg(g) for g in gens]
 
 
 def cone_member(rd: RootDatum, cone: ConeId, lam) -> bool:
@@ -208,7 +285,7 @@ class SupportShape:
 
 def dominant_weight_rays(rd: RootDatum):
     """(lineality, rays) of the rational dominant-weight cone."""
-    return rays_from_inequalities([fvec(a) for a in rd.simple_coroots], rd.rank)
+    return rays_from_inequalities(rd.simple_coroots, rd.rank)
 
 
 def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
@@ -231,9 +308,9 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that pos_U equals the intersection of w(pos_G) over w in W_M."""
     if rd.rank > RANK_CAP:
         raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
-    pos_u = [fvec(a) for a in par.pos_coroots_unipotent]
+    pos_u = par.pos_coroots_unipotent
     # the dual cone's lineality and extreme rays are the equalities and inequalities cutting out pos_G
-    eqs, ineqs = rays_from_inequalities([fvec(a) for a in rd.positive_coroots], rd.rank)
+    eqs, ineqs = rays_from_inequalities(rd.positive_coroots, rd.rank)
     all_cons = []
     for w in sorted(par.weyl_levi):
         for e in eqs:
@@ -248,7 +325,7 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
             return False
     # inclusion intersection subseteq pos_U: every extreme ray is a nonneg combination
     lin, rays = rays_from_inequalities(all_cons, rd.rank)
-    for v in list(rays) + list(lin) + [vneg(l) for l in lin]:
+    for v in rays + lin + [vneg(l) for l in lin]:
         if not in_cone(pos_u, v):
             return False
     return True
@@ -260,14 +337,14 @@ def check_pos_U_consequent(rd: RootDatum, par: ParabolicType) -> bool:
 
     def side(gens):
         eqs, ineqs = rays_from_inequalities(gens, rd.rank)
-        cons = list(ineqs) + list(eqs) + [vneg(e) for e in eqs] + neg_dom
+        cons = ineqs + eqs + [vneg(e) for e in eqs] + neg_dom
         lin, rays = rays_from_inequalities(cons, rd.rank)
         return lin, rays, cons
 
-    lin1, rays1, cons1 = side([fvec(a) for a in par.pos_coroots_unipotent])
-    lin2, rays2, cons2 = side([fvec(a) for a in rd.positive_coroots])
-    pts1 = list(rays1) + list(lin1) + [vneg(l) for l in lin1]
-    pts2 = list(rays2) + list(lin2) + [vneg(l) for l in lin2]
+    lin1, rays1, cons1 = side(par.pos_coroots_unipotent)
+    lin2, rays2, cons2 = side(rd.positive_coroots)
+    pts1 = rays1 + lin1 + [vneg(l) for l in lin1]
+    pts2 = rays2 + lin2 + [vneg(l) for l in lin2]
     return all(all(dot(c, v) >= 0 for c in cons2) for v in pts1) and all(
         all(dot(c, v) >= 0 for c in cons1) for v in pts2
     )
@@ -277,9 +354,9 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that W_M . (dominant weights) is exactly the dual cone of pos_U."""
     if rd.rank > RANK_CAP:
         raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
-    gens_u = [fvec(a) for a in par.pos_coroots_unipotent]
+    gens_u = par.pos_coroots_unipotent
     lin_c, rays_c = dominant_weight_rays(rd)
-    chamber_pts = list(rays_c) + list(lin_c) + [vneg(l) for l in lin_c]
+    chamber_pts = rays_c + lin_c + [vneg(l) for l in lin_c]
     w_levi = sorted(par.weyl_levi)
     # (i) every W_M-translate of the dominant cone pairs >= 0 with pos_U
     for w in w_levi:
@@ -289,20 +366,19 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
                 return False
     # (ii) every extreme ray of the dual cone lies in some W_M-translate of the dominant cone
     lin_d, rays_d = rays_from_inequalities(gens_u, rd.rank)
-    for v in list(rays_d) + list(lin_d) + [vneg(l) for l in lin_d]:
+    for v in rays_d + lin_d + [vneg(l) for l in lin_d]:
         if not any(
             all(pair(rd.act_on_weight(w, v), a) >= 0 for a in rd.simple_coroots)
             for w in w_levi
         ):
             return False
     # (iii) wall-gluing: chamber walls not internal to W_M lie on the boundary of the dual cone
-    for w in w_levi:
-        for i in range(rd.n_simple):
-            if i in par.indices:
-                continue  # glued to the neighboring chamber w s_i inside W_M
-            wall_cons = [fvec(a) for a in rd.simple_coroots] + [vneg(rd.simple_coroots[i])]
-            lin_w, rays_w = rays_from_inequalities(wall_cons, rd.rank)
-            wall_pts = list(rays_w) + list(lin_w) + [vneg(l) for l in lin_w]
+    for i in range(rd.n_simple):
+        if i in par.indices:
+            continue  # glued to the neighboring chamber w s_i inside W_M
+        lin_w, rays_w = rays_from_inequalities(rd.simple_coroots + (vneg(rd.simple_coroots[i]),), rd.rank)
+        wall_pts = rays_w + lin_w + [vneg(l) for l in lin_w]
+        for w in w_levi:
             translated = [rd.act_on_weight(w, v) for v in wall_pts]
             if not any(all(dot(tv, g) == 0 for tv in translated) for g in gens_u):
                 return False
@@ -358,6 +434,6 @@ def check_retraction_property(rd: RootDatum, par: ParabolicType, lam) -> bool:
         raise ConeError("lam is not M-dominant")
     val, _ = langlands_retraction(rd, lam)
     diff = tuple(a - b for a, b in zip(val, lam))
-    if not in_cone([fvec(a) for a in par.pos_coroots_unipotent], diff):
+    if not in_cone(par.pos_coroots_unipotent, diff):
         return False
     return rd.is_dominant(vneg(diff), par.indices)

@@ -1,14 +1,15 @@
 """Exact linear algebra over Q, on vectors and matrices stored as tuples (matrices as tuples of row tuples).
 
-Products (`dot`, `mat_vec`, `mat_mul`, `identity`) keep their inputs' type: integer
-inputs give integers, and one rational input gives Fractions. The vector
-helpers and the elimination routines always return Fractions.
+Products (`dot`, `mat_vec`, `mat_mul`, `identity`) and `vneg` keep their inputs'
+type: integer inputs give integers, and one rational input gives Fractions.
+`primitive_vector` always returns integers. The other vector helpers and the
+elimination routines always return Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 QVec = tuple[Fraction, ...]
 QMat = tuple[QVec, ...]
@@ -36,7 +37,7 @@ def vscale(c, a):
 
 
 def vneg(a):
-    return tuple(-Fraction(x) for x in a)
+    return tuple(-x for x in a)
 
 
 def mat_vec(m, v):
@@ -127,16 +128,11 @@ def inverse(m) -> QMat:
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
-def primitive_vector(v) -> QVec:
+def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive constant to a primitive integer vector (sign preserved)."""
-    v = fvec(v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no direction")
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple(x // g for x in ints)

@@ -203,7 +203,8 @@ class RatFunc:
         g2 = _pgcd(other.num, self.den)
         n1, d2 = _pdiv_exact(self.num, g1), _pdiv_exact(other.den, g1)
         n2, d1 = _pdiv_exact(other.num, g2), _pdiv_exact(self.den, g2)
-        return RatFunc(_pmul(n1, n2), _pmul(d1, d2))
+        # n1/d1 and n2/d2 are coprime and so are n1/d2 and n2/d1: the product needs no gcd
+        return RatFunc(*_normalize(_pmul(n1, n2), _pmul(d1, d2)), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -213,7 +214,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc(other.den, other.num)
+        return self * RatFunc(*_normalize(other.den, other.num), _canonical=True)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -287,9 +288,14 @@ def _canonicalize(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     if not num:
         return (), (1,)
     g = _pgcd(num, den)
-    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
-    cn, cd = _content(num), _content(den)
-    c = _int_gcd(cn, cd)
+    return _normalize(_pdiv_exact(num, g), _pdiv_exact(den, g))
+
+
+def _normalize(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """Canonical form of num/den when num and den are already coprime in Q[q]: content and sign."""
+    if not num:
+        return (), (1,)
+    c = _int_gcd(_content(num), _content(den))
     if c > 1:
         num = tuple(x // c for x in num)
         den = tuple(x // c for x in den)

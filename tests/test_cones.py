@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
-from heckelat import cones
+from heckelat import acceptance, cones, linalg
 from heckelat.cones import SupportShape, in_cone, langlands_retraction, nonneg_combination
+from heckelat.intertwine import SphericalFunction
 from heckelat.rootdata import ParabolicType, load_root_datum, parabolic
 
 
@@ -50,6 +53,79 @@ def test_cone_certificates_all_parabolics(name):
         assert cones.check_pos_U_intersection(rd, par)
         assert cones.check_dual_cone(rd, par)
         assert cones.check_pos_U_consequent(rd, par)
+
+
+def _random_constraints(rng, dim):
+    """Random constraints with zero, duplicate, rational, redundant and opposite (equality) ones mixed in."""
+    cons = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, dim + 3))]
+    extras = [
+        lambda: (0,) * dim,
+        lambda: tuple(3 * x for x in rng.choice(cons)),
+        lambda: tuple(Fraction(x, 2) for x in rng.choice(cons)),
+        lambda: tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)),
+        lambda: tuple(x + y for x, y in zip(rng.choice(cons), rng.choice(cons))),
+        lambda: tuple(-x for x in rng.choice(cons)),
+    ]
+    for _ in range(rng.randint(0, 3)):
+        if cons:
+            cons.append(rng.choice(extras)())
+    rng.shuffle(cons)
+    return cons
+
+
+def test_rays_from_inequalities_random_cones():
+    rng = random.Random(2024)
+    for case in range(160):
+        dim = 1 + case % 4
+        cons = _random_constraints(rng, dim)
+        lin, rays = cones.rays_from_inequalities(cons, dim)
+        witness = (dim, cons, lin, rays)
+        nonzero = [c for c in cons if any(c)]
+        assert len(lin) == dim - linalg.rank(nonzero), witness
+        for v in lin + rays:
+            assert all(type(x) is int for x in v) and gcd(*v) == 1, witness
+        for l in lin:
+            assert all(linalg.dot(c, l) == 0 for c in cons), witness
+        gens = rays + lin + [linalg.vneg(l) for l in lin]
+        for i, r in enumerate(rays):
+            assert all(linalg.dot(c, r) >= 0 for c in cons), witness
+            tight = [c for c in nonzero if linalg.dot(c, r) == 0]
+            assert linalg.rank(tight) == dim - len(lin) - 1, witness
+            assert not in_cone(gens[:i] + gens[i + 1 :], r), witness
+        box = range(-2, 3) if dim <= 2 else range(-1, 2)
+        for p in product(box, repeat=dim):
+            if all(linalg.dot(c, p) >= 0 for c in cons):
+                assert in_cone(gens, p), (p, witness)
+
+
+def test_cone_certificates_fail_when_a_ray_is_dropped(monkeypatch):
+    assert acceptance.check_cone_certificates(("B2",)).passed
+    all_rays = cones.rays_from_inequalities
+
+    def drop_last_ray(constraints, dim):
+        lin, rays = all_rays(constraints, dim)
+        return lin, rays[:-1]
+
+    monkeypatch.setattr(cones, "rays_from_inequalities", drop_last_ray)
+    result = acceptance.check_cone_certificates(("B2",))
+    assert not result.passed and result.detail.startswith("B2 J="), result.detail
+
+
+def test_window_check_builds_no_parabolic(monkeypatch):
+    rd = load_root_datum("A2")
+    par = ParabolicType(rd, [0])
+    pts = [(0, 0), (1, 0), (0, -1), (-1, 1)]
+    window = SupportShape.make(pts, cones.neg_pos_U([0]))
+    built = []
+    init = ParabolicType.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParabolicType, "__init__", counting_init)
+    phi = SphericalFunction(rd, par, {p: 1 for p in pts}, window)
+    assert sorted(phi.values) == sorted(pts) and built == []
 
 
 def test_retraction_examples():
