@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 
 from . import linalg
 from .linalg import dot, fvec, primitive_vector, vneg
@@ -108,8 +107,8 @@ def rays_from_inequalities(constraints, dim: int):
     cons = _distinct_directions(constraints)
     if not cons:
         return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
-    lin = _nullspace(cons, dim)
-    pivots = _echelon(lin)[1] if lin else []
+    lin = linalg.nullspace(cons)
+    pivots = linalg.pivot_columns(lin)
     section = [j for j in range(dim) if j not in pivots]
     d = len(section)
     if d == 0:
@@ -143,48 +142,6 @@ def _distinct_directions(vectors) -> list[tuple[int, ...]]:
                 seen.add(key)
                 out.append(key)
     return out
-
-
-def _echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of int rows: (nonzero rows, pivot columns).
-
-    Row r has its pivot in column pivots[r], and every other row is 0 there.
-    """
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top, pv = rows[r], rows[r][c]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                row = [pv * x - f * y for x, y in zip(row, top)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return rows[: len(pivots)], pivots
-
-
-def _nullspace(rows, dim: int) -> list[tuple[int, ...]]:
-    """Primitive int basis of {x : <row, x> = 0 for all rows}, one vector per free column, positive there."""
-    rows, pivots = _echelon(rows)
-    scale = lcm(*(abs(row[c]) for row, c in zip(rows, pivots)))
-    basis = []
-    for f in range(dim):
-        if f in pivots:
-            continue
-        v = [0] * dim
-        v[f] = scale
-        for row, c in zip(rows, pivots):
-            v[c] = -row[f] * (scale // row[c])
-        basis.append(primitive_vector(v))
-    return basis
 
 
 def _cross(rows, d: int) -> tuple[int, ...]:

@@ -2,8 +2,10 @@
 
 Products (`dot`, `mat_vec`, `mat_mul`, `identity`) and `vneg` keep their inputs'
 type: integer inputs give integers, and one rational input gives Fractions.
-`primitive_vector` always returns integers. The other vector helpers and the
-elimination routines always return Fractions.
+`primitive_vector` and `nullspace` always return integers. The other vector
+helpers, `solve` and `inverse` always return Fractions. Elimination runs
+fraction-free on integer rows (`_echelon`); `_rref` divides by the pivots only
+at the end.
 """
 
 from __future__ import annotations
@@ -53,34 +55,46 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [list(map(Fraction, r)) for r in rows]
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: (nonzero int rows, pivot columns).
+
+    Each rational row is first scaled to a primitive int row. Row r has its
+    pivot in column pivots[r], and every other row is 0 there, so row r is a
+    multiple of row r of the reduced row echelon form.
+    """
+    rows = [list(primitive_vector(r)) if any(r) else list(r) for r in rows]
     pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[p] = rows[p], rows[r]
+        top, pv = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows, pivots
+    return rows[: len(pivots)], pivots
+
+
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero rows of the reduced row echelon form, and their pivot columns."""
+    rows, pivots = _echelon(rows)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)], pivots
+
+
+def pivot_columns(m) -> list[int]:
+    return _echelon(m)[1]
 
 
 def rank(m) -> int:
-    if not m:
-        return 0
-    _, pivots = _rref([list(r) for r in m])
-    return len(pivots)
+    return len(pivot_columns(m))
 
 
 def solve(a, b) -> QVec | None:
@@ -88,41 +102,37 @@ def solve(a, b) -> QVec | None:
     if not a:
         return ()
     n = len(a[0])
-    aug = [list(map(Fraction, row)) + [Fraction(bb)] for row, bb in zip(a, b)]
-    rows, pivots = _rref(aug)
-    for row in rows:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    rows, pivots = _rref([list(row) + [bb] for row, bb in zip(a, b)])
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c < n:
-            x[c] = rows[r][-1]
-        elif rows[r][-1] != 0:
-            return None
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
     return tuple(x)
 
 
-def nullspace(a) -> list[QVec]:
-    """Basis of {x : a x = 0}."""
+def nullspace(a) -> list[tuple[int, ...]]:
+    """Basis of {x : a x = 0}: primitive int vectors, one per free column, positive there and 0 at the other free columns."""
     if not a:
         return []
     n = len(a[0])
-    rows, pivots = _rref([list(r) for r in a])
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = _echelon(a)
+    scale = lcm(*(abs(row[c]) for row, c in zip(rows, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = scale
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] * (scale // row[c])
+        basis.append(primitive_vector(v))
     return basis
 
 
 def inverse(m) -> QMat:
     n = len(m)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots = _rref(aug)
+    rows, pivots = _rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(rows[i][n:]) for i in range(n))
