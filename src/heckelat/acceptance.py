@@ -220,9 +220,9 @@ def check_weyl_identities(datums=("A1", "A2", "B2", "G2", "A3", "B3", "C3")):
         _require(rep_a.passed, f"{name} A: {rep_a.witnesses[:2]}")
         rep_b = weylids.verify_vanishing_B(rd)
         _require(rep_b.passed, f"{name} B: {rep_b.witnesses[:2]}")
-        for J in index_subsets(rd.n_simple):
-            for J2 in index_subsets(rd.n_simple):
-                par, par2 = ParabolicType(rd, J), ParabolicType(rd, J2)
+        pars = [(J, ParabolicType(rd, J)) for J in index_subsets(rd.n_simple)]
+        for J, par in pars:
+            for J2, par2 in pars:
                 _require(
                     weylids.check_w_bullet_transversal(rd, par, par2),
                     f"{name} J={J} J'={J2}: double-coset transversal",

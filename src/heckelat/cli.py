@@ -216,10 +216,10 @@ def cmd_weyl_identities(args) -> int:
     print(f"vanishing-A,{rep_a.cases},{_pf(rep_a.passed)},\"{';'.join(rep_a.witnesses)}\"")
     print(f"vanishing-B,{rep_b.cases},{_pf(rep_b.passed)},\"{';'.join(rep_b.witnesses)}\"")
     transversals_ok = True
-    for J in index_subsets(rd.n_simple):
-        par = ParabolicType(rd, J)
-        for J2 in index_subsets(rd.n_simple):
-            okc = weylids.check_w_bullet_transversal(rd, par, ParabolicType(rd, J2))
+    pars = [(J, ParabolicType(rd, J)) for J in index_subsets(rd.n_simple)]
+    for J, par in pars:
+        for J2, par2 in pars:
+            okc = weylids.check_w_bullet_transversal(rd, par, par2)
             transversals_ok = transversals_ok and okc
             if not okc:
                 print(f"transversal J={J} J'={J2},1,fail,")

@@ -3,7 +3,7 @@
 Membership is an exact phase-1 simplex over Q. The double description
 (`rays_from_inequalities`) runs in integers: constraints, lineality basis and
 extreme rays are primitive int vectors, and each candidate ray is the
-generalised cross product (signed maximal minors, Bareiss determinants) of d - 1
+generalised cross product (signed maximal minors, `linalg.det`) of d - 1
 constraints restricted to a pointed section of dimension d. A feasible
 candidate is tight on d - 1 independent constraints, so it spans a
 one-dimensional face of the pointed section and is extreme; no extremality
@@ -146,25 +146,7 @@ def _distinct_directions(vectors) -> list[tuple[int, ...]]:
 
 def _cross(rows, d: int) -> tuple[int, ...]:
     """Generalised cross product of d - 1 int vectors of length d: the signed maximal minors."""
-    return tuple((-1) ** k * _det([r[:k] + r[k + 1 :] for r in rows]) for k in range(d))
-
-
-def _det(m) -> int:
-    """Determinant of a small square int matrix by Bareiss elimination (exact integer division)."""
-    m = [list(r) for r in m]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            p = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if p is None:
-                return 0
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
+    return tuple((-1) ** k * linalg.det([r[:k] + r[k + 1 :] for r in rows]) for k in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +197,7 @@ def cone_generators(rd: RootDatum, cone: ConeId):
 
 def cone_member(rd: RootDatum, cone: ConeId, lam) -> bool:
     """lam lies in the rational cone generated by the named cone's generators."""
-    return in_cone(cone_generators(rd, cone), fvec(lam))
+    return in_cone(cone_generators(rd, cone), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +213,9 @@ class SupportShape:
 
     @staticmethod
     def make(base, cone: ConeId) -> "SupportShape":
-        pts = sorted(set(fvec(b) for b in base))
-        return SupportShape(tuple(pts), cone)
+        return SupportShape(tuple(sorted(set(map(tuple, base)))), cone)
 
     def contains(self, rd: RootDatum, lam) -> bool:
-        lam = fvec(lam)
         gens = cone_generators(rd, self.cone)
         return any(in_cone(gens, tuple(x - y for x, y in zip(lam, b))) for b in self.base)
 
@@ -349,31 +329,18 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
 def langlands_retraction(rd: RootDatum, lam):
     """The least dominant coweight majorizing lam, with its linearity-domain index set.
 
-    Solved by exhausting subsets J: find c_j >= 0 with <alpha-check_i, lam + sum c_j alpha_j> = 0
-    on J and >= 0 off J. All admissible subsets must agree on the retracted value; the
-    smallest admissible J is returned (ties on linearity walls admit several).
+    Solved by exhausting subsets J: the candidate for J is the Levi projection
+    lam - sum_j c_j alpha-check_j with C_J c = <alpha_J, lam> (`RootDatum.levi_solve`),
+    admissible when c <= 0 and <alpha_k, candidate> >= 0 off J. All admissible subsets
+    must agree on the retracted value; the smallest admissible J is returned (ties on
+    linearity walls admit several).
     """
     lam = fvec(lam)
     n = rd.n_simple
     solutions = []
     for idx in index_subsets(n):
-        if idx:
-            a = [[Fraction(rd.cartan[i][j]) for j in idx] for i in idx]
-            rhs = [-pair(rd.simple_roots[i], lam) for i in idx]
-            try:
-                coeffs = linalg.mat_vec(linalg.inverse(a), rhs)
-            except ValueError:
-                continue
-            if any(c < 0 for c in coeffs):
-                continue
-            val = list(lam)
-            for ji, j in enumerate(idx):
-                for r in range(rd.rank):
-                    val[r] += coeffs[ji] * rd.simple_coroots[j][r]
-            val = tuple(val)
-        else:
-            val = lam
-        if all(pair(rd.simple_roots[k], val) >= 0 for k in range(n) if k not in idx):
+        val, coeffs = rd.levi_solve(idx, lam)
+        if all(c <= 0 for c in coeffs) and all(pair(rd.simple_roots[k], val) >= 0 for k in range(n) if k not in idx):
             solutions.append((frozenset(idx), val))
     if not solutions:
         raise ConeError("no linearity domain admits a solution (invalid root datum?)")
@@ -386,7 +353,6 @@ def langlands_retraction(rd: RootDatum, lam):
 
 def check_retraction_property(rd: RootDatum, par: ParabolicType, lam) -> bool:
     """For Levi-dominant lam: the retraction moves lam inside pos_U and against the M-dominant cone."""
-    lam = fvec(lam)
     if not par.is_levi_dominant(lam):
         raise ConeError("lam is not M-dominant")
     val, _ = langlands_retraction(rd, lam)

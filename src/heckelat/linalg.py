@@ -2,10 +2,10 @@
 
 Products (`dot`, `mat_vec`, `mat_mul`, `identity`) and `vneg` keep their inputs'
 type: integer inputs give integers, and one rational input gives Fractions.
-`primitive_vector` and `nullspace` always return integers. The other vector
-helpers, `solve` and `inverse` always return Fractions. Elimination runs
-fraction-free on integer rows (`_echelon`); `_rref` divides by the pivots only
-at the end.
+`primitive_vector`, `nullspace` and `det` (of an integer matrix) return
+integers. The other vector helpers, `solve` and `inverse` always return
+Fractions. Elimination runs fraction-free on integer rows (`_echelon`); `_rref`
+divides by the pivots only at the end.
 """
 
 from __future__ import annotations
@@ -136,6 +136,24 @@ def inverse(m) -> QMat:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def det(m) -> int:
+    """Determinant of a small square int matrix by Bareiss elimination (exact integer division)."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            p = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if p is None:
+                return 0
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def primitive_vector(v) -> tuple[int, ...]:

@@ -3,6 +3,12 @@
 Pairings and Weyl actions keep their inputs' type (see linalg): on lattice
 points they are integers, on rational coweights Fractions. Heights, the pairing
 with 2rho_P, come only from ParabolicType.height.
+
+A RootDatum owns the lattice coordinates: int tables of every coroot and root
+on the simple coroots and roots, built by reflecting coordinate vectors with
+the Cartan matrix, and the one Levi solve (`levi_solve`, one cached inverse of
+each Cartan principal submatrix C_J) behind the Levi projection and the
+Langlands retraction.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ class RootDatum:
         if len(self.weyl_elements) != expected:
             raise RootDatumError(f"|W| = {len(self.weyl_elements)} does not match classification ({expected})")
         self._subgroup_cache: dict[frozenset, frozenset] = {}
+        self._levi_inverses: dict[tuple[int, ...], tuple[QVec, ...]] = {}
         self._w_inverse = {w: self._invert(w) for w in self.weyl_elements}
         self._build_roots()
         self.w0 = self._find_longest(range(self.n_simple))
@@ -98,14 +105,15 @@ class RootDatum:
                     raise RootDatumError("Cartan matrix zero pattern must be symmetric")
         if linalg.rank(self.simple_coroots) != n or linalg.rank(self.simple_roots) != n:
             raise RootDatumError("simple coroots (and roots) must be linearly independent")
-        # finite type: symmetrize and require all principal minors positive
-        d = self._symmetrizer()
-        sym = [[Fraction(d[i]) * c[i][j] for j in range(n)] for i in range(n)]
+        # finite type: DC is symmetric with every d_i > 0 and det((DC)_J) = prod_{i in J} d_i * det(C_J),
+        # so DC is positive definite iff every principal minor of C itself is positive
+        self._symmetrizer()
         for idx in index_subsets(n):
-            if idx and _det([[sym[i][j] for j in idx] for i in idx]) <= 0:
+            if idx and linalg.det([[c[i][j] for j in idx] for i in idx]) <= 0:
                 raise RootDatumError("Cartan matrix is not of finite type (nonpositive principal minor)")
 
     def _symmetrizer(self) -> list[Fraction]:
+        """Positive d with d_i c_ij = d_j c_ji; raises RootDatumError if C is not symmetrizable."""
         n = self.n_simple
         d = [Fraction(0)] * n
         for start in range(n):
@@ -160,35 +168,38 @@ class RootDatum:
             frontier = new
 
     def _build_roots(self) -> None:
-        coroots = set()
-        for i, a in enumerate(self.simple_coroots):
-            for w in self.weyl_elements:
-                coroots.add(mat_apply(w, a))
-        pos, neg = [], []
-        for v in sorted(coroots):
-            coeffs = self.coroot_coordinates(v)
-            if all(c >= 0 for c in coeffs):
-                pos.append(v)
-            else:
-                neg.append(v)
-        if len(pos) != len(neg) or 2 * len(pos) != len(coroots):
-            raise RootDatumError("coroot system is not split into positive/negative halves")
-        self.positive_coroots: tuple[Vec, ...] = tuple(pos)
-        self.coroots: frozenset[Vec] = frozenset(coroots)
-        roots = set()
-        for i, chk in enumerate(self.simple_roots):
-            for w in self.weyl_elements:
-                roots.add(self.act_on_weight(w, chk))
-        posr = []
-        for chi in sorted(roots):
-            coeffs = self.root_coordinates(chi)
-            if all(c >= 0 for c in coeffs):
-                posr.append(chi)
-        if 2 * len(posr) != len(roots) or len(posr) != len(pos):
+        self.coroot_coords: dict[Vec, Vec] = self._orbit_coordinates(self.cartan, self.simple_coroots)
+        self.root_coords: dict[Covec, Vec] = self._orbit_coordinates(tuple(zip(*self.cartan)), self.simple_roots)
+        self.coroots: frozenset[Vec] = frozenset(self.coroot_coords)
+        self.roots: frozenset[Covec] = frozenset(self.root_coords)
+        self.positive_coroots: tuple[Vec, ...] = tuple(v for v in sorted(self.coroots) if min(self.coroot_coords[v]) >= 0)
+        self.positive_roots: tuple[Covec, ...] = tuple(chi for chi in sorted(self.roots) if min(self.root_coords[chi]) >= 0)
+        self.positive_root_set: frozenset[Covec] = frozenset(self.positive_roots)
+        npos = len(self.positive_coroots)
+        if 2 * npos != len(self.coroots) or 2 * len(self.positive_roots) != len(self.roots) or len(self.positive_roots) != npos:
             raise RootDatumError("root system is not split into positive/negative halves")
-        self.positive_roots: tuple[Covec, ...] = tuple(posr)
-        self.positive_root_set: frozenset[Covec] = frozenset(posr)
-        self.roots: frozenset[Covec] = frozenset(roots)
+
+    def _orbit_coordinates(self, cartan, simples) -> dict[Vec, Vec]:
+        """{vector: int coordinates on the simples} over the Weyl orbit of the simples.
+
+        The orbit is closed in coordinates under the simple reflections
+        s_i(c) = c - (cartan c)_i e_i: the Cartan matrix for coroots, its
+        transpose for roots.
+        """
+        n = self.n_simple
+        seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        stack = list(seen)
+        while stack:
+            c = stack.pop()
+            for i in range(n):
+                k = dot(cartan[i], c)
+                if k:
+                    image = c[:i] + (c[i] - k,) + c[i + 1 :]
+                    if image not in seen:
+                        seen.add(image)
+                        stack.append(image)
+        basis = tuple(zip(*simples))
+        return {mat_apply(basis, c): c for c in seen}
 
     def _invert(self, w: Matrix) -> Matrix:
         inv = linalg.inverse(w)
@@ -224,21 +235,6 @@ class RootDatum:
             total *= _component_weyl_order(self.cartan, sorted(comp))
         return total
 
-    def coroot_coordinates(self, v: Vec) -> tuple[Fraction, ...]:
-        """Coordinates of v in the basis of simple coroots (v must lie in their span)."""
-        cols = list(zip(*self.simple_coroots))
-        sol = linalg.solve(cols, v)
-        if sol is None:
-            raise RootDatumError(f"{v} is not in the span of the simple coroots")
-        return sol
-
-    def root_coordinates(self, chi: Covec) -> tuple[Fraction, ...]:
-        cols = list(zip(*self.simple_roots))
-        sol = linalg.solve(cols, chi)
-        if sol is None:
-            raise RootDatumError(f"{chi} is not in the span of the simple roots")
-        return sol
-
     def act_on_weight(self, w: Matrix, chi) -> Covec:
         """(w . chi)(lam) = chi(w^{-1} lam); chi as a covector row."""
         return tuple(dot(chi, col) for col in zip(*self.w_inverse(w)))
@@ -254,9 +250,24 @@ class RootDatum:
         return self._subgroup_cache[key]
 
     def in_span_of_simples(self, v: Vec, indices) -> bool:
-        coeffs = self.coroot_coordinates(v)
+        """The coroot v is a combination of the simple coroots listed in indices."""
         allowed = set(indices)
-        return all(coeffs[j] == 0 for j in range(self.n_simple) if j not in allowed)
+        return all(c == 0 for j, c in enumerate(self.coroot_coords[v]) if j not in allowed)
+
+    def levi_solve(self, indices, lam) -> tuple[tuple, tuple]:
+        """(lam - sum_j c_j alpha-check_j, c) over j in J, where C_J c = (<alpha_j, lam>)_{j in J}.
+
+        The first entry is the projection of lam along the Levi coroots onto the
+        common kernel of the Levi roots. C_J has positive determinant
+        (_check_cartan), and its inverse is computed once per J.
+        """
+        idx = tuple(sorted(indices))
+        inv = self._levi_inverses.get(idx)
+        if inv is None:
+            inv = self._levi_inverses[idx] = linalg.inverse([[self.cartan[i][j] for j in idx] for i in idx])
+        coeffs = linalg.mat_vec(inv, [pair(self.simple_roots[i], lam) for i in idx])
+        val = tuple(x - sum(c * self.simple_coroots[j][r] for c, j in zip(coeffs, idx)) for r, x in enumerate(lam))
+        return val, coeffs
 
     def is_dominant(self, lam, indices=None) -> bool:
         idx = range(self.n_simple) if indices is None else sorted(indices)
@@ -280,24 +291,6 @@ class RootDatum:
             "simple_coroots": [list(v) for v in self.simple_coroots],
             "simple_roots": [list(v) for v in self.simple_roots],
         }
-
-
-def _det(rows) -> Fraction:
-    rows = [list(map(Fraction, r)) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def _component_weyl_order(cartan, comp: list[int]) -> int:
@@ -361,7 +354,7 @@ class ParabolicType:
         self.pos_coroots_unipotent = tuple(a for a in rd.positive_coroots if a not in set(self.pos_coroots_levi))
         self.coroots_levi = frozenset(self.pos_coroots_levi) | frozenset(tuple(-x for x in a) for a in self.pos_coroots_levi)
         self.pos_roots_levi = tuple(
-            chi for chi in rd.positive_roots if all(rd.root_coordinates(chi)[j] == 0 for j in range(rd.n_simple) if j not in self.indices)
+            chi for chi in rd.positive_roots if all(c == 0 for j, c in enumerate(rd.root_coords[chi]) if j not in self.indices)
         )
         self.roots_levi = frozenset(self.pos_roots_levi) | frozenset(tuple(-x for x in c) for c in self.pos_roots_levi)
         self.pos_roots_unipotent = tuple(chi for chi in rd.positive_roots if chi not in set(self.pos_roots_levi))
@@ -377,7 +370,6 @@ class ParabolicType:
         w2 = mat_mul(self.w0_levi, self.w0_levi)
         if w2 != linalg.identity(rd.rank):
             raise RootDatumError("w0_M does not square to the identity")
-        self.projection: tuple[QVec, ...] = self._projection_matrix()
 
     def _longest_levi(self) -> Matrix:
         possed = set(self.pos_coroots_levi)
@@ -386,31 +378,9 @@ class ParabolicType:
                 return w
         raise RootDatumError("no longest element in Levi Weyl group")
 
-    def _projection_matrix(self) -> tuple[QVec, ...]:
-        # projection along span(alpha_j, j in J) onto {lam : <alpha-check_j, lam> = 0 for j in J}
-        rd = self.rd
-        idx = sorted(self.indices)
-        n = rd.rank
-        if not idx:
-            return linalg.identity(n)
-        a = [[rd.cartan[i][j] for j in idx] for i in idx]
-        ainv = linalg.inverse(a)
-        # P(lam) = lam - sum_j c_j(lam) alpha_j where A c = (<alpha-check_i, lam>)_{i in J}
-        cols = []
-        for c in range(n):
-            e = [Fraction(int(r == c)) for r in range(n)]
-            rhs = [rd.simple_roots[i][c] for i in idx]
-            coeffs = linalg.mat_vec(ainv, rhs)
-            img = list(e)
-            for ji, j in enumerate(idx):
-                for r in range(n):
-                    img[r] -= coeffs[ji] * rd.simple_coroots[j][r]
-            cols.append(img)
-        return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-
-    def project(self, lam) -> QVec:
-        """Class of lam in Lambda_{G,P} (rational coordinates of the canonical slice)."""
-        return linalg.mat_vec(self.projection, tuple(Fraction(x) for x in lam))
+    def project(self, lam) -> tuple:
+        """Class of lam in Lambda_{G,P}: its point on the canonical slice, by RootDatum.levi_solve."""
+        return self.rd.levi_solve(self.indices, lam)[0]
 
     def height(self, lam):
         """Grading <2rho_P, lam> used for all truncations: an int on the lattice."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import acceptance, hecke, padic
+from heckelat import acceptance, cones, hecke, padic, weylids
 from heckelat.rootdata import ParabolicType, load_root_datum
 
 
@@ -66,3 +66,34 @@ def test_ball_fibre_check_fails_for_a_constant_iwasawa_ord(monkeypatch):
     with pytest.raises(acceptance.CheckFailed, match="ball fibre"):
         acceptance._require_ball_fibres("SL3", 2, 1, sl3, dim_u=3)
     assert not acceptance.check_gk_oracle().passed
+
+
+def _flip_sign_at(indices):
+    original = weylids.parabolic_sign
+
+    def flipped(rd, J):
+        sign = original(rd, J)
+        return -sign if frozenset(J) == frozenset(indices) else sign
+
+    return flipped
+
+
+# (check, its arguments, module, attribute, replacement): each mutant must make its criterion FAIL
+MUTANTS = [
+    pytest.param(
+        acceptance.check_retraction, (("A2",), 20), cones, "langlands_retraction",
+        lambda rd, lam: (cones.fvec(lam), frozenset()), id="4-retraction-returns-lam",
+    ),
+    pytest.param(
+        acceptance.check_weyl_identities, (("A2",),), weylids, "parabolic_sign", _flip_sign_at([0]),
+        id="8-parabolic-sign-flipped-at-J0",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, args, module, attr, mutant", MUTANTS)
+def test_mutant_fails_its_criterion(monkeypatch, check, args, module, attr, mutant):
+    assert check(*args).passed
+    monkeypatch.setattr(module, attr, mutant)
+    result = check(*args)
+    assert not result.passed, result.line()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckelat import cones
+from heckelat import cones, linalg
 from heckelat.rootdata import (
     PRESET_NAMES,
     RootDatumError,
@@ -58,6 +58,22 @@ def test_lattice_data_and_products_stay_integral(name):
         assert par.height(rational) * 3 == par.height(lam)
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_coordinate_tables(name):
+    rd = load_root_datum(name)
+    tables = ((rd.coroot_coords, rd.simple_coroots, rd.coroots), (rd.root_coords, rd.simple_roots, rd.roots))
+    for table, simples, vectors in tables:
+        assert set(table) == set(vectors)
+        cols = list(zip(*simples))
+        for v, coords in table.items():
+            assert len(coords) == rd.n_simple and _all_int([coords])
+            assert tuple(sum(c * s[r] for c, s in zip(coords, simples)) for r in range(rd.rank)) == v
+            assert linalg.solve(cols, v) == coords
+    orbit = {mat_apply(w, a) for w in rd.weyl_elements for a in rd.simple_coroots}
+    assert set(rd.coroot_coords) == orbit
+    assert set(rd.root_coords) == {rd.act_on_weight(w, chi) for w in rd.weyl_elements for chi in rd.simple_roots}
+
+
 def test_a2_positive_coroots_from_closure():
     rd = load_root_datum("A2")
     assert set(rd.positive_coroots) == {(1, 0), (0, 1), (1, 1)}
@@ -83,13 +99,19 @@ def test_load_rejects_bad_pairing():
         load_root_datum(config)
 
 
-def test_load_rejects_non_finite_type():
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]], [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]],
+    ids=["affine", "hyperbolic", "non-symmetrizable"],
+)
+def test_load_rejects_non_finite_type(cartan):
+    n = len(cartan)
     config = {
-        "name": "affine",
-        "rank": 2,
-        "cartan": [[2, -2], [-2, 2]],
-        "simple_coroots": [[1, 0], [0, 1]],
-        "simple_roots": [[2, -2], [-2, 2]],
+        "name": "non-finite",
+        "rank": n,
+        "cartan": cartan,
+        "simple_coroots": [[int(i == j) for j in range(n)] for i in range(n)],
+        "simple_roots": cartan,
     }
     with pytest.raises(RootDatumError):
         load_root_datum(config)
