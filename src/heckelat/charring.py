@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .hecke import GradedSeries
 from .qfield import ONE, as_ratfunc
-from .rootdata import ParabolicType, RootDatum, Vec, dominance_leq, mat_apply, pair
+from .rootdata import ParabolicType, RootDatum, Vec, dominance_leq, pair
 
 # The completed character ring is the cone-series ring of hecke: its e-basis
 # coefficients are the Hecke side's indicator-basis coefficients.
@@ -48,13 +48,6 @@ class WeightFunction:
 
     def __repr__(self):
         return f"WeightFunction({self.mults})"
-
-    def is_levi_invariant(self, rd: RootDatum, par: ParabolicType) -> bool:
-        for w in par.weyl_levi:
-            for lam, m in self.mults.items():
-                if self.mults.get(mat_apply(w, lam), 0) != m:
-                    return False
-        return True
 
 
 def lambda_series(rd: RootDatum, par: ParabolicType, t, piece: GradedPiece, height: int) -> CharSeries:
@@ -168,7 +161,7 @@ def decompose_into_irreducibles(rd: RootDatum, par: ParabolicType, f) -> tuple[l
         work = dict(f.mults)
     else:
         work = {tuple(int(x) for x in k): int(v) for k, v in f.items() if v}
-    if not WeightFunction(work).is_levi_invariant(rd, par):
+    if not par.is_levi_invariant(work):
         raise CharError("weight function is not W_M-invariant")
     out: list[tuple[Vec, int]] = []
     virtual = False

@@ -35,6 +35,17 @@ def _parse_coweight(text: str, rank: int):
     return tuple(parts)
 
 
+def _integer(x, what: str) -> int:
+    """x as an int: a UsageError, not int()'s silent truncation, when its exact value is not an integer."""
+    try:
+        value = Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value.denominator != 1:
+        raise UsageError(f"{what} must be an integer, got {x!r}")
+    return int(value)
+
+
 def _parse_q(text: str):
     if text is None or text == "sym":
         return Q
@@ -160,7 +171,7 @@ def cmd_char(args) -> int:
         return 0
     if args.action == "decompose":
         data = json.loads(args.input)
-        f = {tuple(int(x) for x in k): int(v) for k, v in data}
+        f = {tuple(_integer(x, "coordinate") for x in k): _integer(v, "multiplicity") for k, v in data}
         comps, virtual = charring.decompose_into_irreducibles(rd, par, f)
         print(json.dumps({
             "components": [[list(lam), m] for lam, m in comps],
@@ -174,7 +185,7 @@ def cmd_intertwine(args) -> int:
     rd = _load(args)
     par = _parse_parabolic(args.parabolic, rd)
     data = json.loads(args.input)
-    values = {tuple(int(x) for x in k): as_ratfunc(Fraction(str(v))) for k, v in data}
+    values = {tuple(_integer(x, "coordinate") for x in k): as_ratfunc(Fraction(str(v))) for k, v in data}
     window = cones.SupportShape.make(list(values) or [(0,) * rd.rank], cones.neg_pos_U(par.indices))
     phi = iw.SphericalFunction(rd, par, values, window, check_window=False)
     mu = hecke.gk_mu(rd, par, args.height)
@@ -227,6 +238,11 @@ def cmd_weyl_identities(args) -> int:
     return 0 if rep_a.passed and rep_b.passed and transversals_ok else 1
 
 
+def _degree_values(text: str, qv) -> dict:
+    """{degree: value} from a JSON list of [degree, value] pairs, values in Q(q) or at the numeric q."""
+    return {_integer(k, "degree"): as_ratfunc(Fraction(str(v))) if qv is Q else Fraction(str(v)) for k, v in json.loads(text)}
+
+
 def cmd_global(args) -> int:
     qv = _parse_q(args.q)
     if args.explain_conventions:
@@ -234,7 +250,7 @@ def cmd_global(args) -> int:
         return 0
     values = {}
     if args.input:
-        values = {int(k): as_ratfunc(Fraction(str(v))) if qv is Q else Fraction(str(v)) for k, v in json.loads(args.input)}
+        values = _degree_values(args.input, qv)
     window = args.window
     if args.action == "eis":
         phi = gs.TFunction.from_dict(values, qv)
@@ -272,7 +288,7 @@ def cmd_global(args) -> int:
     if args.action == "B":
         if not args.input2:
             raise UsageError("the form needs --input2")
-        values2 = {int(k): as_ratfunc(Fraction(str(v))) if qv is Q else Fraction(str(v)) for k, v in json.loads(args.input2)}
+        values2 = _degree_values(args.input2, qv)
         f2 = gs.GFunction.from_dict(values2, qv)
         print(f"B,{_fmt(gs.form_B(f, f2, qv))}")
         return 0

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qfield import Q
-
 PROBE = 8  # degrees below a pseudo-compactness certificate that op_L_inverse re-checks
 
 
@@ -144,10 +142,8 @@ def subbundle_count_bruteforce(n: int, d: int, q: int) -> Fraction:
 # zeta-side series oracle
 
 
-def count_closed_points(m: int, q: int | None = None, qv=None):
+def count_closed_points(m: int, qv):
     """Number of closed points of degree m on the projective line (necklace count), as a value in qv."""
-    if qv is None:
-        qv = Q if q is None else Fraction(q)
     if m == 1:
         return qv + 1
 
@@ -205,7 +201,7 @@ def gk_degree_series_euler(order: int, qv, inverse: bool = False) -> list:
     """
     out = [_one_like(qv)] + [_zero_like(qv) for _ in range(order)]
     for m in range(1, order + 1):
-        a_m = count_closed_points(m, qv=qv)
+        a_m = count_closed_points(m, qv)
         num = [_one_like(qv)] + [_zero_like(qv)] * order
         num[m] = -(qv**m) if inverse else -_one_like(qv)
         den = _geom_series(m, (qv**m if not inverse else _one_like(qv)), order, qv)

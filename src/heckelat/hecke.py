@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow
-from .rootdata import ParabolicType, RootDatum, Vec, mat_apply
+from .rootdata import ParabolicType, RootDatum, Vec
 
 
 class HeckeError(ValueError):
@@ -92,14 +92,6 @@ class GradedSeries:
             and self.height == other.height
             and self.coeffs == other.coeffs
         )
-
-    def is_levi_invariant(self) -> bool:
-        """Coefficient map is constant along W_M-orbits on the lattice."""
-        for w in self.par.weyl_levi:
-            for lam, c in self.coeffs.items():
-                if self.coeffs.get(mat_apply(w, lam), ZERO) != c:
-                    return False
-        return True
 
     def graded_component(self, theta_class) -> dict[Vec, RatFunc]:
         """Coefficients supported on the given class of the quotient grading lattice."""
@@ -214,7 +206,7 @@ def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
         out = convolve(out, GradedSeries(rd, par, height, factor))
     if not out.constant_term().is_one():
         raise HeckeError("GK series must have constant term 1")
-    if not out.is_levi_invariant():
+    if not par.is_levi_invariant(out.coeffs):
         raise HeckeError("GK series must be W_M-invariant")
     return out
 
@@ -240,7 +232,7 @@ def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries, 
     coefficient there, read in u = q^{1/2} when twist_scale(par) is 2; products
     of series correspond to products of characters.
     """
-    if not s.is_levi_invariant():
+    if not s.par.is_levi_invariant(s.coeffs):
         raise HeckeError("series is not W_M-invariant")
     h = s.height if height is None else min(height, s.height)
     return GradedSeries(rd, par, h, s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs)

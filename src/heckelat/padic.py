@@ -1,4 +1,12 @@
-"""Ground-truth computation of the unipotent-pushforward measure over F_q((t)) for SL2 and SL3, by exact cell enumeration."""
+"""Ground-truth computation of the unipotent-pushforward measure over F_q((t)) for SL2 and SL3, by exact cell enumeration.
+
+A cell fixes the digits of every unipotent coordinate below t^n. `_mu_sl2`,
+`_mu_sl3_full` and `ball_histogram` evaluate `iwasawa_ord` on every cell of
+their coordinate boxes through `_fibre_measures`. The SL3 oracle
+`_mu_sl3_fast` enumerates the (x12, x23) cells the same way but counts x13 by
+its digits below t^0, the only ones that move the valuations it tests;
+`_mu_sl3_full` stays the witness for that count.
+"""
 
 from __future__ import annotations
 
@@ -41,12 +49,6 @@ class LaurentElement:
     def min_exp(self):
         return self.coeffs[0][0] if self.coeffs else None
 
-    def val(self):
-        """('exact', v) when the valuation is certified, ('ge', tail) otherwise."""
-        if self.coeffs:
-            return ("exact", self.coeffs[0][0])
-        return ("ge", self.tail)
-
     def add(self, other: "LaurentElement") -> "LaurentElement":
         tail = min(self.tail, other.tail)
         acc = dict(self.coeffs)
@@ -56,9 +58,6 @@ class LaurentElement:
 
     def neg(self) -> "LaurentElement":
         return LaurentElement.make(self.q, [(e, -c) for e, c in self.coeffs], self.tail)
-
-    def sub(self, other: "LaurentElement") -> "LaurentElement":
-        return self.add(other.neg())
 
     def mul(self, other: "LaurentElement") -> "LaurentElement":
         me, oe = self.min_exp(), other.min_exp()
@@ -74,33 +73,6 @@ class LaurentElement:
                 if e < tail:
                     acc[e] = (acc.get(e, 0) + c1 * c2) % self.q
         return LaurentElement.make(self.q, acc.items(), tail)
-
-
-@dataclass(frozen=True)
-class UnipotentCell:
-    """A congruence cell of the unipotent group: exact Laurent coordinates modulo t^precision."""
-
-    q: int
-    coords: tuple  # LaurentElement coordinates in the fixed order (SL2: x; SL3: x12, x13, x23)
-    precision: int
-
-    def measure(self) -> Fraction:
-        return Fraction(1, self.q ** (self.precision * len(self.coords)))
-
-    def matrix(self):
-        if len(self.coords) == 1:
-            return unipotent_sl2(self.q, self.coords[0], self.precision)
-        if len(self.coords) == 3:
-            return unipotent_sl3(self.q, *self.coords, self.precision)
-        raise OracleError("cells carry one (SL2) or three (SL3) coordinates")
-
-
-def _zero(q: int, tail: int) -> LaurentElement:
-    return LaurentElement.make(q, [], tail)
-
-
-def _one(q: int, tail: int) -> LaurentElement:
-    return LaurentElement.make(q, [(0, 1)], tail)
 
 
 def _det(rows):
@@ -119,10 +91,8 @@ def _det(rows):
 
 def _min_valuation(elements) -> int:
     """Exact minimum of the valuations; PrecisionError when the truncation leaves it ambiguous."""
-    exact, bounds = [], []
-    for e in elements:
-        kind, v = e.val()
-        (exact if kind == "exact" else bounds).append(v)
+    exact = [e.coeffs[0][0] for e in elements if e.coeffs]
+    bounds = [e.tail for e in elements if not e.coeffs]
     if not exact:
         raise PrecisionError("all candidate valuations exceed the working precision")
     m = min(exact)
@@ -161,14 +131,34 @@ def _cell_values(q: int, lo: int, hi: int):
         yield LaurentElement.make(q, zip(exps, coeffs), hi)
 
 
-def unipotent_sl2(q: int, x: LaurentElement, tail: int):
-    z, o = _zero(q, tail), _one(q, tail)
-    return ((o, x), (z, o))
+def _unipotent(group: str, q: int, coords, tail: int):
+    """The upper unitriangular matrix with the given coordinates above the diagonal (SL2: x; SL3: x12, x13, x23)."""
+    zero, one = LaurentElement.make(q, [], tail), LaurentElement.make(q, [(0, 1)], tail)
+    if group == "SL2":
+        (x,) = coords
+        return ((one, x), (zero, one))
+    x12, x13, x23 = coords
+    return ((one, x12, x13), (zero, one, x23), (zero, zero, one))
 
 
-def unipotent_sl3(q: int, x12, x13, x23, tail: int):
-    z, o = _zero(q, tail), _one(q, tail)
-    return ((o, x12, x13), (z, o, x23), (z, z, o))
+def _fibre_measures(group: str, q: int, lows, n: int) -> dict:
+    """{iwasawa_ord: measure} over the cells mod t^n of the box prod_i t^lows[i] O, one iwasawa_ord per cell.
+
+    lows gives the lowest exponent of each coordinate in the order of
+    `_unipotent`; each cell has measure q^(-n dim U).
+    """
+    counts: dict = {}
+
+    def walk(coords):
+        if len(coords) == len(lows):
+            lam = iwasawa_ord(group, _unipotent(group, q, coords, n))
+            counts[lam] = counts.get(lam, 0) + 1
+            return
+        for x in _cell_values(q, lows[len(coords)], n):
+            walk(coords + (x,))
+
+    walk(())
+    return {lam: Fraction(c, q ** (n * len(lows))) for lam, c in counts.items()}
 
 
 def _is_prime(n: int) -> bool:
@@ -182,14 +172,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def mu_oracle(group: str, lam, q: int, precision: int, fast: bool = True) -> Fraction:
+def mu_oracle(group: str, lam, q: int, precision: int) -> Fraction:
     """Exact measure of {u in U : iwasawa_ord(u) = lam}, normalized by mes(U cap K) = 1."""
     if not _is_prime(q):
         raise OracleError(f"oracle requires a prime residue cardinality, got {q}")
     if group == "SL2":
         return _mu_sl2(lam, q, precision)
     if group == "SL3":
-        return _mu_sl3_fast(lam, q, precision) if fast else _mu_sl3_full(lam, q, precision)
+        return _mu_sl3_fast(lam, q, precision)
     raise OracleError(f"unknown group {group!r}")
 
 
@@ -205,12 +195,7 @@ def _mu_sl2(lam, q: int, n: int) -> Fraction:
     w = target + 1
     if q ** (w + n) > CELL_CAP:
         raise OracleError("cell count exceeds the cap")
-    total = Fraction(0)
-    for x in _cell_values(q, -w, n):
-        cell = UnipotentCell(q, (x,), n)
-        if iwasawa_ord("SL2", cell.matrix()) == (target,):
-            total += cell.measure()
-    return total
+    return _fibre_measures("SL2", q, (-w,), n).get((target,), Fraction(0))
 
 
 def _sl3_window(lam, n: int) -> int:
@@ -223,7 +208,7 @@ def _sl3_window(lam, n: int) -> int:
 
 
 def _mu_sl3_full(lam, q: int, n: int) -> Fraction:
-    """Triple-loop enumeration; used to validate the counting version on small windows.
+    """Enumeration of every (x12, x13, x23) cell of the window; the witness for `_mu_sl3_fast`.
 
     Cells with v(x13) or v(x23) below -w are excluded by the exact last-column
     valuations; cells with v(x12) < -n1 by the exact single-entry minor x12.
@@ -235,114 +220,41 @@ def _mu_sl3_full(lam, q: int, n: int) -> Fraction:
     cells = q ** (n + n1) * q ** (2 * (n + w))
     if cells > CELL_CAP:
         raise OracleError(f"cell count {cells} exceeds the cap {CELL_CAP}")
-    total = Fraction(0)
-    for x13 in _cell_values(q, -w, n):
-        for x23 in _cell_values(q, -w, n):
-            for x12 in _cell_values(q, -n1, n):
-                cell = UnipotentCell(q, (x12, x13, x23), n)
-                if iwasawa_ord("SL3", cell.matrix()) == (n1, n2):
-                    total += cell.measure()
-    return total
+    return _fibre_measures("SL3", q, (-n1, -w, -w), n).get((n1, n2), Fraction(0))
+
+
+def _v_below_0(x: LaurentElement) -> int:
+    """min(v(x), 0) for an x that is exact below t^0 (tail >= 0)."""
+    return min(x.coeffs[0][0], 0) if x.coeffs else 0
 
 
 def _mu_sl3_fast(lam, q: int, n: int) -> Fraction:
-    """Enumerates (x12, x23) cells and counts x13 cells by exact prefix combinatorics.
+    """Enumerates the (x12, x23) cells and, for each pair, the digits of x13 below t^0.
 
-    The x13 count per pair is a finite case split over the positions of the first
-    nonzero coefficient and of the first coefficient differing from x12*x23; it is
-    validated against the full enumeration in tests.
+    The minors of `iwasawa_ord` give n2 = -min(v(x13), v(x23), 0) and
+    n1 = -min(v(x12*x23 - x13), v(x12), 0). Digits of x13 at t^0 and above move
+    neither valuation below 0, and the precision `_sl3_window` demands keeps
+    x12*x23 exact below t^1, so each prefix of x13 on [t^-w, t^0) that meets
+    both conditions stands for the q^n cells of its digits on [t^0, t^n).
     """
     n1, n2 = int(lam[0]), int(lam[1])
     if n1 < 0 or n2 < 0:
         return Fraction(0)
     w = _sl3_window(lam, n)
-    pair_cells = q ** (n + n1) * q ** (n + n2)
-    if pair_cells > CELL_CAP:
-        raise OracleError(f"cell count {pair_cells} exceeds the cap {CELL_CAP}")
-    exps = list(range(-w, n))
+    visits = q ** (n + n1) * q ** (n + n2) * q**w
+    if visits > CELL_CAP:
+        raise OracleError(f"cell count {visits} exceeds the cap {CELL_CAP}")
+    prefixes = [(x13.neg(), _v_below_0(x13)) for x13 in _cell_values(q, -w, 0)]
     total = 0
     # v(x23) < -n2 fails the last-column condition; v(x12) < -n1 fails the
     # single-entry minor condition: both skips are valuation-exact.
     for x23 in _cell_values(q, -n2, n):
-        v23 = x23.min_exp()
+        v23 = _v_below_0(x23)
+        meets_n2 = [neg13 for neg13, v13 in prefixes if min(v13, v23) == -n2]
         for x12 in _cell_values(q, -n1, n):
-            v12 = x12.min_exp()
-            p = x12.mul(x23)
-            total += _count_x13_cells(q, exps, p, v12, v23, n1, n2)
-    return Fraction(total, q ** (3 * n))
-
-
-def _meets_target(v, other, target: int) -> bool:
-    """min(v, other, 0) == -target, with None meaning 'nonnegative'."""
-    vals = [x for x in (v, other) if x is not None] + [0]
-    return min(vals) == -target
-
-
-def _count_x13_cells(q: int, exps: list[int], p: LaurentElement, v12, v23, n1: int, n2: int) -> int:
-    """Number of x13 cells on the window with m1 = -n2 and m2 = -n1 (x12, x23 fixed exact)."""
-    pc = dict(p.coeffs)
-    if any(e < exps[0] for e in pc):
-        # v(x12*x23) lies below the x13 window, so v(M) = v(p) < -w <= -n1 - 1: no cell qualifies
-        return 0
-    L = len(exps)
-    # number of window positions where p is exactly known
-    lp = sum(1 for e in exps if e < p.tail)
-    total = 0
-    for a in range(L + 1):  # first nonzero coefficient of x13 (L: none)
-        v13 = exps[a] if a < L else None
-        if v13 is not None and v13 >= 0:
-            v13 = None
-        if not _meets_target(v13, v23 if (v23 is None or v23 < 0) else None, n2):
-            continue
-        for b in range(lp + 1):  # first difference from p on the determined positions (lp: none)
-            vm = exps[b] if b < lp else None
-            if vm is not None and vm >= 0:
-                vm = None
-            if not _meets_target(vm, v12 if (v12 is None or v12 < 0) else None, n1):
-                continue
-            total += _profile_count(q, exps, pc, lp, a, b)
-    return total
-
-
-def _profile_count(q: int, exps: list[int], pc: dict, lp: int, a: int, b: int) -> int:
-    """Cells whose first nonzero coefficient sits at index a and whose first difference from p sits at index b.
-
-    a ranges over [0, L] (a = L: identically zero on the window); b over
-    [0, lp] (b = lp: equal to p on every determined position).
-    """
-    L = len(exps)
-
-    def p_at(i):
-        return pc.get(exps[i], 0)
-
-    def p_zero_before(k):
-        return all(p_at(i) == 0 for i in range(k))
-
-    if b < lp:
-        if a < b:
-            # zero before a, then equal to p through b: p = 0 before a, c_a = p_a != 0
-            if not p_zero_before(a) or p_at(a) == 0:
-                return 0
-            return (q - 1) * q ** (L - b - 1)
-        if a == b:
-            if not p_zero_before(a):
-                return 0
-            choices = (q - 2) if p_at(a) else (q - 1)
-            return choices * q ** (L - a - 1) if choices > 0 else 0
-        # a > b: c_b = 0 must differ from p_b, and p = 0 before b
-        if not p_zero_before(b) or p_at(b) == 0:
-            return 0
-        return (q - 1) * q ** (L - a - 1) if a < L else 1
-    # b == lp: c agrees with p on every determined position
-    if a < lp:
-        # first nonzero at a < lp forces p = 0 before a and p_a != 0
-        if not p_zero_before(a) or p_at(a) == 0:
-            return 0
-        return q ** (L - lp)
-    # a >= lp: c vanishes on all determined positions, so p must too
-    if not p_zero_before(lp):
-        return 0
-    return (q - 1) * q ** (L - a - 1) if a < L else 1
+            p, v12 = x12.mul(x23), _v_below_0(x12)
+            total += sum(1 for neg13 in meets_n2 if min(_v_below_0(p.add(neg13)), v12) == -n1)
+    return Fraction(total * q**n, q ** (3 * n))
 
 
 def ball_histogram(group: str, q: int, ball_depth: int, precision: int) -> dict:
@@ -354,9 +266,4 @@ def ball_histogram(group: str, q: int, ball_depth: int, precision: int) -> dict:
     if group not in _GROUP_SIZES:
         raise OracleError(f"unknown group {group!r}")
     r = _GROUP_SIZES[group]
-    hist: dict = {}
-    for coords in product(_cell_values(q, -ball_depth, precision), repeat=r * (r - 1) // 2):
-        cell = UnipotentCell(q, coords, precision)
-        lam = iwasawa_ord(group, cell.matrix())
-        hist[lam] = hist.get(lam, 0) + cell.measure()
-    return hist
+    return _fibre_measures(group, q, (-ball_depth,) * (r * (r - 1) // 2), precision)

@@ -62,7 +62,7 @@ class RootDatum:
     2*rho and 2*rho-check) is computed eagerly and frozen.
     """
 
-    def __init__(self, name: str, rank: int, simple_coroots, simple_roots, weyl_cap: int = WEYL_CAP):
+    def __init__(self, name: str, rank: int, simple_coroots, simple_roots):
         self.name = str(name)
         self.rank = int(rank)
         self.simple_coroots: tuple[Vec, ...] = tuple(_as_vec(v) for v in simple_coroots)
@@ -79,15 +79,15 @@ class RootDatum:
         )
         self._check_cartan()
         self._simple_reflections = tuple(self._reflection(i) for i in range(self.n_simple))
-        self.weyl_elements: tuple[Matrix, ...] = tuple(self._weyl_bfs(range(self.n_simple), weyl_cap))
+        self.weyl_elements: tuple[Matrix, ...] = tuple(self._weyl_bfs(range(self.n_simple)))
         expected = self.expected_weyl_order()
         if len(self.weyl_elements) != expected:
             raise RootDatumError(f"|W| = {len(self.weyl_elements)} does not match classification ({expected})")
-        self._subgroup_cache: dict[frozenset, frozenset] = {}
+        self._subgroup_cache: dict[frozenset, frozenset] = {frozenset(range(self.n_simple)): frozenset(self.weyl_elements)}
         self._levi_inverses: dict[tuple[int, ...], tuple[QVec, ...]] = {}
         self._w_inverse = {w: self._invert(w) for w in self.weyl_elements}
         self._build_roots()
-        self.w0 = self._find_longest(range(self.n_simple))
+        self.w0 = self.longest_element(range(self.n_simple))
         self.two_rho: Vec = tuple(sum(col) for col in zip(*self.positive_coroots)) if self.positive_coroots else (0,) * self.rank
         self.two_rho_check: Covec = tuple(sum(col) for col in zip(*self.positive_roots)) if self.positive_roots else (0,) * self.rank
 
@@ -143,10 +143,11 @@ class RootDatum:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def _weyl_bfs(self, indices, cap: int = WEYL_CAP):
+    def _weyl_bfs(self, indices):
         """Elements of the subgroup generated by the listed simple reflections, breadth first by length.
 
-        Elements of equal length come out sorted.
+        Elements of equal length come out sorted. More than WEYL_CAP elements
+        raise WeylEnumerationError.
         """
         gens = [self._simple_reflections[i] for i in sorted(indices)]
         ident = linalg.identity(self.rank)
@@ -161,8 +162,8 @@ class RootDatum:
                     if ws not in seen:
                         seen.add(ws)
                         new.append(ws)
-                        if len(seen) > cap:
-                            raise WeylEnumerationError(f"Weyl enumeration exceeded cap {cap}")
+                        if len(seen) > WEYL_CAP:
+                            raise WeylEnumerationError(f"Weyl enumeration exceeded cap {WEYL_CAP}")
             new.sort()
             yield from new
             frontier = new
@@ -205,14 +206,6 @@ class RootDatum:
         inv = linalg.inverse(w)
         return tuple(tuple(int(x) for x in row) for row in inv)
 
-    def _find_longest(self, indices) -> Matrix:
-        pos = set(self.positive_coroots)
-        neg = {tuple(-x for x in a) for a in pos}
-        for w in self.weyl_elements:
-            if all(mat_apply(w, a) in neg for a in pos):
-                return w
-        raise RootDatumError("no longest element found")
-
     # -- queries -----------------------------------------------------------
     def expected_weyl_order(self) -> int:
         """Order of W predicted by the classification of the Cartan matrix."""
@@ -248,6 +241,14 @@ class RootDatum:
         if key not in self._subgroup_cache:
             self._subgroup_cache[key] = frozenset(self._weyl_bfs(key))
         return self._subgroup_cache[key]
+
+    def longest_element(self, indices) -> Matrix:
+        """The longest element of W_J: the one element of W_J sending every positive coroot of the Levi to a negative coroot."""
+        pos = [a for a in self.positive_coroots if self.in_span_of_simples(a, indices)]
+        for w in self.subgroup(indices):
+            if all(min(self.coroot_coords[mat_apply(w, a)]) < 0 for a in pos):
+                return w
+        raise RootDatumError(f"no longest element in W_J for J = {sorted(indices)}")
 
     def in_span_of_simples(self, v: Vec, indices) -> bool:
         """The coroot v is a combination of the simple coroots listed in indices."""
@@ -366,17 +367,14 @@ class ParabolicType:
             if self.height(rd.simple_coroots[j]) != 0:
                 raise RootDatumError("2rho_P does not annihilate the Levi coroots")
         self.weyl_levi: frozenset[Matrix] = rd.subgroup(self.indices)
-        self.w0_levi: Matrix = self._longest_levi()
+        self.w0_levi: Matrix = rd.longest_element(self.indices)
         w2 = mat_mul(self.w0_levi, self.w0_levi)
         if w2 != linalg.identity(rd.rank):
             raise RootDatumError("w0_M does not square to the identity")
 
-    def _longest_levi(self) -> Matrix:
-        possed = set(self.pos_coroots_levi)
-        for w in sorted(self.weyl_levi):
-            if all(tuple(-x for x in mat_apply(w, a)) in possed for a in self.pos_coroots_levi):
-                return w
-        raise RootDatumError("no longest element in Levi Weyl group")
+    def is_levi_invariant(self, values: dict) -> bool:
+        """The map {lattice point: nonzero value} is constant along W_M-orbits (a missing point holds zero)."""
+        return all(values.get(mat_apply(w, lam)) == v for w in self.weyl_levi for lam, v in values.items())
 
     def project(self, lam) -> tuple:
         """Class of lam in Lambda_{G,P}: its point on the canonical slice, by RootDatum.levi_solve."""

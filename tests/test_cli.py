@@ -101,6 +101,23 @@ def test_computation_error_exits_1(tmp_path):
     assert code == 1
 
 
+def test_intertwine_rejects_a_fractional_coordinate(capsys):
+    assert cli.main(["intertwine", "--datum", "A1", "--input", "[[[0.5],1]]"]) == 2
+    assert "coordinate must be an integer" in capsys.readouterr().err
+
+
+def test_char_decompose_rejects_a_fractional_multiplicity(capsys):
+    argv = ["char", "decompose", "--datum", "A1", "--parabolic", "1", "--input", "[[[0], 1.5]]"]
+    assert cli.main(argv) == 2
+    assert "multiplicity must be an integer" in capsys.readouterr().err
+
+
+def test_global_rejects_a_fractional_degree(capsys):
+    assert cli.main(["global-sl2", "L", "--input", "[[1.7,1]]"]) == 2
+    assert cli.main(["global-sl2", "B", "--input", "[[1,1]]", "--input2", "[[\"1/2\",1]]"]) == 2
+    assert "degree must be an integer" in capsys.readouterr().err
+
+
 def test_manifest_determinism(tmp_path):
     args = ["gk", "--datum", "B2", "--height", "6"]
     out1, man1 = run(args)

@@ -48,10 +48,10 @@ def test_degree_series_against_euler_product():
 
 
 def test_closed_point_counts():
-    assert gs.count_closed_points(1, q=2) == 3
-    assert gs.count_closed_points(2, q=2) == 1  # one irreducible quadratic over F_2
-    assert gs.count_closed_points(3, q=2) == 2
-    assert gs.count_closed_points(1, qv=Q) == Q + 1
+    assert gs.count_closed_points(1, Fraction(2)) == 3
+    assert gs.count_closed_points(2, Fraction(2)) == 1  # one irreducible quadratic over F_2
+    assert gs.count_closed_points(3, Fraction(2)) == 2
+    assert gs.count_closed_points(1, Q) == Q + 1
 
 
 def test_eis_examples():
