@@ -3,8 +3,9 @@
 The list covers `gk` and `nu` (symbolic and at q = 2, in every basis where the
 table lies in Q(q), for A1 A2 B2 G2 at the Borel and the maximal parabolics),
 `satake-check`, `intertwine` (forward, inverse, with and without
-`--roundtrip`), `weyl-identities`, `char`, `oracle-mu`, `retract` (A2 B2 G2
-at rational coweights), `cone-check` (A2 B2 G2 GL2) and `global-sl2` (every
+`--roundtrip`), `weyl-identities`, `char` (with `decompose` on G2 and A3
+Levis), `oracle-mu`, `retract` (A2 B2 G2 GL2 A3 at rational coweights),
+`cone-check` (A2 B2 G2 GL2) and `global-sl2` (every
 action, symbolic and at q = 2 and q = 3/2, and `--explain-conventions`). A
 refactor must leave every digest as it is. After an intended change of output, re-record with
 
