@@ -37,19 +37,6 @@ def u_P_graded_pieces(rd: RootDatum, par: ParabolicType) -> list[GradedPiece]:
     return [GradedPiece(lvl, tuple(sorted(ws))) for lvl, ws in sorted(buckets.items())]
 
 
-class WeightFunction:
-    """Finitely supported integer multiplicity function on the coweight lattice."""
-
-    def __init__(self, mults: dict):
-        self.mults: dict[Vec, int] = {tuple(int(x) for x in k): int(v) for k, v in mults.items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, WeightFunction) and self.mults == other.mults
-
-    def __repr__(self):
-        return f"WeightFunction({self.mults})"
-
-
 def lambda_series(rd: RootDatum, par: ParabolicType, t, piece: GradedPiece, height: int) -> CharSeries:
     """Alternating exterior-power series of a graded piece: the product of (1 - t e^w) over its weights."""
     t = as_ratfunc(t)
@@ -157,10 +144,7 @@ def decompose_into_irreducibles(rd: RootDatum, par: ParabolicType, f) -> tuple[l
     Returns (components, virtual): components reconstruct the input exactly; the
     flag marks signed multiplicities (virtual characters).
     """
-    if isinstance(f, WeightFunction):
-        work = dict(f.mults)
-    else:
-        work = {tuple(int(x) for x in k): int(v) for k, v in f.items() if v}
+    work = {tuple(int(x) for x in k): int(v) for k, v in f.items() if v}
     if not par.is_levi_invariant(work):
         raise CharError("weight function is not W_M-invariant")
     out: list[tuple[Vec, int]] = []

@@ -24,7 +24,7 @@ def _parse_parabolic(text: str | None, rd) -> ParabolicType:
         return ParabolicType(rd, [])
     if text.strip().lower() in ("full", "all"):
         return ParabolicType(rd, range(rd.n_simple))
-    indices = [int(x) - 1 for x in text.split(",") if x.strip()]
+    indices = [_integer(x.strip(), "parabolic index") - 1 for x in text.split(",") if x.strip()]
     return ParabolicType(rd, indices)
 
 
@@ -206,7 +206,7 @@ def cmd_intertwine(args) -> int:
 
 
 def cmd_oracle_mu(args) -> int:
-    lam = tuple(int(x) for x in args.coweight.split(","))
+    lam = tuple(_integer(x.strip(), "coordinate") for x in args.coweight.split(","))
     measure = padic.mu_oracle(args.group, lam, args.q, args.precision)
     datum = "A1" if args.group == "SL2" else "A2"
     rd = load_root_datum(datum)

@@ -1,14 +1,16 @@
 """Rational polyhedral cone decision procedures: membership, duality certificates, the Langlands retraction, and support shapes.
 
-Membership is an exact phase-1 simplex over Q. The double description
-(`rays_from_inequalities`) runs in integers: constraints, lineality basis and
-extreme rays are primitive int vectors, and each candidate ray is the
-generalised cross product (signed maximal minors, `linalg.det`) of d - 1
-constraints restricted to a pointed section of dimension d. A feasible
-candidate is tight on d - 1 independent constraints, so it spans a
-one-dimensional face of the pointed section and is extreme; no extremality
-filter is needed. The certificates keep coroots, roots and rays as int
-vectors, so their Weyl actions and pairings stay in Z.
+Membership is an exact phase-1 simplex on an int tableau, and the Langlands
+retraction solves in ints once the coweight's denominators are cleared:
+Fraction appears only in the simplex's coefficients and the retraction's input
+and output. The double description (`rays_from_inequalities`) runs in
+integers too: constraints, lineality basis and extreme rays are primitive int
+vectors, and each candidate ray is the generalised cross product (signed
+maximal minors, `linalg.det`) of d - 1 constraints restricted to a pointed
+section of dimension d. A feasible candidate is tight on d - 1 independent
+constraints, so it spans a one-dimensional face of the pointed section and is
+extreme; no extremality filter is needed. The certificates keep coroots, roots
+and rays as int vectors, so their Weyl actions and pairings stay in Z.
 """
 
 from __future__ import annotations
@@ -33,56 +35,58 @@ class ConeError(ValueError):
 
 
 def nonneg_combination(gens, target):
-    """Coefficients c >= 0 with sum c_i gens_i = target, or None if infeasible. Exact over Q."""
-    gens = [fvec(g) for g in gens]
-    t = fvec(target)
-    n = len(gens)
-    if all(x == 0 for x in t):
+    """Coefficients c >= 0 with sum c_i gens_i = target, or None if infeasible. Exact over Q.
+
+    The equations are scaled to ints by their common denominator, which keeps
+    the solutions and the pivots. The int tableau is D times the rational one,
+    D > 0 the basis determinant: a pivot on p keeps its row, replaces the others
+    by 2x2 minors divided exactly by D, and makes p the new D (Edmonds 1967,
+    Bareiss 1968). The ratio test cross-multiplies.
+    """
+    n, m = len(gens), len(target)
+    if not any(target):
         return [Fraction(0)] * n
     if n == 0:
         return None
-    m = len(t)
-    a = [[gens[j][i] for j in range(n)] for i in range(m)]
-    b = list(t)
+    _, cols = linalg.clear_denominators((*gens, target))
+    rows = []
     for i in range(m):
-        if b[i] < 0:
-            b[i] = -b[i]
-            a[i] = [-x for x in a[i]]
+        sign = -1 if cols[-1][i] < 0 else 1
+        rows.append([sign * c[i] for c in cols[:n]] + [int(k == i) for k in range(m)] + [sign * cols[-1][i]])
     ncols = n + m
-    rows = [a[i] + [Fraction(int(k == i)) for k in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
+    basis = list(range(n, ncols))
     # reduced-cost row for minimizing the sum of artificial variables
-    w = [sum(rows[i][j] for i in range(m)) - (1 if j >= n else 0) for j in range(ncols)]
-    w.append(sum(b))
+    w = [sum(col) for col in zip(*rows)]
+    w[n:ncols] = [0] * m
+    den = 1
     while True:
         enter = next((j for j in range(ncols) if w[j] > 0), None)  # Bland: smallest index
         if enter is None:
             break
-        leave, best = None, None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        leave = None
+        for i, row in enumerate(rows):
+            if row[enter] <= 0:
+                continue
+            if leave is not None:
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * row[enter]
+            if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
         if leave is None:
             raise RuntimeError("phase-1 simplex unbounded")  # impossible: objective >= 0
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        if w[enter] != 0:
-            f = w[enter]
-            w = [x - f * y for x, y in zip(w, rows[leave])]
+        top = rows[leave]
+        piv = top[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                f = row[enter]
+                rows[i] = [(piv * x - f * y) // den for x, y in zip(row, top)]
+        f = w[enter]
+        w = [(piv * x - f * y) // den for x, y in zip(w, top)]
         basis[leave] = enter
+        den = piv
     if w[-1] != 0:
         return None
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = rows[i][-1]
-    return x
+    value = {bi: Fraction(row[-1], den) for bi, row in zip(basis, rows)}
+    return [value.get(j, Fraction(0)) for j in range(n)]
 
 
 def in_cone(gens, v) -> bool:
@@ -331,17 +335,19 @@ def langlands_retraction(rd: RootDatum, lam):
 
     Solved by exhausting subsets J: the candidate for J is the Levi projection
     lam - sum_j c_j alpha-check_j with C_J c = <alpha_J, lam> (`RootDatum.levi_solve`),
-    admissible when c <= 0 and <alpha_k, candidate> >= 0 off J. All admissible subsets
-    must agree on the retracted value; the smallest admissible J is returned (ties on
+    admissible when c <= 0 and <alpha_k, candidate> >= 0 off J. With lam's
+    denominators cleared once, the solves and sign tests run in ints, and only
+    admissible candidates are divided back. All admissible subsets must agree on
+    the retracted value; the smallest admissible J is returned (ties on
     linearity walls admit several).
     """
-    lam = fvec(lam)
+    den, (scaled,) = linalg.clear_denominators([fvec(lam)])
     n = rd.n_simple
     solutions = []
     for idx in index_subsets(n):
-        val, coeffs = rd.levi_solve(idx, lam)
+        val, coeffs, d = rd.levi_solve(idx, scaled)
         if all(c <= 0 for c in coeffs) and all(pair(rd.simple_roots[k], val) >= 0 for k in range(n) if k not in idx):
-            solutions.append((frozenset(idx), val))
+            solutions.append((frozenset(idx), tuple(Fraction(x, d * den) for x in val)))
     if not solutions:
         raise ConeError("no linearity domain admits a solution (invalid root datum?)")
     vals = {v for _, v in solutions}

@@ -2,10 +2,11 @@
 
 Products (`dot`, `mat_vec`, `mat_mul`, `identity`) and `vneg` keep their inputs'
 type: integer inputs give integers, and one rational input gives Fractions.
-`primitive_vector`, `nullspace` and `det` (of an integer matrix) return
-integers. The other vector helpers, `solve` and `inverse` always return
-Fractions. Elimination runs fraction-free on integer rows (`_echelon`); `_rref`
-divides by the pivots only at the end.
+`clear_denominators`, `primitive_vector`, `nullspace`, `det` and `adjugate` (of
+an integer matrix) return integers. The other vector helpers, `solve` and
+`inverse` (adjugate over determinant) always return Fractions. Elimination runs
+fraction-free on integer rows (`_echelon`); `_rref` divides by the pivots only
+at the end.
 """
 
 from __future__ import annotations
@@ -131,11 +132,10 @@ def nullspace(a) -> list[tuple[int, ...]]:
 
 
 def inverse(m) -> QMat:
-    n = len(m)
-    rows, pivots = _rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    if pivots != list(range(n)):
+    d = det(m)
+    if not d:
         raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adjugate(m))
 
 
 def det(m) -> int:
@@ -156,10 +156,24 @@ def det(m) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+def adjugate(m) -> tuple[tuple[int, ...], ...]:
+    """Adjugate of a small square int matrix, det(m) times its inverse: entry (i, j) is the cofactor of (j, i)."""
+    n = len(m)
+    return tuple(
+        tuple((-1) ** (i + j) * det([r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j]) for j in range(n))
+        for i in range(n)
+    )
+
+
+def clear_denominators(vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, [d v for v in vectors]) with d > 0 the least common denominator of the rational entries, so d v is int."""
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors]
+
+
 def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive constant to a primitive integer vector (sign preserved)."""
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    _, (ints,) = clear_denominators([v])
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no direction")

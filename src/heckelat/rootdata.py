@@ -6,9 +6,9 @@ with 2rho_P, come only from ParabolicType.height.
 
 A RootDatum owns the lattice coordinates: int tables of every coroot and root
 on the simple coroots and roots, built by reflecting coordinate vectors with
-the Cartan matrix, and the one Levi solve (`levi_solve`, one cached inverse of
-each Cartan principal submatrix C_J) behind the Levi projection and the
-Langlands retraction.
+the Cartan matrix, and the one Levi solve (`levi_solve`, with det C_J and the
+int adjugate of each Cartan principal submatrix C_J cached) behind the Levi
+projection, the Langlands retraction and the dominance order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .linalg import dot, mat_mul
 
 Vec = tuple[int, ...]  # coweight, coordinates in the ambient lattice Z^rank
 Covec = tuple[int, ...]  # weight, a functional on the coweight lattice via the dot product
-QVec = tuple[Fraction, ...]
 Matrix = tuple[Vec, ...]  # lattice automorphism acting on coweights, row-major
 
 WEYL_CAP = 10**6
@@ -84,7 +83,7 @@ class RootDatum:
         if len(self.weyl_elements) != expected:
             raise RootDatumError(f"|W| = {len(self.weyl_elements)} does not match classification ({expected})")
         self._subgroup_cache: dict[frozenset, frozenset] = {frozenset(range(self.n_simple)): frozenset(self.weyl_elements)}
-        self._levi_inverses: dict[tuple[int, ...], tuple[QVec, ...]] = {}
+        self._levi_adjugates: dict[tuple[int, ...], tuple[int, Matrix]] = {}
         self._w_inverse = {w: self._invert(w) for w in self.weyl_elements}
         self._build_roots()
         self.w0 = self.longest_element(range(self.n_simple))
@@ -203,8 +202,8 @@ class RootDatum:
         return {mat_apply(basis, c): c for c in seen}
 
     def _invert(self, w: Matrix) -> Matrix:
-        inv = linalg.inverse(w)
-        return tuple(tuple(int(x) for x in row) for row in inv)
+        d = linalg.det(w)  # +-1 on a lattice automorphism, so w^-1 = d adj(w)
+        return tuple(tuple(d * x for x in row) for row in linalg.adjugate(w))
 
     # -- queries -----------------------------------------------------------
     def expected_weyl_order(self) -> int:
@@ -255,20 +254,21 @@ class RootDatum:
         allowed = set(indices)
         return all(c == 0 for j, c in enumerate(self.coroot_coords[v]) if j not in allowed)
 
-    def levi_solve(self, indices, lam) -> tuple[tuple, tuple]:
-        """(lam - sum_j c_j alpha-check_j, c) over j in J, where C_J c = (<alpha_j, lam>)_{j in J}.
+    def levi_solve(self, indices, lam) -> tuple[tuple, tuple, int]:
+        """(d (lam - sum_j c_j alpha-check_j), d c, d) over j in J, where C_J c = (<alpha_j, lam>)_{j in J} and d = det C_J > 0.
 
-        The first entry is the projection of lam along the Levi coroots onto the
-        common kernel of the Levi roots. C_J has positive determinant
-        (_check_cartan), and its inverse is computed once per J.
+        lam - sum_j c_j alpha-check_j projects lam along the Levi coroots onto
+        the common kernel of the Levi roots. d c is the int adjugate of C_J,
+        cached with d per J, applied to the pairings: both vectors keep lam's type.
         """
         idx = tuple(sorted(indices))
-        inv = self._levi_inverses.get(idx)
-        if inv is None:
-            inv = self._levi_inverses[idx] = linalg.inverse([[self.cartan[i][j] for j in idx] for i in idx])
-        coeffs = linalg.mat_vec(inv, [pair(self.simple_roots[i], lam) for i in idx])
-        val = tuple(x - sum(c * self.simple_coroots[j][r] for c, j in zip(coeffs, idx)) for r, x in enumerate(lam))
-        return val, coeffs
+        if idx not in self._levi_adjugates:
+            cj = [[self.cartan[i][j] for j in idx] for i in idx]
+            self._levi_adjugates[idx] = linalg.det(cj), linalg.adjugate(cj)
+        d, adj = self._levi_adjugates[idx]
+        coeffs = linalg.mat_vec(adj, [pair(self.simple_roots[i], lam) for i in idx])
+        val = tuple(d * x - sum(c * self.simple_coroots[j][r] for c, j in zip(coeffs, idx)) for r, x in enumerate(lam))
+        return val, coeffs, d
 
     def is_dominant(self, lam, indices=None) -> bool:
         idx = range(self.n_simple) if indices is None else sorted(indices)
@@ -277,7 +277,7 @@ class RootDatum:
     def dominant_representative(self, lam, indices=None) -> tuple:
         """The dominant element of the W_M-orbit of lam (M given by the index set)."""
         idx = list(range(self.n_simple)) if indices is None else sorted(indices)
-        cur = tuple(Fraction(x) for x in lam)
+        cur = tuple(lam)
         while True:
             neg = next((i for i in idx if pair(self.simple_roots[i], cur) < 0), None)
             if neg is None:
@@ -378,7 +378,8 @@ class ParabolicType:
 
     def project(self, lam) -> tuple:
         """Class of lam in Lambda_{G,P}: its point on the canonical slice, by RootDatum.levi_solve."""
-        return self.rd.levi_solve(self.indices, lam)[0]
+        val, _, d = self.rd.levi_solve(self.indices, lam)
+        return tuple(Fraction(x, d) for x in val)
 
     def height(self, lam):
         """Grading <2rho_P, lam> used for all truncations: an int on the lattice."""
@@ -392,16 +393,9 @@ class ParabolicType:
 
 
 def dominance_leq(rd: RootDatum, parabolic: ParabolicType, lam, mu) -> bool:
-    """mu <=_M lam: lam - mu is a nonnegative rational combination of the positive coroots of M."""
-    from . import cones
-
-    diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(lam, mu))
-    if all(x == 0 for x in diff):
-        return True
-    gens = parabolic.pos_coroots_levi
-    if not gens:
-        return False
-    return cones.nonneg_combination(gens, diff) is not None
+    """mu <=_M lam: lam - mu is a nonnegative combination of the simple (so of the positive) coroots of M."""
+    residue, coeffs, _ = rd.levi_solve(parabolic.indices, tuple(a - b for a, b in zip(lam, mu)))
+    return not any(residue) and all(c >= 0 for c in coeffs)
 
 
 # ---------------------------------------------------------------------------

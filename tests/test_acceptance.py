@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import acceptance, cones, hecke, padic, weylids
+from heckelat import acceptance, cones, globalsl2, hecke, intertwine, padic, weylids
+from heckelat.qfield import q_pow
 from heckelat.rootdata import ParabolicType, load_root_datum
 
 
@@ -78,6 +79,23 @@ def _flip_sign_at(indices):
     return flipped
 
 
+def _inverse_twist_one_power_off(rd, par, series, phi, out_points=None):
+    def twist(scale, lam, theta):
+        return q_pow(1 - scale * (par.height(lam) + par.height(theta)))
+
+    return intertwine._apply_kernel(rd, par, series, phi, out_points, twist)
+
+
+def _changed_at(fn, where, change):
+    """fn with its value v replaced by change(v, q) where its leading arguments satisfy where; q is its last argument."""
+
+    def mutant(*args):
+        value = fn(*args)
+        return change(value, args[-1]) if where(*args[:-1]) else value
+
+    return mutant
+
+
 # (check, its arguments, module, attribute, replacement): each mutant must make its criterion FAIL
 MUTANTS = [
     pytest.param(
@@ -87,6 +105,22 @@ MUTANTS = [
     pytest.param(
         acceptance.check_weyl_identities, (("A2",),), weylids, "parabolic_sign", _flip_sign_at([0]),
         id="8-parabolic-sign-flipped-at-J0",
+    ),
+    pytest.param(
+        acceptance.check_local_roundtrip, (5,), intertwine, "apply_R_inverse_K", _inverse_twist_one_power_off,
+        id="7-inverse-twist-one-power-off",
+    ),
+    pytest.param(
+        acceptance.check_global_adjunction, (5,), globalsl2, "t_weight",
+        _changed_at(globalsl2.t_weight, lambda d: True, lambda w, qv: qv * w), id="9a-t-weight-times-q",
+    ),
+    pytest.param(
+        acceptance.check_global_roundtrip, (), globalsl2, "nu_hat",
+        _changed_at(globalsl2.nu_hat, lambda m: m == 1, lambda c, qv: c + 1), id="9b-nu-hat-1-plus-1",
+    ),
+    pytest.param(
+        acceptance.check_global_form, (5,), globalsl2, "ct_kernel",
+        _changed_at(globalsl2.ct_kernel, lambda n, d: n == 0 and d < 0, lambda c, qv: 2 * c), id="9c-ct-kernel-0-doubled",
     ),
 ]
 

@@ -118,6 +118,16 @@ def test_global_rejects_a_fractional_degree(capsys):
     assert "degree must be an integer" in capsys.readouterr().err
 
 
+def test_oracle_mu_rejects_a_fractional_coordinate(capsys):
+    assert cli.main(["oracle-mu", "--group", "SL3", "--coweight", "1.5,0", "--q", "2"]) == 2
+    assert "coordinate must be an integer" in capsys.readouterr().err
+
+
+def test_parabolic_rejects_a_fractional_index(capsys):
+    assert cli.main(["gk", "--datum", "A2", "--parabolic", "1.5"]) == 2
+    assert "parabolic index must be an integer" in capsys.readouterr().err
+
+
 def test_manifest_determinism(tmp_path):
     args = ["gk", "--datum", "B2", "--height", "6"]
     out1, man1 = run(args)

@@ -44,6 +44,46 @@ def test_cone_member_examples():
     assert coeffs is not None and all(c >= 0 for c in coeffs)
 
 
+def test_simplex_agrees_with_the_facets_of_the_dual_cone():
+    """Seeded systems in dimensions 1-4 with zero, duplicate, opposite and rational generators.
+
+    Targets lie on faces, at zero, or anywhere; some systems have no generators.
+    A feasible answer must be an exact nonnegative combination, and feasibility
+    must agree with the extreme rays and lineality of the dual cone from the
+    double description.
+    """
+    rng = random.Random(8)
+
+    def entry():
+        r = rng.random()
+        return 0 if r < 0.2 else Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if r < 0.4 else rng.randint(-3, 3)
+
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        gens = [tuple(entry() for _ in range(dim)) for _ in range(rng.randint(0, 5))]
+        if gens:
+            g = rng.choice(gens)
+            gens += rng.choice([[], [(0,) * dim], [g], [tuple(-x for x in g)]])
+        kind = rng.randrange(3)
+        if kind == 0 and gens:
+            face = rng.sample(gens, rng.randint(1, len(gens)))
+            target = tuple(sum(rng.randint(0, 2) * g[i] for g in face) for i in range(dim))
+        elif kind == 1:
+            target = (0,) * dim
+        else:
+            target = tuple(entry() for _ in range(dim))
+        coeffs = nonneg_combination(gens, target)
+        lin, rays = cones.rays_from_inequalities(gens, dim)
+        expected = all(linalg.dot(v, target) == 0 for v in lin) and all(linalg.dot(r, target) >= 0 for r in rays)
+        assert (coeffs is not None) == expected, (gens, target)
+        if coeffs is not None:
+            assert all(c >= 0 for c in coeffs)
+            assert all(sum(c * g[i] for c, g in zip(coeffs, gens)) == target[i] for i in range(dim))
+        seen[expected] += 1
+    assert min(seen.values()) > 50, seen
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "GL2", "A3", "B3", "C3"])
 def test_cone_certificates_all_parabolics(name):
     rd = load_root_datum(name)

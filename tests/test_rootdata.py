@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -171,6 +173,20 @@ def test_dominance_order_properties():
             for c in pts:
                 if dominance_leq(rd, full, a, b) and dominance_leq(rd, full, b, c):
                     assert dominance_leq(rd, full, a, c)
+
+
+def test_dominance_is_membership_in_the_levi_coroot_cone():
+    rng = random.Random(5)
+    for name in PRESET_NAMES:
+        rd = load_root_datum(name)
+        box = list(product(range(-2, 3), repeat=rd.rank))
+        rational = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rd.rank)) for _ in range(20)]
+        for J in index_subsets(rd.n_simple):
+            par = parabolic(rd, J)
+            mu = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
+            for diff in box + rational:
+                lam = tuple(a + b for a, b in zip(mu, diff))
+                assert dominance_leq(rd, par, lam, mu) == cones.in_cone(par.pos_coroots_levi, diff), (name, J, diff)
 
 
 def test_gl2_non_semisimple():
