@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cones, globalsl2 as gs, hecke, intertwine as iw, padic, weylids
-from .qfield import ONE, Q, ZERO
+from .qfield import ONE, Q, ZERO, q_pow
 from .rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum, pair
 
 SEED = 20260808
@@ -187,6 +187,15 @@ def check_character_identities(datums=("A2", "B2", "G2")):
 
 @_timed("7. Local intertwiner round-trip on 100 random windowed functions per datum and parabolic")
 def check_local_roundtrip(trials=100):
+    # the round trip alone cannot see a twist that both kernels lose alike, so R delta_0
+    # on A1 is also checked against its closed form (R delta_0)(-n alpha^vee) = (1 - q^-1) q^-n
+    a1 = load_root_datum("A1")
+    borel = ParabolicType(a1, [])
+    delta_0 = iw.SphericalFunction(a1, borel, {(0,): 1}, cones.SupportShape.make([(0,)], cones.neg_pos_U([])))
+    r_delta = iw.apply_R_K(a1, borel, hecke.gk_mu(a1, borel, 6), delta_0)
+    for n in (1, 2, 3):
+        expected = (ONE - q_pow(-1)) * q_pow(-n)
+        _require(r_delta.value((-n,)) == expected, f"A1: (R delta_0)({-n}) = {r_delta.value((-n,))}, expected {expected}")
     rng = random.Random(SEED + 7)
     cases = [("A1", []), ("A2", []), ("A2", [0]), ("A2", [1])]
     for name, J in cases:

@@ -1,11 +1,20 @@
 """Exact rational-function arithmetic over Q in one formal variable q.
 
-An element of Q(q) is a pair num/den of integer polynomials (coefficient tuples
-in Z[q]) in canonical form: coprime in Q[q], no common integer content, and a
-positive leading coefficient of den; zero is ()/(1,). The form is unique, so
-equality and hashing compare the tuples. Polynomial gcd (primitive
-pseudo-remainder sequence) and exact division run in Z[q]; `Fraction` appears
-only at the boundary: `from_fraction`, `eval` and `q_pow`.
+An element of Q(q) is stored as q^v * n/d in Laurent normal form: v is an int,
+and n, d are integer polynomials (coefficient tuples in Z[q]) that q divides
+neither (n[0] != 0 != d[0]), coprime in Q[q], with no common integer content
+and a positive leading coefficient of d; zero is v = 0, n = (), d = (1,). The
+form is unique (a canonical form in the sense of Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992), so equality and hashing compare
+(v, n, d).
+
+Almost every element the program builds is a Laurent polynomial (d = (1,)).
+Those add by shifting to the smaller valuation and multiply by adding
+valuations, with no gcd and no exact division; a polynomial gcd (primitive
+pseudo-remainder sequence in Z[q]) runs only where a non-constant d appears.
+`num` and `den` give the element as one coprime pair in Z[q], q^v moved to the
+side it belongs to; that is the pair the printer reads. `Fraction` appears only
+at the boundary: `from_fraction`, `eval` and `q_pow`.
 """
 
 from __future__ import annotations
@@ -132,53 +141,70 @@ def _poly_str(a: Coeffs, var: str) -> str:
 
 
 class RatFunc:
-    """A rational function num/den with coprime integer polynomials, den leading coefficient > 0."""
+    """q^v n/d in Laurent normal form; RatFunc(num, den) brings any pair of integer polynomials to it."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_v", "_n", "_d")
 
-    def __init__(self, num: Coeffs, den: Coeffs, _canonical: bool = False):
-        if not _canonical:
-            num, den = _canonicalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __new__(cls, num: Coeffs, den: Coeffs) -> "RatFunc":
+        num, den = _strip(list(num)), _strip(list(den))
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        k = _valuation(den)
+        return _lowest_terms(-k, num, den[k:])
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RatFunc is immutable")
 
+    # -- the coprime pair in Z[q] ----------------------------------------
+    @property
+    def num(self) -> Coeffs:
+        return (0,) * self._v + self._n if self._v > 0 else self._n
+
+    @property
+    def den(self) -> Coeffs:
+        return (0,) * -self._v + self._d if self._v < 0 else self._d
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_int(n: int) -> "RatFunc":
-        return RatFunc((n,) if n else (), (1,), _canonical=True)
+        return _rf(0, (n,), (1,)) if n else ZERO
 
     @staticmethod
     def from_fraction(x: Fraction) -> "RatFunc":
         x = Fraction(x)
-        num = (x.numerator,) if x.numerator else ()
-        return RatFunc(num, (x.denominator,), _canonical=True)
+        return _rf(0, (x.numerator,), (x.denominator,)) if x else ZERO
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,)
+        return self._v == 0 and self._n == (1,) and self._d == (1,)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "RatFunc":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RatFunc(_padd(self.num, other.num), self.den)
-        return RatFunc(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        n1, n2 = self._n, other._n
+        if not n1:
+            return other
+        if not n2:
+            return self
+        v1, v2, d1, d2 = self._v, other._v, self._d, other._d
+        v = min(v1, v2)
+        if d1 == d2:
+            return _lowest_terms(v, _padd(_shift(n1, v1 - v), _shift(n2, v2 - v)), d1)
+        n = _padd(_shift(_pmul(n1, d2), v1 - v), _shift(_pmul(n2, d1), v2 - v))
+        if len(d1) == 1 or len(d2) == 1:
+            # a constant denominator is a unit of Q[q], so n stays coprime to the other one
+            return _coprime_terms(v, n, _pmul(d1, d2))
+        return _lowest_terms(v, n, _pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(_pneg(self.num), self.den, _canonical=True)
+        return _rf(self._v, _pneg(self._n), self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -196,15 +222,21 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == (1,) and other.den == (1,):
-            return RatFunc(_pmul(self.num, other.num), (1,), _canonical=True)
-        # cross-reduce before multiplying to keep degrees small
-        g1 = _pgcd(self.num, other.den)
-        g2 = _pgcd(other.num, self.den)
-        n1, d2 = _pdiv_exact(self.num, g1), _pdiv_exact(other.den, g1)
-        n2, d1 = _pdiv_exact(other.num, g2), _pdiv_exact(self.den, g2)
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if not n1 or not n2:
+            return ZERO
+        v = self._v + other._v
+        if d1 == (1,) and d2 == (1,):
+            return _rf(v, _pmul(n1, n2), (1,))
+        # cross-reduce against a non-constant denominator before multiplying
+        if len(d2) > 1 and len(n1) > 1:
+            g = _pgcd(n1, d2)
+            n1, d2 = _pdiv_exact(n1, g), _pdiv_exact(d2, g)
+        if len(d1) > 1 and len(n2) > 1:
+            g = _pgcd(n2, d1)
+            n2, d1 = _pdiv_exact(n2, g), _pdiv_exact(d1, g)
         # n1/d1 and n2/d2 are coprime and so are n1/d2 and n2/d1: the product needs no gcd
-        return RatFunc(*_normalize(_pmul(n1, n2), _pmul(d1, d2)), _canonical=True)
+        return _rf(v, *_normalize(_pmul(n1, n2), _pmul(d1, d2)))
 
     __rmul__ = __mul__
 
@@ -214,7 +246,10 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc(*_normalize(other.den, other.num), _canonical=True)
+        n, d = other._n, other._d
+        if n[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return self * _rf(-other._v, d, n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -240,10 +275,10 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._v == other._v and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._v, self._n, self._d))
 
     # -- evaluation / substitution ----------------------------------------
     def eval(self, x: Fraction) -> Fraction:
@@ -265,13 +300,14 @@ class RatFunc:
                 out[2 * k] = c
             return tuple(out)
 
-        return RatFunc(stretch(self.num), stretch(self.den), _canonical=True)
+        return _rf(2 * self._v, stretch(self._n), stretch(self._d))
 
     # -- printing -----------------------------------------------------------
     def to_str(self, var: str = "q") -> str:
-        if self.den == (1,):
-            return _poly_str(self.num, var)
-        return f"({_poly_str(self.num, var)})/({_poly_str(self.den, var)})"
+        num, den = self.num, self.den
+        if den == (1,):
+            return _poly_str(num, var)
+        return f"({_poly_str(num, var)})/({_poly_str(den, var)})"
 
     def __str__(self):
         return self.to_str()
@@ -280,21 +316,51 @@ class RatFunc:
         return f"RatFunc({self.to_str()})"
 
 
-def _canonicalize(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
-    num = _strip(list(num))
-    den = _strip(list(den))
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return (), (1,)
-    g = _pgcd(num, den)
-    return _normalize(_pdiv_exact(num, g), _pdiv_exact(den, g))
+_new = object.__new__
+_set_v, _set_n, _set_d = RatFunc._v.__set__, RatFunc._n.__set__, RatFunc._d.__set__
+
+
+def _rf(v: int, n: Coeffs, d: Coeffs) -> RatFunc:
+    """The element q^v n/d of a triple already in Laurent normal form."""
+    r = _new(RatFunc)
+    _set_v(r, v)
+    _set_n(r, n)
+    _set_d(r, d)
+    return r
+
+
+def _valuation(a: Coeffs) -> int:
+    """The power of q dividing a nonzero polynomial."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
+def _shift(a: Coeffs, k: int) -> Coeffs:
+    return (0,) * k + a if k else a
+
+
+def _coprime_terms(v: int, n: Coeffs, d: Coeffs) -> RatFunc:
+    """q^v n/d in normal form, for d[0] != 0 and n coprime to d in Q[q] (n may be zero or divisible by q)."""
+    if not n:
+        return ZERO
+    k = _valuation(n)
+    return _rf(v + k, *_normalize(n[k:] if k else n, d))
+
+
+def _lowest_terms(v: int, n: Coeffs, d: Coeffs) -> RatFunc:
+    """q^v n/d in normal form, for d[0] != 0; the gcd runs only when n and d are not constants."""
+    if len(d) > 1 and len(n) > 1:
+        g = _pgcd(n, d)
+        n, d = _pdiv_exact(n, g), _pdiv_exact(d, g)
+    return _coprime_terms(v, n, d)
 
 
 def _normalize(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Canonical form of num/den when num and den are already coprime in Q[q]: content and sign."""
-    if not num:
-        return (), (1,)
+    """Content and sign of num/den when num and den are already coprime in Q[q]."""
+    if den == (1,):
+        return num, den
     c = _int_gcd(_content(num), _content(den))
     if c > 1:
         num = tuple(x // c for x in num)
@@ -314,9 +380,9 @@ def _coerce(x):
     return NotImplemented
 
 
-ZERO = RatFunc.from_int(0)
-ONE = RatFunc.from_int(1)
-Q = RatFunc((0, 1), (1,), _canonical=True)  # the variable q
+ZERO = _rf(0, (), (1,))
+ONE = _rf(0, (1,), (1,))
+Q = _rf(1, (1,), (1,))  # the variable q
 
 
 def q_pow(k) -> RatFunc:
@@ -325,9 +391,7 @@ def q_pow(k) -> RatFunc:
         if k.denominator != 1:
             raise QFieldError(f"q^{k} is not a rational function of q (half-integral power)")
         k = int(k)
-    if k >= 0:
-        return RatFunc((0,) * k + (1,), (1,), _canonical=True)
-    return RatFunc((1,), (0,) * (-k) + (1,), _canonical=True)
+    return _rf(k, (1,), (1,))
 
 
 def as_ratfunc(x) -> RatFunc:

@@ -1,5 +1,6 @@
 """Acceptance gate: every exit criterion runs at its stated tolerance (exact) and prints one line."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import acceptance, cones, globalsl2, hecke, intertwine, padic, weylids
+from heckelat import acceptance, cli, cones, globalsl2, hecke, intertwine, padic, weylids
 from heckelat.qfield import q_pow
 from heckelat.rootdata import ParabolicType, load_root_datum
 
@@ -86,6 +87,19 @@ def _inverse_twist_one_power_off(rd, par, series, phi, out_points=None):
     return intertwine._apply_kernel(rd, par, series, phi, out_points, twist)
 
 
+def _to_basis_untwisted(series, basis, scale=1):
+    return series if basis == series.basis else hecke.GradedSeries(series.rd, series.par, series.height, dict(series.coeffs), basis)
+
+
+def _manifest_with_run_counter():
+    original, runs = cli._manifest, itertools.count()
+
+    def manifest(args, argv, output):
+        return f"{original(args, argv, output)} run {next(runs)}"
+
+    return manifest
+
+
 def _changed_at(fn, where, change):
     """fn with its value v replaced by change(v, q) where its leading arguments satisfy where; q is its last argument."""
 
@@ -111,6 +125,10 @@ MUTANTS = [
         id="7-inverse-twist-one-power-off",
     ),
     pytest.param(
+        acceptance.check_local_roundtrip, (5,), hecke.GradedSeries, "to_basis", _to_basis_untwisted,
+        id="7-to-basis-drops-twist",
+    ),
+    pytest.param(
         acceptance.check_global_adjunction, (5,), globalsl2, "t_weight",
         _changed_at(globalsl2.t_weight, lambda d: True, lambda w, qv: qv * w), id="9a-t-weight-times-q",
     ),
@@ -122,6 +140,11 @@ MUTANTS = [
         acceptance.check_global_form, (5,), globalsl2, "ct_kernel",
         _changed_at(globalsl2.ct_kernel, lambda n, d: n == 0 and d < 0, lambda c, qv: 2 * c), id="9c-ct-kernel-0-doubled",
     ),
+    pytest.param(
+        acceptance.check_global_cuspidal, (5,), globalsl2, "ct_kernel",
+        _changed_at(globalsl2.ct_kernel, lambda n, d: n == 3 and d == 3, lambda c, qv: 2 * c), id="9d-ct-kernel-3-3-doubled",
+    ),
+    pytest.param(acceptance.check_determinism, (), cli, "_manifest", _manifest_with_run_counter(), id="10-manifest-run-counter"),
 ]
 
 
