@@ -177,13 +177,14 @@ def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
         raise HeckeError("mismatched bases; convert first")
     h = min(s1.height, s2.height)
     height = s1.par.height
+    terms2 = [(b, cb, height(b)) for b, cb in s2.coeffs.items()]
     out: dict[Vec, RatFunc] = {}
     for a, ca in s1.coeffs.items():
         ha = height(a)
         if ha > h:
             continue
-        for b, cb in s2.coeffs.items():
-            if ha + height(b) > h:
+        for b, cb, hb in terms2:
+            if ha + hb > h:
                 continue
             key = tuple(x + y for x, y in zip(a, b))
             prev = out.get(key)

@@ -1,16 +1,20 @@
 """Ground-truth computation of the unipotent-pushforward measure over F_q((t)) for SL2 and SL3, by exact cell enumeration.
 
-A cell fixes the digits of every unipotent coordinate below t^n. `_mu_sl2`,
-`_mu_sl3_full` and `ball_histogram` evaluate `iwasawa_ord` on every cell of
-their coordinate boxes through `_fibre_measures`. The SL3 oracle
+An element of F_q((t)) is a `LaurentElement`: a window of digits in F_q on
+the exponents [low, tail), exact there and undetermined from t^tail on, whose
+valuation (the exponent of its first nonzero digit) is found once when it is
+built. A cell fixes the digits of every unipotent coordinate below t^n, so the
+cells of a coordinate are the digit tuples of `product(range(q), repeat=k)`.
+`_mu_sl2`, `_mu_sl3_full` and `ball_histogram` evaluate `iwasawa_ord` on every
+cell of their coordinate boxes through `_fibre_measures`. The SL3 oracle
 `_mu_sl3_fast` enumerates the (x12, x23) cells the same way but counts x13 by
-its digits below t^0, the only ones that move the valuations it tests;
-`_mu_sl3_full` stays the witness for that count.
+its digits below t^0, the only ones that move the valuations it tests, and
+evaluates the product minor on packed integers, not `LaurentElement`s;
+`_mu_sl3_full` stays the witness for that count and that arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -25,83 +29,89 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LaurentElement:
-    """Truncated Laurent series over the prime field F_q.
+    """Truncated Laurent series over the prime field F_q: the digits on the exponents [low, tail).
 
-    Coefficients are exact on exponents below `tail`; the series is undetermined
-    (an arbitrary element of t^tail * O) from `tail` on.
+    The series is zero below `low`, exact below `tail` and undetermined (an
+    arbitrary element of t^tail O) from `tail` on. `val` is the exponent of
+    the first nonzero digit, None when there is none.
     """
 
-    q: int
-    coeffs: tuple  # ((exponent, coefficient), ...) sorted, coefficients in [1, q)
-    tail: int
+    __slots__ = ("q", "low", "digits", "tail", "val")
 
-    @staticmethod
-    def make(q: int, pairs, tail: int) -> "LaurentElement":
-        clean = {}
-        for e, c in pairs:
-            c %= q
-            if c and e < tail:
-                clean[int(e)] = c
-        return LaurentElement(q, tuple(sorted(clean.items())), int(tail))
-
-    def min_exp(self):
-        return self.coeffs[0][0] if self.coeffs else None
+    def __init__(self, q: int, low: int, digits: tuple):
+        self.q, self.low, self.digits, self.tail, self.val = q, low, digits, low + len(digits), None
+        for i, d in enumerate(digits):
+            if d:
+                self.val = low + i
+                break
 
     def add(self, other: "LaurentElement") -> "LaurentElement":
-        tail = min(self.tail, other.tail)
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs:
-            acc[e] = (acc.get(e, 0) + c) % self.q
-        return LaurentElement.make(self.q, acc.items(), tail)
+        q, tail = self.q, min(self.tail, other.tail)
+        low = min(self.low, other.low, tail)
+        a = ((0,) * (self.low - low) + self.digits)[: tail - low]
+        b = ((0,) * (other.low - low) + other.digits)[: tail - low]
+        return LaurentElement(q, low, tuple((x + y) % q for x, y in zip(a, b)))
 
     def neg(self) -> "LaurentElement":
-        return LaurentElement.make(self.q, [(e, -c) for e, c in self.coeffs], self.tail)
+        q = self.q
+        return LaurentElement(q, self.low, tuple(-d % q for d in self.digits))
 
     def mul(self, other: "LaurentElement") -> "LaurentElement":
-        me, oe = self.min_exp(), other.min_exp()
+        q, sv, ov = self.q, self.val, other.val
         tail = min(
-            self.tail + (oe if oe is not None else other.tail),
-            other.tail + (me if me is not None else self.tail),
+            self.tail + (ov if ov is not None else other.tail),
+            other.tail + (sv if sv is not None else self.tail),
             self.tail + other.tail,
         )
-        acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                if e < tail:
-                    acc[e] = (acc.get(e, 0) + c1 * c2) % self.q
-        return LaurentElement.make(self.q, acc.items(), tail)
+        if sv is None or ov is None:
+            return LaurentElement(q, tail, ())
+        # both leading digits are units of F_q, so the product starts at sv + ov < tail
+        low = sv + ov
+        size = tail - low
+        a = self.digits[sv - self.low : sv - self.low + size]
+        b = other.digits[ov - other.low : ov - other.low + size]
+        acc = [0] * size
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    if i + j >= size:
+                        break
+                    acc[i + j] += x * y
+        return LaurentElement(q, low, tuple(c % q for c in acc))
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j].mul(_det(minor))
-        if j % 2:
-            term = term.neg()
-        acc = term if acc is None else acc.add(term)
-    return acc
+def _minor(g, rows, cols):
+    """The minor of g on the given rows and columns, 1x1 or 2x2: the sizes `iwasawa_ord` takes for SL2 and SL3."""
+    if len(rows) == 1:
+        return g[rows[0]][cols[0]]
+    (i, k), (c, d) = rows, cols
+    return g[i][c].mul(g[k][d]).add(g[i][d].mul(g[k][c]).neg())
 
 
 def _min_valuation(elements) -> int:
     """Exact minimum of the valuations; PrecisionError when the truncation leaves it ambiguous."""
-    exact = [e.coeffs[0][0] for e in elements if e.coeffs]
-    bounds = [e.tail for e in elements if not e.coeffs]
-    if not exact:
+    m = bound = None
+    for e in elements:
+        if e.val is not None:
+            if m is None or e.val < m:
+                m = e.val
+        elif bound is None or e.tail < bound:
+            bound = e.tail
+    if m is None:
         raise PrecisionError("all candidate valuations exceed the working precision")
-    m = min(exact)
-    if any(b <= m for b in bounds):
+    if bound is not None and bound <= m:
         raise PrecisionError("an undetermined valuation could fall below the current minimum")
     return m
 
 
 _GROUP_SIZES = {"SL2": 2, "SL3": 3}
+# per group size r, for j = r-1 down to 1: the last j columns and every choice of j rows
+_MINORS = {
+    r: tuple((tuple(range(r - j, r)), tuple(combinations(range(r), j))) for j in range(r - 1, 0, -1))
+    for r in _GROUP_SIZES.values()
+}
 
 
 def iwasawa_ord(group: str, g) -> tuple[int, ...]:
@@ -110,54 +120,44 @@ def iwasawa_ord(group: str, g) -> tuple[int, ...]:
     For lower-triangular Iwasawa data the only contributing minor of the last j
     columns uses the last j rows, so these valuations are truncation-stable.
     """
-    if group not in _GROUP_SIZES:
+    r = _GROUP_SIZES.get(group)
+    if r is None:
         raise OracleError(f"unknown group {group!r}; expected SL2 or SL3")
-    r = _GROUP_SIZES[group]
     if len(g) != r or any(len(row) != r for row in g):
         raise OracleError("matrix size does not match the group")
-    ms = []
-    for j in range(1, r):
-        cols = range(r - j, r)
-        minors = [_det([[g[i][c] for c in cols] for i in rows]) for rows in combinations(range(r), j)]
-        ms.append(_min_valuation(minors))
-    # coroot coordinates: n_k = -m_{r-k}
-    return tuple(-ms[r - 1 - k] for k in range(1, r))
+    # coroot coordinates: n_k = -m_{r-k}, m_j the least valuation of the minors on the last j columns;
+    # tuple() of a list, since tuple() of a generator resizes a fresh block per call that the tuple free list keeps
+    return tuple([-_min_valuation([_minor(g, rows, cols) for rows in row_sets]) for cols, row_sets in _MINORS[r]])
 
 
-def _cell_values(q: int, lo: int, hi: int):
-    """All exact Laurent representatives with support in [lo, hi) (cells of t^hi O)."""
-    exps = list(range(lo, hi))
-    for coeffs in product(range(q), repeat=len(exps)):
-        yield LaurentElement.make(q, zip(exps, coeffs), hi)
+def _cells(q: int, lo: int, hi: int):
+    """Every exact representative with digits on [lo, hi): the cells of t^lo O mod t^hi."""
+    return (LaurentElement(q, lo, digits) for digits in product(range(q), repeat=hi - lo))
 
 
-def _unipotent(group: str, q: int, coords, tail: int):
-    """The upper unitriangular matrix with the given coordinates above the diagonal (SL2: x; SL3: x12, x13, x23)."""
-    zero, one = LaurentElement.make(q, [], tail), LaurentElement.make(q, [(0, 1)], tail)
+def _unipotent(group: str, q: int, tail: int):
+    """The map from coordinates (SL2: x; SL3: x12, x13, x23) to the upper unitriangular matrix with them above the diagonal."""
+    zero = LaurentElement(q, tail, ())
+    one = LaurentElement(q, 0, (1,) + (0,) * (tail - 1)) if tail > 0 else zero
     if group == "SL2":
-        (x,) = coords
-        return ((one, x), (zero, one))
-    x12, x13, x23 = coords
-    return ((one, x12, x13), (zero, one, x23), (zero, zero, one))
+        return lambda x: ((one, x), (zero, one))
+    return lambda x12, x13, x23: ((one, x12, x13), (zero, one, x23), (zero, zero, one))
 
 
 def _fibre_measures(group: str, q: int, lows, n: int) -> dict:
     """{iwasawa_ord: measure} over the cells mod t^n of the box prod_i t^lows[i] O, one iwasawa_ord per cell.
 
     lows gives the lowest exponent of each coordinate in the order of
-    `_unipotent`; each cell has measure q^(-n dim U).
+    `_unipotent`; each cell has measure q^(-n dim U). The first coordinate's
+    cells are streamed, the others' are built once.
     """
+    unipotent = _unipotent(group, q, n)
+    inner = [list(_cells(q, lo, n)) for lo in lows[1:]]
     counts: dict = {}
-
-    def walk(coords):
-        if len(coords) == len(lows):
-            lam = iwasawa_ord(group, _unipotent(group, q, coords, n))
+    for x in _cells(q, lows[0], n):
+        for rest in product(*inner):
+            lam = iwasawa_ord(group, unipotent(x, *rest))
             counts[lam] = counts.get(lam, 0) + 1
-            return
-        for x in _cell_values(q, lows[len(coords)], n):
-            walk(coords + (x,))
-
-    walk(())
     return {lam: Fraction(c, q ** (n * len(lows))) for lam, c in counts.items()}
 
 
@@ -223,9 +223,20 @@ def _mu_sl3_full(lam, q: int, n: int) -> Fraction:
     return _fibre_measures("SL3", q, (-n1, -w, -w), n).get((n1, n2), Fraction(0))
 
 
-def _v_below_0(x: LaurentElement) -> int:
-    """min(v(x), 0) for an x that is exact below t^0 (tail >= 0)."""
-    return min(x.coeffs[0][0], 0) if x.coeffs else 0
+def _packed_cells(q: int, lo: int, hi: int, bits: int, offset: int, negate: bool = False) -> list:
+    """[(packed, min(v, 0))] over the cells with digits on [lo, hi), the digit at t^e in bit field e - lo + offset.
+
+    With `negate` the fields hold the digits of -x (mod q); min(v, 0) is the
+    valuation of x capped at 0, 0 for x = 0.
+    """
+    out = []
+    for digits in product(range(q), repeat=hi - lo):
+        packed = 0
+        for d in reversed(digits):
+            packed = (packed << bits) | (-d % q if negate else d)
+        v = next((lo + i for i, d in enumerate(digits) if d), 0)
+        out.append((packed << (bits * offset), min(v, 0)))
+    return out
 
 
 def _mu_sl3_fast(lam, q: int, n: int) -> Fraction:
@@ -236,6 +247,13 @@ def _mu_sl3_fast(lam, q: int, n: int) -> Fraction:
     neither valuation below 0, and the precision `_sl3_window` demands keeps
     x12*x23 exact below t^1, so each prefix of x13 on [t^-w, t^0) that meets
     both conditions stands for the q^n cells of its digits on [t^0, t^n).
+
+    The product minor is computed by Kronecker substitution: each digit sits in
+    its own bit field, wide enough that no sum of digit products carries into
+    the next, so one integer product per (x12, x23) pair holds every
+    coefficient of x12*x23 and adding the packed -x13 puts those of the minor
+    in the fields; its valuation below t^0 is the first field, scanning up from
+    the lowest exponent, that is nonzero mod q.
     """
     n1, n2 = int(lam[0]), int(lam[1])
     if n1 < 0 or n2 < 0:
@@ -244,16 +262,28 @@ def _mu_sl3_fast(lam, q: int, n: int) -> Fraction:
     visits = q ** (n + n1) * q ** (n + n2) * q**w
     if visits > CELL_CAP:
         raise OracleError(f"cell count {visits} exceeds the cap {CELL_CAP}")
-    prefixes = [(x13.neg(), _v_below_0(x13)) for x13 in _cell_values(q, -w, 0)]
+    base = min(-n1 - n2, -w)  # lowest exponent of x12*x23 and of x13: bit field 0
+    bits = ((n + w) * (q - 1) ** 2 + q).bit_length()
+    mask = (1 << bits) - 1
+    below_0 = range(base, 0)
+    prefixes = _packed_cells(q, -w, 0, bits, -w - base, negate=True)
+    cells12 = _packed_cells(q, -n1, n, bits, -n1 - n2 - base)
     total = 0
     # v(x23) < -n2 fails the last-column condition; v(x12) < -n1 fails the
     # single-entry minor condition: both skips are valuation-exact.
-    for x23 in _cell_values(q, -n2, n):
-        v23 = _v_below_0(x23)
+    for x23, v23 in _packed_cells(q, -n2, n, bits, 0):
         meets_n2 = [neg13 for neg13, v13 in prefixes if min(v13, v23) == -n2]
-        for x12 in _cell_values(q, -n1, n):
-            p, v12 = x12.mul(x23), _v_below_0(x12)
-            total += sum(1 for neg13 in meets_n2 if min(_v_below_0(p.add(neg13)), v12) == -n1)
+        for x12, v12 in cells12:
+            p = x12 * x23
+            for neg13 in meets_n2:
+                minor, v = p + neg13, 0
+                for e in below_0:
+                    if (minor & mask) % q:
+                        v = e
+                        break
+                    minor >>= bits
+                if min(v, v12) == -n1:
+                    total += 1
     return Fraction(total * q**n, q ** (3 * n))
 
 

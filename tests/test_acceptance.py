@@ -1,5 +1,6 @@
 """Acceptance gate: every exit criterion runs at its stated tolerance (exact) and prints one line."""
 
+import inspect
 import itertools
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import acceptance, cli, cones, globalsl2, hecke, intertwine, padic, weylids
+from heckelat import acceptance, charring, cli, cones, globalsl2, hecke, intertwine, padic, weylids
 from heckelat.qfield import q_pow
 from heckelat.rootdata import ParabolicType, load_root_datum
 
@@ -110,8 +111,26 @@ def _changed_at(fn, where, change):
     return mutant
 
 
+def _source_mutant(fn, old, new):
+    """fn recompiled from its own source with `old`, which must occur exactly once, replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{fn.__name__}: {old!r} occurs {source.count(old)} times"
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
 # (check, its arguments, module, attribute, replacement): each mutant must make its criterion FAIL
 MUTANTS = [
+    pytest.param(
+        acceptance.check_gk_oracle, (), padic.LaurentElement, "mul",
+        _source_mutant(padic.LaurentElement.mul, "tuple(c % q for c in acc)", "(0,) + tuple(c % q for c in acc[1:])"),
+        id="1-laurent-mul-drops-lowest-digit",
+    ),
+    pytest.param(
+        acceptance.check_gk_oracle, (), padic, "_mu_sl3_fast",
+        _source_mutant(padic._mu_sl3_fast, "v = e\n", "v = e + 1\n"), id="1-sl3-product-minor-valuation-one-off",
+    ),
     pytest.param(
         acceptance.check_retraction, (("A2",), 20), cones, "langlands_retraction",
         lambda rd, lam: (cones.fvec(lam), frozenset()), id="4-retraction-returns-lam",
@@ -119,6 +138,11 @@ MUTANTS = [
     pytest.param(
         acceptance.check_weyl_identities, (("A2",),), weylids, "parabolic_sign", _flip_sign_at([0]),
         id="8-parabolic-sign-flipped-at-J0",
+    ),
+    pytest.param(
+        acceptance.check_character_identities, (), charring, "sym_series",
+        _source_mutant(charring.sym_series, "while n * hw <= height", "while n * hw < height"),
+        id="6-sym-series-stops-one-term-early",
     ),
     pytest.param(
         acceptance.check_local_roundtrip, (5,), intertwine, "apply_R_inverse_K", _inverse_twist_one_power_off,
