@@ -62,9 +62,8 @@ def aut_count_bruteforce(n: int, q: int) -> int:
 
 def subbundle_count(n: int, d: int, qv):
     """Number of degree-d line subbundles of O(n) + O(-n) (closed form; see the brute-force oracle)."""
-    zero = _zero_like(qv)
     if d > n:
-        return zero
+        return _zero_like(qv)
     if n == 0:
         if d == 0:
             return qv + 1
@@ -72,7 +71,7 @@ def subbundle_count(n: int, d: int, qv):
     if d == n:
         return _one_like(qv)
     if -n < d < n:
-        return zero
+        return _zero_like(qv)
     if d == -n:
         return qv ** (2 * n + 1)
     return (qv**2 - 1) * qv ** (-2 * d - 1)
@@ -244,20 +243,21 @@ class TFunction:
     None leaves the side unbounded.
     """
 
-    def __init__(self, fn, upper=None, lower=None, qv=None):
+    def __init__(self, fn, upper=None, lower=None, *, qv):
         self._fn = fn
         self._memo: dict[int, object] = {}
         self.upper = upper
         self.lower = lower
-        self.qv = qv
+        self._zero = _zero_like(qv)
 
     @staticmethod
     def from_dict(values: dict, qv) -> "TFunction":
         vals = {int(k): v for k, v in values.items() if v != 0}
+        zero = _zero_like(qv)
         if not vals:
-            return TFunction(lambda d: _zero_like(qv), upper=0, lower=0, qv=qv)
+            return TFunction(lambda d: zero, upper=0, lower=0, qv=qv)
         return TFunction(
-            lambda d: vals.get(d, _zero_like(qv)),
+            lambda d: vals.get(d, zero),
             upper=max(vals),
             lower=min(vals),
             qv=qv,
@@ -266,9 +266,9 @@ class TFunction:
     def value(self, d: int):
         d = int(d)
         if self.upper is not None and d > self.upper:
-            return _zero_like(self.qv)
+            return self._zero
         if self.lower is not None and d < self.lower:
-            return _zero_like(self.qv)
+            return self._zero
         if d not in self._memo:
             self._memo[d] = self._fn(d)
         return self._memo[d]
@@ -277,27 +277,26 @@ class TFunction:
 class GFunction:
     """Function on bundle classes (nonnegative degrees), memoized, with an optional certified upper bound."""
 
-    def __init__(self, fn, upper=None, qv=None):
+    def __init__(self, fn, upper=None, *, qv):
         self._fn = fn
         self._memo: dict[int, object] = {}
         self.upper = upper
-        self.qv = qv
+        self._zero = _zero_like(qv)
 
     @staticmethod
     def from_dict(values: dict, qv) -> "GFunction":
         vals = {int(k): v for k, v in values.items() if v != 0}
         if any(k < 0 for k in vals):
             raise GlobalError("bundle classes are indexed by nonnegative integers")
-        return GFunction(
-            lambda n: vals.get(n, _zero_like(qv)), upper=max(vals, default=0), qv=qv
-        )
+        zero = _zero_like(qv)
+        return GFunction(lambda n: vals.get(n, zero), upper=max(vals, default=0), qv=qv)
 
     def value(self, n: int):
         n = int(n)
         if n < 0:
             raise GlobalError("bundle classes are indexed by nonnegative integers")
         if self.upper is not None and n > self.upper:
-            return _zero_like(self.qv)
+            return self._zero
         if n not in self._memo:
             self._memo[n] = self._fn(n)
         return self._memo[n]
@@ -305,19 +304,47 @@ class GFunction:
 
 # ---------------------------------------------------------------------------
 # operators
+#
+# Away from one or two diagonal terms every kernel below is a constant or a
+# geometric sequence along its window, so each operator value is those diagonal
+# terms plus a running sum over the window, filled on demand by _running_sum.
+# The shapes each recurrence relies on are tested against the kernels themselves.
+
+
+def _running_sum(weight, fn, start, step, zero):
+    """Lazy running sum: k -> sum of weight(j) * fn(j) for j = start, start + step, ... through k.
+
+    The sum is zero for k before start. Partial sums are memoised as they are
+    filled, so reading w degrees, in any order, costs w terms in all.
+    """
+    sums = [zero]  # sums[i] is the sum of the first i terms
+
+    def total(k):
+        i = (k - start) * step + 1
+        while len(sums) <= i:
+            j = start + (len(sums) - 1) * step
+            v = fn(j)
+            sums.append(sums[-1] + weight(j) * v if v != 0 else sums[-1])
+        return sums[i] if i > 0 else zero
+
+    return total
 
 
 def eis_B(phi: TFunction, qv) -> GFunction:
-    """Eisenstein sum over line subbundles: (Eis phi)(n) = sum_d sigma(n, d) phi(d)."""
+    """Eisenstein sum over line subbundles: (Eis phi)(n) = sum_d sigma(n, d) phi(d).
+
+    sigma(n, d) vanishes for d > n and for -n < d < n and equals sigma(0, d) for
+    d < -n, so (Eis phi)(n) is the terms at d = n and d = -n plus a prefix sum
+    of sigma(0, d) phi(d) from the lower bound of phi through -n - 1.
+    """
     if phi.lower is None:
         raise GlobalError("Eisenstein sum needs a support bound below (plus-type window)")
+    below = _running_sum(lambda d: subbundle_count(0, d, qv), phi.value, phi.lower, 1, _zero_like(qv))
 
     def fn(n):
-        acc = _zero_like(qv)
-        for d in range(phi.lower, n + 1):
-            s = subbundle_count(n, d, qv)
-            if s != 0:
-                acc = acc + s * phi.value(d)
+        acc = below(-n - 1) + subbundle_count(n, n, qv) * phi.value(n)
+        if n:
+            acc = acc + subbundle_count(n, -n, qv) * phi.value(-n)
         return acc
 
     upper = None
@@ -345,30 +372,30 @@ def ct_kernel(n: int, d: int, qv):
     Equals the adjoint kernel (q-1) q^{2d+1} sigma(n, d) / aut(n) for the
     groupoid pairings; for d >= 0 it collapses to the identity matrix.
     """
-    zero = _zero_like(qv)
     if d >= 0:
-        return _one_like(qv) if n == d else zero
+        return _one_like(qv) if n == d else _zero_like(qv)
     if n == -d:
         return qv ** (2 * d + 1)
     if n == 0:
         return (qv - 1) / qv
     if 1 <= n <= -d - 1:
         return (qv**2 - 1) * qv ** (-2 * n - 1)
-    return zero
+    return _zero_like(qv)
 
 
 def ct_B(f: GFunction, qv) -> TFunction:
-    """Constant term: integrate over unipotent classes; column-finite in the degree."""
+    """Constant term: integrate over unipotent classes; column-finite in the degree.
+
+    For d < 0 the column is c(0, d) f(0) + c(-d, d) f(-d) plus the middle terms
+    1 <= n <= -d - 1, where c(n, d) = c(n, -n - 1) does not depend on d: a
+    prefix sum over n.
+    """
+    middle = _running_sum(lambda n: ct_kernel(n, -n - 1, qv), f.value, 1, 1, _zero_like(qv))
 
     def fn(d):
         if d >= 0:
-            return f.value(d) if f.upper is None or d <= f.upper else _zero_like(qv)
-        acc = ct_kernel(0, d, qv) * f.value(0)
-        for n in range(1, -d + 1):
-            k = ct_kernel(n, d, qv)
-            if k != 0:
-                acc = acc + k * f.value(n)
-        return acc
+            return f.value(d)
+        return ct_kernel(0, d, qv) * f.value(0) + middle(-d - 1) + ct_kernel(-d, d, qv) * f.value(-d)
 
     return TFunction(fn, upper=f.upper, lower=None, qv=qv)
 
@@ -388,17 +415,16 @@ def global_R(psi: TFunction, qv) -> TFunction:
     """Forward intertwiner: modulus-inverse prefactor times upward convolution with the forward kernel.
 
     R(psi)(d) = q^{2d+1} sum_m mu_hat(m) psi(d + m), on windows bounded above.
+    Since mu_hat(m) = q^{2m-2} mu_hat(1) for m >= 1, this is
+    mu_hat(0) q^{2d+1} psi(d) + mu_hat(1) sum_{e > d} q^{2e-1} psi(e): a suffix sum.
     """
     if psi.upper is None:
         raise GlobalError("forward intertwiner needs a support bound above")
+    mu0, mu1 = mu_hat(0, qv), mu_hat(1, qv)
+    above = _running_sum(lambda e: qv ** (2 * e - 1), psi.value, psi.upper, -1, _zero_like(qv))
 
     def fn(d):
-        acc = _zero_like(qv)
-        for m in range(0, psi.upper - d + 1):
-            v = psi.value(d + m)
-            if v != 0:
-                acc = acc + mu_hat(m, qv) * v
-        return acc * qv ** (2 * d + 1)
+        return mu0 * qv ** (2 * d + 1) * psi.value(d) + mu1 * above(d + 1)
 
     return TFunction(fn, upper=psi.upper, lower=None, qv=qv)
 
@@ -407,17 +433,16 @@ def global_R_inverse(phi: TFunction, qv) -> TFunction:
     """Inverse intertwiner: modulus at the input point inside the sum, inverse kernel.
 
     R^{-1}(phi)(d) = sum_m q^{-2(d+m)-1} nu_hat(m) phi(d + m), on windows bounded above.
+    Since nu_hat(m) = nu_hat(1) for m >= 1, this is
+    nu_hat(0) q^{-2d-1} phi(d) + nu_hat(1) sum_{e > d} q^{-2e-1} phi(e): a suffix sum.
     """
     if phi.upper is None:
         raise GlobalError("inverse intertwiner needs a support bound above")
+    nu0, nu1 = nu_hat(0, qv), nu_hat(1, qv)
+    above = _running_sum(lambda e: qv ** (-2 * e - 1), phi.value, phi.upper, -1, _zero_like(qv))
 
     def fn(d):
-        acc = _zero_like(qv)
-        for m in range(0, phi.upper - d + 1):
-            v = phi.value(d + m)
-            if v != 0:
-                acc = acc + qv ** (-2 * (d + m) - 1) * nu_hat(m, qv) * v
-        return acc
+        return nu0 * qv ** (-2 * d - 1) * phi.value(d) + nu1 * above(d + 1)
 
     return TFunction(fn, upper=phi.upper, lower=None, qv=qv)
 

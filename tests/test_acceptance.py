@@ -161,6 +161,10 @@ MUTANTS = [
         _changed_at(globalsl2.nu_hat, lambda m: m == 1, lambda c, qv: c + 1), id="9b-nu-hat-1-plus-1",
     ),
     pytest.param(
+        acceptance.check_global_form, (5,), globalsl2, "nu_hat",
+        _changed_at(globalsl2.nu_hat, lambda m: m == 1, lambda c, qv: c + 1), id="9c-nu-hat-1-plus-1",
+    ),
+    pytest.param(
         acceptance.check_global_form, (5,), globalsl2, "ct_kernel",
         _changed_at(globalsl2.ct_kernel, lambda n, d: n == 0 and d < 0, lambda c, qv: 2 * c), id="9c-ct-kernel-0-doubled",
     ),

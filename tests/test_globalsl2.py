@@ -7,8 +7,15 @@ from heckelat import globalsl2 as gs
 from heckelat.qfield import ONE, Q, ZERO
 
 
+QVS = (Q, Fraction(2), Fraction(3), Fraction(3, 2))
+
+
 def rand_g(rng, qv, nmax=4, span=4):
     return gs.GFunction.from_dict({n: rng.randint(-span, span) for n in range(0, nmax + 1)}, qv)
+
+
+def rand_t(rng, qv, lo=-5, hi=3, span=4):
+    return gs.TFunction.from_dict({d: rng.randint(-span, span) for d in range(lo, hi + 1)}, qv)
 
 
 def test_aut_counts_against_bruteforce():
@@ -254,3 +261,133 @@ def test_ct_kernel_total_measure():
     for d in range(-5, 3):
         total = sum((gs.ct_kernel(n, d, qv) for n in range(0, abs(d) + 2)), ZERO)
         assert total == ONE, d
+
+
+# ---------------------------------------------------------------------------
+# The operators as whole-window sums over their kernels: O(w^2) reference forms
+# of eis_B, ct_B, global_R and global_R_inverse, against which the running-sum
+# recurrences are compared.
+
+
+def ref_eis(phi, qv):
+    def fn(n):
+        return sum((gs.subbundle_count(n, d, qv) * phi.value(d) for d in range(phi.lower, n + 1)), 0 * qv)
+
+    upper = None if phi.upper is None else max(abs(phi.upper), abs(phi.lower))
+    return gs.GFunction(fn, upper=upper, qv=qv)
+
+
+def ref_ct(f, qv):
+    def fn(d):
+        if d >= 0:
+            return f.value(d)
+        return sum((gs.ct_kernel(n, d, qv) * f.value(n) for n in range(0, -d + 1)), 0 * qv)
+
+    return gs.TFunction(fn, upper=f.upper, lower=None, qv=qv)
+
+
+def ref_R(psi, qv):
+    def fn(d):
+        acc = sum((gs.mu_hat(m, qv) * psi.value(d + m) for m in range(0, psi.upper - d + 1)), 0 * qv)
+        return acc * qv ** (2 * d + 1)
+
+    return gs.TFunction(fn, upper=psi.upper, lower=None, qv=qv)
+
+
+def ref_R_inverse(phi, qv):
+    def fn(d):
+        return sum(
+            (qv ** (-2 * (d + m) - 1) * gs.nu_hat(m, qv) * phi.value(d + m) for m in range(0, phi.upper - d + 1)),
+            0 * qv,
+        )
+
+    return gs.TFunction(fn, upper=phi.upper, lower=None, qv=qv)
+
+
+def ref_L(f, qv):
+    psi = ref_R_inverse(ref_ct(f, qv), qv)
+    flipped = gs.TFunction(lambda d: psi.value(-d), upper=None, lower=-psi.upper, qv=qv)
+    eis = ref_eis(flipped, qv)
+    return gs.GFunction(lambda n: f.value(n) - eis.value(n), upper=None, qv=qv)
+
+
+def assert_same_values(make_new, ref, points, rng):
+    """Values of fresh operators read in ascending, descending and shuffled order equal the reference values.
+
+    The running sums fill lazily from either end, so each order runs on its own new operator.
+    """
+    want = {x: ref.value(x) for x in points}
+    shuffled = list(points)
+    rng.shuffle(shuffled)
+    for order in (sorted(points), sorted(points, reverse=True), shuffled):
+        new = make_new()
+        assert [new.value(x) for x in order] == [want[x] for x in order], order
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_running_sum_operators_match_whole_window_sums(qv):
+    rng = random.Random(11)
+    for _ in range(4):
+        phi = rand_t(rng, qv)
+        f = rand_g(rng, qv)
+        assert_same_values(lambda: gs.eis_B(phi, qv), ref_eis(phi, qv), range(0, phi.upper - phi.lower + 3), rng)
+        assert_same_values(lambda: gs.ct_B(f, qv), ref_ct(f, qv), range(-9, f.upper + 3), rng)
+        assert_same_values(lambda: gs.global_R(phi, qv), ref_R(phi, qv), range(phi.lower - 4, phi.upper + 3), rng)
+        assert_same_values(
+            lambda: gs.global_R_inverse(phi, qv), ref_R_inverse(phi, qv), range(phi.lower - 4, phi.upper + 3), rng
+        )
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_L_and_its_inverse_match_whole_window_sums(qv):
+    rng = random.Random(12)
+    f = rand_g(rng, qv, nmax=3)
+    assert_same_values(lambda: gs.op_L(f, qv), ref_L(f, qv), range(0, 9), rng)
+    g = gs.op_L(f, qv)
+    bounded_ct = gs.TFunction(ref_ct(g, qv).value, upper=None, lower=g.psc_ct.lower, qv=qv)
+    eis = ref_eis(bounded_ct, qv)
+    ref_inverse = gs.GFunction(lambda n: g.value(n) - eis.value(n), upper=None, qv=qv)
+    assert_same_values(lambda: gs.op_L_inverse(g, qv), ref_inverse, range(0, 9), rng)
+
+
+@pytest.mark.parametrize("qv", (Fraction(2), Fraction(3, 2)), ids=str)
+def test_windowless_constant_term_read_far_below_zero(qv):
+    # L f has no upper bound, so the constant term's middle prefix sum runs over every n < -d
+    rng = random.Random(13)
+    f = rand_g(rng, qv, nmax=3)
+    ct, ref = gs.ct_B(gs.op_L(f, qv), qv), ref_ct(gs.op_L(f, qv), qv)
+    assert ct.upper is None
+    assert ct.value(-40) == ref.value(-40)
+    assert [ct.value(d) for d in range(-45, 6)] == [ref.value(d) for d in range(-45, 6)]
+
+
+# The shapes of the kernels that each running sum relies on; the Euler-product
+# and brute-force tests above remain the independent witnesses for the kernels.
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_inverse_kernel_is_constant_after_its_first_term(qv):
+    assert all(gs.nu_hat(m, qv) == gs.nu_hat(1, qv) for m in range(1, 10))
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_forward_kernel_is_geometric_with_ratio_q_squared_after_its_first_term(qv):
+    assert all(gs.mu_hat(m + 1, qv) == qv**2 * gs.mu_hat(m, qv) for m in range(1, 10))
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_subbundle_counts_below_minus_n_do_not_depend_on_n(qv):
+    for n in range(1, 6):
+        assert all(gs.subbundle_count(n, d, qv) == gs.subbundle_count(0, d, qv) for d in range(-n - 8, -n))
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_subbundle_counts_vanish_strictly_between_minus_n_and_n(qv):
+    for n in range(1, 6):
+        assert all(gs.subbundle_count(n, d, qv) == 0 for d in range(-n + 1, n))
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_middle_constant_term_kernel_does_not_depend_on_the_degree(qv):
+    for d in range(-9, 0):
+        assert all(gs.ct_kernel(n, d, qv) == gs.ct_kernel(n, -n - 1, qv) for n in range(1, -d))
