@@ -10,7 +10,9 @@ maximal minors, `linalg.det`) of d - 1 constraints restricted to a pointed
 section of dimension d. A feasible candidate is tight on d - 1 independent
 constraints, so it spans a one-dimensional face of the pointed section and is
 extreme; no extremality filter is needed. The certificates keep coroots, roots
-and rays as int vectors, so their Weyl actions and pairings stay in Z.
+and rays as int vectors, so their Weyl actions and pairings stay in Z, and
+they read the double description through `datum_rays`, once per datum and
+constraint tuple.
 """
 
 from __future__ import annotations
@@ -136,6 +138,21 @@ def rays_from_inequalities(constraints, dim: int):
     return lin, sorted(out)
 
 
+def datum_rays(rd: RootDatum, constraints):
+    """rays_from_inequalities(constraints, rd.rank) as fresh lists, computed once per datum and constraint tuple.
+
+    The memo is `rd.cone_rays`, so it lives as long as the datum: a freshly
+    loaded datum starts cold. Equal constraints given as lists or tuples share
+    one entry.
+    """
+    key = tuple(tuple(c) for c in constraints)
+    hit = rd.cone_rays.get(key)
+    if hit is None:
+        hit = rd.cone_rays[key] = rays_from_inequalities(key, rd.rank)
+    lin, rays = hit
+    return list(lin), list(rays)
+
+
 def _distinct_directions(vectors) -> list[tuple[int, ...]]:
     """The distinct primitive int directions of the nonzero vectors, in first-seen order."""
     out, seen = [], set()
@@ -226,7 +243,7 @@ class SupportShape:
 
 def dominant_weight_rays(rd: RootDatum):
     """(lineality, rays) of the rational dominant-weight cone."""
-    return rays_from_inequalities(rd.simple_coroots, rd.rank)
+    return datum_rays(rd, rd.simple_coroots)
 
 
 def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
@@ -251,7 +268,7 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
         raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
     pos_u = par.pos_coroots_unipotent
     # the dual cone's lineality and extreme rays are the equalities and inequalities cutting out pos_G
-    eqs, ineqs = rays_from_inequalities(rd.positive_coroots, rd.rank)
+    eqs, ineqs = datum_rays(rd, rd.positive_coroots)
     all_cons = []
     for w in sorted(par.weyl_levi):
         for e in eqs:
@@ -265,7 +282,7 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
         if any(dot(c, g) < 0 for c in all_cons):
             return False
     # inclusion intersection subseteq pos_U: every extreme ray is a nonneg combination
-    lin, rays = rays_from_inequalities(all_cons, rd.rank)
+    lin, rays = datum_rays(rd, all_cons)
     for v in rays + lin + [vneg(l) for l in lin]:
         if not in_cone(pos_u, v):
             return False
@@ -277,9 +294,9 @@ def check_pos_U_consequent(rd: RootDatum, par: ParabolicType) -> bool:
     neg_dom = [vneg(rd.simple_roots[j]) for j in sorted(par.indices)]
 
     def side(gens):
-        eqs, ineqs = rays_from_inequalities(gens, rd.rank)
+        eqs, ineqs = datum_rays(rd, gens)
         cons = ineqs + eqs + [vneg(e) for e in eqs] + neg_dom
-        lin, rays = rays_from_inequalities(cons, rd.rank)
+        lin, rays = datum_rays(rd, cons)
         return lin, rays, cons
 
     lin1, rays1, cons1 = side(par.pos_coroots_unipotent)
@@ -306,7 +323,7 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
             if any(dot(wv, g) < 0 for g in gens_u):
                 return False
     # (ii) every extreme ray of the dual cone lies in some W_M-translate of the dominant cone
-    lin_d, rays_d = rays_from_inequalities(gens_u, rd.rank)
+    lin_d, rays_d = datum_rays(rd, gens_u)
     for v in rays_d + lin_d + [vneg(l) for l in lin_d]:
         if not any(
             all(pair(rd.act_on_weight(w, v), a) >= 0 for a in rd.simple_coroots)
@@ -317,7 +334,7 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
     for i in range(rd.n_simple):
         if i in par.indices:
             continue  # glued to the neighboring chamber w s_i inside W_M
-        lin_w, rays_w = rays_from_inequalities(rd.simple_coroots + (vneg(rd.simple_coroots[i]),), rd.rank)
+        lin_w, rays_w = datum_rays(rd, rd.simple_coroots + (vneg(rd.simple_coroots[i]),))
         wall_pts = rays_w + lin_w + [vneg(l) for l in lin_w]
         for w in w_levi:
             translated = [rd.act_on_weight(w, v) for v in wall_pts]

@@ -9,6 +9,10 @@ on the simple coroots and roots, built by reflecting coordinate vectors with
 the Cartan matrix, and the one Levi solve (`levi_solve`, with det C_J and the
 int adjugate of each Cartan principal submatrix C_J cached) behind the Levi
 projection, the Langlands retraction and the dominance order.
+
+A Weyl element acts on the roots by lookup: `root_image(w)` is w's permutation
+of the root set, built from the cached columns of w^-1 the first time w is
+used. Matrices stay the elements' keys and their action on coweights.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ def _as_vec(v) -> Vec:
 class RootDatum:
     """Root datum on Lambda = Z^rank with explicit simple coroots (vectors) and simple roots (covectors).
 
-    All derived data (coroot/root systems, the Weyl group as integer matrices,
-    2*rho and 2*rho-check) is computed eagerly and frozen.
+    The coroot/root systems, the Weyl group as integer matrices, 2*rho and
+    2*rho-check are computed eagerly and frozen. Per-element and per-J data
+    (w^-1 columns, root permutations, Levi adjugates, subgroups, cone rays)
+    are cached on first use.
     """
 
     def __init__(self, name: str, rank: int, simple_coroots, simple_roots):
@@ -85,6 +91,11 @@ class RootDatum:
         self._subgroup_cache: dict[frozenset, frozenset] = {frozenset(range(self.n_simple)): frozenset(self.weyl_elements)}
         self._levi_adjugates: dict[tuple[int, ...], tuple[int, Matrix]] = {}
         self._w_inverse = {w: self._invert(w) for w in self.weyl_elements}
+        # filled on first use of each Weyl element: the columns of w^-1, and w's permutation of the roots
+        self._inverse_columns: dict[Matrix, Matrix] = {}
+        self._root_images: dict[Matrix, dict[Covec, Covec]] = {}
+        # cones.datum_rays: (lineality, rays) per constraint tuple, for as long as the datum lives
+        self.cone_rays: dict[tuple, tuple[list, list]] = {}
         self._build_roots()
         self.w0 = self.longest_element(range(self.n_simple))
         self.two_rho: Vec = tuple(sum(col) for col in zip(*self.positive_coroots)) if self.positive_coroots else (0,) * self.rank
@@ -228,8 +239,18 @@ class RootDatum:
         return total
 
     def act_on_weight(self, w: Matrix, chi) -> Covec:
-        """(w . chi)(lam) = chi(w^{-1} lam); chi as a covector row."""
-        return tuple(dot(chi, col) for col in zip(*self.w_inverse(w)))
+        """(w . chi)(lam) = chi(w^{-1} lam); chi as a covector row, against the columns of w^{-1} cached per w."""
+        cols = self._inverse_columns.get(w)
+        if cols is None:
+            cols = self._inverse_columns[w] = tuple(zip(*self.w_inverse(w)))
+        return tuple(dot(chi, col) for col in cols)
+
+    def root_image(self, w: Matrix) -> dict[Covec, Covec]:
+        """w's permutation of the roots, {chi: w . chi}, built on the first call for w and cached."""
+        image = self._root_images.get(w)
+        if image is None:
+            image = self._root_images[w] = {chi: self.act_on_weight(w, chi) for chi in self.roots}
+        return image
 
     def w_inverse(self, w: Matrix) -> Matrix:
         return self._w_inverse.get(w) or self._invert(w)

@@ -33,10 +33,11 @@ def w_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list[Matrix
     roots_m2 = set(par2.roots_levi)
     out = []
     for w in rd.weyl_elements:
-        winv = rd.w_inverse(w)
-        if not all(_is_positive_root(rd, rd.act_on_weight(winv, chi)) for chi in par2.pos_roots_levi):
+        inv_image = rd.root_image(rd.w_inverse(w))
+        if not all(_is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
             continue
-        image_simples = [rd.act_on_weight(w, rd.simple_roots[j]) for j in sorted(par.indices)]
+        image = rd.root_image(w)
+        image_simples = [image[rd.simple_roots[j]] for j in sorted(par.indices)]
         if all(chi in simple_set and chi in roots_m2 for chi in image_simples):
             out.append(w)
     return out
@@ -46,10 +47,11 @@ def w_bullet_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list
     """Minimal-length representatives of the double cosets W_{M'} \\ W / W_M."""
     out = []
     for w in rd.weyl_elements:
-        winv = rd.w_inverse(w)
-        if not all(_is_positive_root(rd, rd.act_on_weight(w, chi)) for chi in par.pos_roots_levi):
+        image = rd.root_image(w)
+        if not all(_is_positive_root(rd, image[chi]) for chi in par.pos_roots_levi):
             continue
-        if not all(_is_positive_root(rd, rd.act_on_weight(winv, chi)) for chi in par2.pos_roots_levi):
+        inv_image = rd.root_image(rd.w_inverse(w))
+        if not all(_is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
             continue
         out.append(w)
     return out
@@ -116,8 +118,9 @@ def verify_vanishing_A(rd: RootDatum) -> VanishingReport:
         roots_m = set(par.roots_levi)
         for w in rd.weyl_elements:
             report.cases += 1
-            translated_neg = {rd.act_on_weight(w, chi) for chi in neg_roots}
-            translated_m = {rd.act_on_weight(w, chi) for chi in roots_m}
+            image = rd.root_image(w)
+            translated_neg = {image[chi] for chi in neg_roots}
+            translated_m = {image[chi] for chi in roots_m}
             constraint_lower = {chi for chi in simple_set if chi in translated_m}
             constraint_upper = {chi for chi in simple_set if chi in translated_neg}
             total = 0
@@ -127,10 +130,7 @@ def verify_vanishing_A(rd: RootDatum) -> VanishingReport:
                 if simples_m2 <= constraint_upper and constraint_lower <= simples_m2:
                     total += parabolic_sign(rd, j2)
                     admissible.append(frozenset(j2))
-            no_simple_hit = not (
-                {rd.act_on_weight(w, tuple(-x for x in chi)) for chi in rd.positive_roots if chi not in roots_m}
-                & simple_set
-            )
+            no_simple_hit = not ({image[chi] for chi in neg_roots if chi not in roots_m} & simple_set)
             if total != 0 and not no_simple_hit:
                 report.fail(f"J={sorted(indices)} w'={w}: nonzero sum hits a simple root")
             if w == par.w0_levi:
@@ -158,18 +158,16 @@ def verify_vanishing_B(rd: RootDatum) -> VanishingReport:
         pos_m2 = set(par2.pos_roots_levi)
         survivor = mat_mul(par2.w0_levi, rd.w0)
         for w in rd.weyl_elements:
-            winv = rd.w_inverse(w)
-            if not all(_is_positive_root(rd, rd.act_on_weight(winv, chi)) for chi in par2.pos_roots_levi):
+            inv_image = rd.root_image(rd.w_inverse(w))
+            if not all(_is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
                 continue
             report.cases += 1
             # simple roots grouped by where w sends them
-            inside = frozenset(
-                j for j in range(rd.n_simple) if rd.act_on_weight(w, rd.simple_roots[j]) in pos_m2
-            )
+            image = rd.root_image(w)
+            simple_images = [image[chi] for chi in rd.simple_roots]
+            inside = frozenset(j for j, chi in enumerate(simple_images) if chi in pos_m2)
             outside_pos = frozenset(
-                j
-                for j in range(rd.n_simple)
-                if j not in inside and _is_positive_root(rd, rd.act_on_weight(w, rd.simple_roots[j]))
+                j for j, chi in enumerate(simple_images) if j not in inside and _is_positive_root(rd, chi)
             )
             empty_d = not outside_pos
             if empty_d != (w == survivor):

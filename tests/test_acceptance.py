@@ -12,7 +12,7 @@ import pytest
 
 from heckelat import acceptance, charring, cli, cones, globalsl2, hecke, intertwine, padic, weylids
 from heckelat.qfield import q_pow
-from heckelat.rootdata import ParabolicType, load_root_datum
+from heckelat.rootdata import ParabolicType, RootDatum, load_root_datum
 
 
 @pytest.mark.parametrize("check", acceptance.ALL_CHECKS, ids=lambda c: c.check_name)
@@ -92,6 +92,29 @@ def _to_basis_untwisted(series, basis, scale=1):
     return series if basis == series.basis else hecke.GradedSeries(series.rd, series.par, series.height, dict(series.coeffs), basis)
 
 
+def _nu_with_constant_term_two():
+    original = hecke.nu
+
+    def nu(rd, par, height):
+        series = original(rd, par, height)
+        return hecke.GradedSeries(rd, par, height, {**series.coeffs, (0,) * rd.rank: 2}, series.basis)
+
+    return nu
+
+
+def _root_image_wrong_at_s0():
+    """The true permutations, except that s_0 fixes alpha_0 instead of negating it."""
+    original = RootDatum.root_image
+
+    def root_image(rd, w):
+        image = original(rd, w)
+        if w == rd._simple_reflections[0]:
+            return {**image, rd.simple_roots[0]: rd.simple_roots[0]}
+        return image
+
+    return root_image
+
+
 def _manifest_with_run_counter():
     original, runs = cli._manifest, itertools.count()
 
@@ -132,12 +155,30 @@ MUTANTS = [
         _source_mutant(padic._mu_sl3_fast, "v = e\n", "v = e + 1\n"), id="1-sl3-product-minor-valuation-one-off",
     ),
     pytest.param(
+        acceptance.check_inversion, (("A1", "A2"),), hecke.GradedSeries, "invert",
+        _source_mutant(hecke.GradedSeries.invert, "inv[lam] = -acc / c0", "inv[lam] = acc / c0"),
+        id="2-invert-drops-the-minus-sign",
+    ),
+    pytest.param(
+        acceptance.check_nu_constant_term, (("A1", "B2"),), hecke, "nu", _nu_with_constant_term_two(),
+        id="3-nu-constant-term-2",
+    ),
+    pytest.param(
         acceptance.check_retraction, (("A2",), 20), cones, "langlands_retraction",
         lambda rd, lam: (cones.fvec(lam), frozenset()), id="4-retraction-returns-lam",
     ),
     pytest.param(
+        acceptance.check_cone_certificates, (("B2",),), cones, "rays_from_inequalities",
+        _source_mutant(cones.rays_from_inequalities, "if all(dot(c, v) >= 0 for c in cons):", "if all(dot(c, v) > 0 for c in cons):"),
+        id="5-extreme-ray-test-strict",
+    ),
+    pytest.param(
         acceptance.check_weyl_identities, (("A2",),), weylids, "parabolic_sign", _flip_sign_at([0]),
         id="8-parabolic-sign-flipped-at-J0",
+    ),
+    pytest.param(
+        acceptance.check_weyl_identities, (("B2",),), RootDatum, "root_image", _root_image_wrong_at_s0(),
+        id="8-root-image-wrong-at-s0",
     ),
     pytest.param(
         acceptance.check_character_identities, (), charring, "sym_series",
@@ -182,3 +223,8 @@ def test_mutant_fails_its_criterion(monkeypatch, check, args, module, attr, muta
     monkeypatch.setattr(module, attr, mutant)
     result = check(*args)
     assert not result.passed, result.line()
+
+
+def test_every_criterion_has_a_mutant():
+    covered = {row.values[0] for row in MUTANTS}
+    assert [c.check_name for c in acceptance.ALL_CHECKS if c not in covered] == []

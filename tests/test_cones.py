@@ -151,6 +151,60 @@ def test_cone_certificates_fail_when_a_ray_is_dropped(monkeypatch):
     assert not result.passed and result.detail.startswith("B2 J="), result.detail
 
 
+def _counted_rays(monkeypatch):
+    calls = []
+    compute = cones.rays_from_inequalities
+
+    def counted(constraints, dim):
+        calls.append(tuple(map(tuple, constraints)))
+        return compute(constraints, dim)
+
+    monkeypatch.setattr(cones, "rays_from_inequalities", counted)
+    return calls
+
+
+def test_datum_rays_returns_fresh_lists():
+    rd = load_root_datum("B2")
+    lin, rays = cones.datum_rays(rd, rd.positive_coroots)
+    expected = cones.rays_from_inequalities(rd.positive_coroots, rd.rank)
+    assert (lin, rays) == expected
+    lin.append((9, 9))
+    rays.clear()
+    assert cones.datum_rays(rd, rd.positive_coroots) == expected
+    lin, rays = cones.dominant_weight_rays(rd)
+    rays.append((9, 9))
+    assert cones.dominant_weight_rays(rd) == cones.rays_from_inequalities(rd.simple_coroots, rd.rank)
+
+
+def test_datum_rays_keys_on_constraint_values(monkeypatch):
+    calls = _counted_rays(monkeypatch)
+    rd = load_root_datum("A2")
+    as_tuple = cones.datum_rays(rd, ((1, 0), (0, 1), (1, 1)))
+    as_list = cones.datum_rays(rd, [[1, 0], [0, 1], [1, 1]])
+    assert as_tuple == as_list and len(calls) == 1
+    cones.datum_rays(rd, [[0, 1], [1, 0], [1, 1]])
+    assert len(calls) == 2
+
+
+def test_certificates_compute_each_double_description_once_per_datum(monkeypatch):
+    calls = _counted_rays(monkeypatch)
+    rd = load_root_datum("B2")
+
+    def certify(rd):
+        for J in ([], [0], [1], [0, 1]):
+            par = ParabolicType(rd, J)
+            assert cones.check_pos_U_intersection(rd, par) and cones.check_dual_cone(rd, par)
+            assert cones.check_pos_U_consequent(rd, par)
+
+    certify(rd)
+    cold = len(calls)
+    assert cold == len(set(calls)) and cold > 0
+    certify(rd)
+    assert len(calls) == cold  # the same datum: every double description is a memo hit
+    certify(load_root_datum("B2"))
+    assert len(calls) == 2 * cold  # a freshly loaded datum starts cold
+
+
 def test_window_check_builds_no_parabolic(monkeypatch):
     rd = load_root_datum("A2")
     par = ParabolicType(rd, [0])

@@ -76,6 +76,32 @@ def test_coordinate_tables(name):
     assert set(rd.root_coords) == {rd.act_on_weight(w, chi) for w in rd.weyl_elements for chi in rd.simple_roots}
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_root_image_is_chi_times_w_inverse(name):
+    rd = load_root_datum(name)
+    for w in rd.weyl_elements:
+        w_inverse_columns = tuple(zip(*linalg.inverse(w)))  # a Fraction inverse, not the datum's cached int one
+        image = rd.root_image(w)
+        for chi in rd.roots:
+            assert image[chi] == linalg.mat_vec(w_inverse_columns, chi), (name, w, chi)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_root_image_permutes_the_roots(name):
+    rd = load_root_datum(name)
+    for w in rd.weyl_elements:
+        image = rd.root_image(w)
+        assert set(image) == rd.roots and set(image.values()) == rd.roots and len(image) == len(rd.roots), (name, w)
+        assert rd.root_image(w) is image  # cached per element
+
+
+def test_root_images_are_built_on_first_use():
+    rd = load_root_datum("B3")
+    assert not rd._root_images and not rd._inverse_columns
+    rd.root_image(rd.w0)
+    assert list(rd._root_images) == [rd.w0]
+
+
 def test_a2_positive_coroots_from_closure():
     rd = load_root_datum("A2")
     assert set(rd.positive_coroots) == {(1, 0), (0, 1), (1, 1)}
