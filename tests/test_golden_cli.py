@@ -1,4 +1,4 @@
-"""Byte-for-byte gate on command output: the SHA-256 of the stdout of a fixed list of commands.
+"""Byte-for-byte gate on command output: the SHA-256 of the stdout and of the manifest of a fixed list of commands.
 
 The list covers `gk` and `nu` (symbolic and at q = 2, in every basis where the
 table lies in Q(q), for A1 A2 B2 G2 at the Borel and the maximal parabolics),
@@ -21,18 +21,18 @@ from heckelat import cli
 GOLDEN = Path(__file__).with_name("golden_cli_stdout.json")
 
 
-def _digest(argv) -> str:
-    out, _manifest = cli.run_capture(argv)
-    return hashlib.sha256(out.encode()).hexdigest()
+def _digests(argv) -> list[str]:
+    """[SHA-256 of stdout, SHA-256 of the manifest] of one command."""
+    return [hashlib.sha256(text.encode()).hexdigest() for text in cli.run_capture(argv)]
 
 
 def test_cli_stdout_matches_golden_digests():
     golden = json.loads(GOLDEN.read_text())
     assert len(golden) > 100
-    changed = [argv for argv, sha in golden if _digest(argv) != sha]
-    assert not changed, f"{len(changed)} commands print other bytes, first: {changed[:3]}"
+    changed = [argv for argv, *shas in golden if _digests(argv) != shas]
+    assert not changed, f"{len(changed)} commands print other bytes or manifests, first: {changed[:3]}"
 
 
 if __name__ == "__main__":
-    entries = [(argv, _digest(argv)) for argv, _sha in json.loads(GOLDEN.read_text())]
+    entries = [[argv, *_digests(argv)] for argv, *_shas in json.loads(GOLDEN.read_text())]
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
