@@ -65,7 +65,7 @@ def _maximal_subsets(rd):
 
 
 @_timed("1. GK measure agrees with the local-field oracle (SL2 q=2,3; SL3 q=2)")
-def check_gk_oracle(datums=None):
+def check_gk_oracle():
     # the ball fibres and the SL3 rows reach the most oracle code for the least time: they run first,
     # so a failing run ends early
     rd = load_root_datum("A1")

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -19,37 +20,56 @@ class UsageError(ValueError):
     pass
 
 
+def _rational(x, what: str) -> Fraction:
+    """x, a string or a JSON number, as an exact rational: a UsageError when it is not one."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{what} must be a number, got {x!r}") from None
+
+
+def _integer(x, what: str) -> int:
+    """x as an int: a UsageError, not int()'s silent truncation, when its exact value is not an integer."""
+    value = _rational(x, what)
+    if value.denominator != 1:
+        raise UsageError(f"{what} must be an integer, got {x!r}")
+    return int(value)
+
+
+def _json(text: str | None, what: str) -> list:
+    """The [key, value] pairs of the JSON list given to the option named what: a UsageError when it is not one."""
+    if text is None:
+        raise UsageError(f"this command needs {what}")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise UsageError(f"{what} is not JSON: {e}") from None
+    if not isinstance(data, list) or not all(isinstance(item, list) and len(item) == 2 for item in data):
+        raise UsageError(f"{what} must be a JSON list of [key, value] pairs")
+    return data
+
+
 def _parse_parabolic(text: str | None, rd) -> ParabolicType:
     if not text:
         return ParabolicType(rd, [])
     if text.strip().lower() in ("full", "all"):
         return ParabolicType(rd, range(rd.n_simple))
     indices = [_integer(x.strip(), "parabolic index") - 1 for x in text.split(",") if x.strip()]
+    if not all(0 <= i < rd.n_simple for i in indices):
+        raise UsageError(f"parabolic indices run from 1 to {rd.n_simple}, got {text!r}")
     return ParabolicType(rd, indices)
 
 
-def _parse_coweight(text: str, rank: int):
-    parts = [Fraction(x.strip()) for x in text.split(",")]
-    if len(parts) != rank:
-        raise UsageError(f"coweight needs {rank} coordinates, got {len(parts)}")
-    return tuple(parts)
-
-
-def _integer(x, what: str) -> int:
-    """x as an int: a UsageError, not int()'s silent truncation, when its exact value is not an integer."""
-    try:
-        value = Fraction(str(x))
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or value.denominator != 1:
-        raise UsageError(f"{what} must be an integer, got {x!r}")
-    return int(value)
+def _coweight(parts, rank: int, number) -> tuple:
+    """A coweight from its rank coordinates (a list, from a comma-separated option or a JSON key), each read by number."""
+    if not isinstance(parts, list) or len(parts) != rank:
+        raise UsageError(f"coweight needs {rank} coordinates, got {parts!r}")
+    return tuple(number(x, "coordinate") for x in parts)
 
 
 def _parse_q(text: str):
-    if text is None or text == "sym":
-        return Q
-    return Fraction(text)
+    """'sym' as the symbol q, anything else as a rational value of q."""
+    return Q if text == "sym" else _rational(text, "q")
 
 
 def _fmt(value) -> str:
@@ -62,58 +82,46 @@ def _coweight_str(lam) -> str:
     return "(" + ",".join(str(x) for x in lam) + ")"
 
 
-def _resolve_datum(datum: str):
-    if datum not in PRESET_NAMES:
-        import os
+def _pf(flag: bool) -> str:
+    return "pass" if flag else "fail"
 
-        data_dir = os.environ.get("HECKELAT_DATA_DIR")
-        if data_dir:
-            candidate = os.path.join(data_dir, f"{datum}.json")
-            if os.path.exists(candidate):
-                with open(candidate, encoding="utf-8") as fh:
-                    return load_root_datum(fh.read())
+
+def _resolve_datum(datum: str):
+    """A preset, a <datum>.json in $HECKELAT_DATA_DIR, or an inline JSON config."""
+    data_dir = os.environ.get("HECKELAT_DATA_DIR")
+    if datum not in PRESET_NAMES and data_dir:
+        candidate = os.path.join(data_dir, f"{datum}.json")
+        if os.path.exists(candidate):
+            with open(candidate, encoding="utf-8") as fh:
+                return load_root_datum(fh.read())
     return load_root_datum(datum)
 
 
-def _load(args):
-    return _resolve_datum(args.datum)
-
-
-def _series_table(args, build) -> int:
-    rd = _load(args)
+def cmd_series(args, rd) -> int:
+    build = hecke.gk_mu if args.command == "gk" else hecke.nu
     par = _parse_parabolic(args.parabolic, rd)
+    qv = _parse_q(args.q)
     shown = build(rd, par, args.height).to_basis(args.basis)
-    qv = None if args.q == "sym" else Fraction(args.q)
     print("coweight,coefficient")
     for lam in sorted(shown.coeffs):
         c = shown.coeffs[lam]
-        print(f'"{_coweight_str(lam)}",{_fmt(c if qv is None else c.eval(qv))}')
+        print(f'"{_coweight_str(lam)}",{_fmt(c if qv is Q else c.eval(qv))}')
     return 0
 
 
-def cmd_gk(args) -> int:
-    return _series_table(args, hecke.gk_mu)
-
-
-def cmd_nu(args) -> int:
-    return _series_table(args, hecke.nu)
-
-
-def cmd_satake_check(args) -> int:
-    rd = _load(args)
+def cmd_satake_check(args, rd) -> int:
     par = _parse_parabolic(args.parabolic, rd)
     ok1 = hecke.verify_alternating_sym_expansion(rd, par, args.height)
     ok2 = hecke.verify_series_reformulation(rd, par, args.height)
     ok3 = hecke.verify_smu_snu_unit(rd, par, args.height)
-    print(f"product-expansion,{'pass' if ok1 else 'fail'}")
-    print(f"series-reformulation,{'pass' if ok2 else 'fail'}")
-    print(f"bridge-unit,{'pass' if ok3 else 'fail'}")
+    print(f"product-expansion,{_pf(ok1)}")
+    print(f"series-reformulation,{_pf(ok2)}")
+    print(f"bridge-unit,{_pf(ok3)}")
     return 0 if ok1 and ok2 and ok3 else 1
 
 
-def cmd_retract(args) -> int:
-    rd = _load(args)
-    lam = _parse_coweight(args.coweight, rd.rank)
+def cmd_retract(args, rd) -> int:
+    lam = _coweight(args.coweight.split(","), rd.rank, _rational)
     val, indices = cones.langlands_retraction(rd, lam)
     print(json.dumps({
         "input": [str(x) for x in lam],
@@ -123,8 +131,7 @@ def cmd_retract(args) -> int:
     return 0
 
 
-def cmd_cone_check(args) -> int:
-    rd = _load(args)
+def cmd_cone_check(args, rd) -> int:
     subsets = (
         [sorted(_parse_parabolic(args.parabolic, rd).indices)]
         if args.parabolic
@@ -143,12 +150,7 @@ def cmd_cone_check(args) -> int:
     return 0 if all_ok else 1
 
 
-def _pf(flag: bool) -> str:
-    return "pass" if flag else "fail"
-
-
-def cmd_char(args) -> int:
-    rd = _load(args)
+def cmd_char(args, rd) -> int:
     par = _parse_parabolic(args.parabolic, rd)
     if args.action == "pieces":
         out = [
@@ -156,36 +158,32 @@ def cmd_char(args) -> int:
             for p in charring.u_P_graded_pieces(rd, par)
         ]
         print(json.dumps(out, sort_keys=True))
-        return 0
-    if args.action in ("lambda", "sym"):
+    elif args.action in ("lambda", "sym"):
         pieces = charring.u_P_graded_pieces(rd, par)
-        idx = args.piece or 1
+        idx = 1 if args.piece is None else args.piece
         if not 1 <= idx <= len(pieces):
             raise UsageError(f"piece index out of range 1..{len(pieces)}")
-        t = as_ratfunc(Fraction(args.t)) if args.t not in (None, "q") else Q
+        t = Q if args.t in (None, "q") else as_ratfunc(_rational(args.t, "t"))
         build = charring.lambda_series if args.action == "lambda" else charring.sym_series
         series = build(rd, par, t, pieces[idx - 1], args.height)
         print("coweight,coefficient")
         for lam in sorted(series.coeffs):
             print(f'"{_coweight_str(lam)}",{_fmt(series.coeffs[lam])}')
-        return 0
-    if args.action == "decompose":
-        data = json.loads(args.input)
-        f = {tuple(_integer(x, "coordinate") for x in k): _integer(v, "multiplicity") for k, v in data}
+    else:
+        data = _json(args.input, "--input")
+        f = {_coweight(k, rd.rank, _integer): _integer(v, "multiplicity") for k, v in data}
         comps, virtual = charring.decompose_into_irreducibles(rd, par, f)
         print(json.dumps({
             "components": [[list(lam), m] for lam, m in comps],
             "virtual": virtual,
         }, sort_keys=True))
-        return 0
-    raise UsageError(f"unknown char action {args.action!r}")
+    return 0
 
 
-def cmd_intertwine(args) -> int:
-    rd = _load(args)
+def cmd_intertwine(args, rd) -> int:
     par = _parse_parabolic(args.parabolic, rd)
-    data = json.loads(args.input)
-    values = {tuple(_integer(x, "coordinate") for x in k): as_ratfunc(Fraction(str(v))) for k, v in data}
+    data = _json(args.input, "--input")
+    values = {_coweight(k, rd.rank, _integer): as_ratfunc(_rational(v, "value")) for k, v in data}
     window = cones.SupportShape.make(list(values) or [(0,) * rd.rank], cones.neg_pos_U(par.indices))
     phi = iw.SphericalFunction(rd, par, values, window, check_window=False)
     mu = hecke.gk_mu(rd, par, args.height)
@@ -205,11 +203,10 @@ def cmd_intertwine(args) -> int:
     return 0
 
 
-def cmd_oracle_mu(args) -> int:
-    lam = tuple(_integer(x.strip(), "coordinate") for x in args.coweight.split(","))
+def cmd_oracle_mu(args, _rd) -> int:
+    rd = load_root_datum("A1" if args.group == "SL2" else "A2")
+    lam = _coweight(args.coweight.split(","), rd.rank, _integer)
     measure = padic.mu_oracle(args.group, lam, args.q, args.precision)
-    datum = "A1" if args.group == "SL2" else "A2"
-    rd = load_root_datum(datum)
     par = ParabolicType(rd, [])
     height = max(2 * sum(lam), 2)
     table = hecke.gk_mu(rd, par, height).to_basis(hecke.INDICATOR_BASIS).coeff(lam).eval(Fraction(args.q))
@@ -219,8 +216,7 @@ def cmd_oracle_mu(args) -> int:
     return 0 if measure == table else 1
 
 
-def cmd_weyl_identities(args) -> int:
-    rd = _load(args)
+def cmd_weyl_identities(args, rd) -> int:
     rep_a = weylids.verify_vanishing_A(rd)
     rep_b = weylids.verify_vanishing_B(rd)
     print("identity,cases,result,witnesses")
@@ -238,64 +234,48 @@ def cmd_weyl_identities(args) -> int:
     return 0 if rep_a.passed and rep_b.passed and transversals_ok else 1
 
 
-def _degree_values(text: str, qv) -> dict:
-    """{degree: value} from a JSON list of [degree, value] pairs, values in Q(q) or at the numeric q."""
-    return {_integer(k, "degree"): as_ratfunc(Fraction(str(v))) if qv is Q else Fraction(str(v)) for k, v in json.loads(text)}
+def _degree_values(text: str | None, what: str, qv) -> dict:
+    """{degree: value} from the JSON list of [degree, value] pairs given to what, values in Q(q) or at the numeric q."""
+    lift = as_ratfunc if qv is Q else Fraction
+    return {_integer(k, "degree"): lift(_rational(v, "value")) for k, v in _json(text, what)}
 
 
-def cmd_global(args) -> int:
+def _l_then_l_inverse(f, qv):
+    return gs.op_L_inverse(gs.op_L(f, qv), qv)
+
+
+def cmd_global(args, _rd) -> int:
     qv = _parse_q(args.q)
     if args.explain_conventions:
         print(gs.CONVENTIONS)
         return 0
-    values = {}
-    if args.input:
-        values = _degree_values(args.input, qv)
+    values = _degree_values(args.input, "--input", qv) if args.input else {}
     window = args.window
-    if args.action == "eis":
-        phi = gs.TFunction.from_dict(values, qv)
-        out = gs.eis_B(phi, qv)
-        print("n,value")
-        for n in range(0, window + 1):
+    tables = {  # action: (column header, degrees shown, input type, operator)
+        "eis": ("n", range(0, window + 1), gs.TFunction, gs.eis_B),
+        "ct": ("d", range(-window, window + 1), gs.GFunction, gs.ct_B),
+        "L": ("n", range(0, window + 1), gs.GFunction, gs.op_L),
+        "Linv": ("n", range(0, window + 1), gs.GFunction, _l_then_l_inverse),
+    }
+    if args.action in tables:
+        header, degrees, kind, operator = tables[args.action]
+        out = operator(kind.from_dict(values, qv), qv)
+        print(f"{header},value")
+        for n in degrees:
             print(f"{n},{_fmt(out.value(n))}")
         return 0
     f = gs.GFunction.from_dict(values, qv)
-    if args.action == "ct":
-        ct = gs.ct_B(f, qv)
-        print("d,value")
-        for d in range(-window, window + 1):
-            print(f"{d},{_fmt(ct.value(d))}")
-        return 0
-    if args.action == "L":
-        lf = gs.op_L(f, qv)
-        print("n,value")
-        for n in range(0, window + 1):
-            print(f"{n},{_fmt(lf.value(n))}")
-        return 0
-    if args.action == "Linv":
-        lf = gs.op_L(f, qv)
-        back = gs.op_L_inverse(lf, qv)
-        print("n,value")
-        for n in range(0, window + 1):
-            print(f"{n},{_fmt(back.value(n))}")
-        return 0
     if args.action == "roundtrip":
-        lf = gs.op_L(f, qv)
-        back = gs.op_L_inverse(lf, qv)
+        back = _l_then_l_inverse(f, qv)
         ok = all(back.value(n) == f.value(n) for n in range(0, window + 1))
         print(f"roundtrip,{_pf(ok)}")
         return 0 if ok else 1
-    if args.action == "B":
-        if not args.input2:
-            raise UsageError("the form needs --input2")
-        values2 = _degree_values(args.input2, qv)
-        f2 = gs.GFunction.from_dict(values2, qv)
-        print(f"B,{_fmt(gs.form_B(f, f2, qv))}")
-        return 0
-    raise UsageError(f"unknown global action {args.action!r}")
+    f2 = gs.GFunction.from_dict(_degree_values(args.input2, "--input2", qv), qv)
+    print(f"B,{_fmt(gs.form_B(f, f2, qv))}")
+    return 0
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args, _rd) -> int:
     results = acceptance.run_all(emit=print, datum=args.datum)
     return 0 if all(r.passed for r in results) else 1
 
@@ -313,19 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("gk", cmd_gk, help="Gindikin-Karpelevich series table (CSV)")
-    p.add_argument("--datum", required=True, help=f"preset ({', '.join(PRESET_NAMES)}) or JSON config")
-    p.add_argument("--parabolic", help="1-based simple indices of the Levi, comma separated")
-    p.add_argument("--height", type=int, default=6)
-    p.add_argument("--basis", choices=["e", "indicator"], default="indicator")
-    p.add_argument("--q", default="sym", help="'sym', an integer, or p/r")
-
-    p = add("nu", cmd_nu, help="convolution-inverse series table (CSV)")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--parabolic")
-    p.add_argument("--height", type=int, default=6)
-    p.add_argument("--basis", choices=["e", "indicator"], default="indicator")
-    p.add_argument("--q", default="sym", help="'sym', an integer, or p/r")
+    for name, what in (("gk", "Gindikin-Karpelevich series table (CSV)"), ("nu", "convolution-inverse series table (CSV)")):
+        p = add(name, cmd_series, help=what)
+        p.add_argument("--datum", required=True, help=f"preset ({', '.join(PRESET_NAMES)}) or JSON config")
+        p.add_argument("--parabolic", help="1-based simple indices of the Levi, comma separated")
+        p.add_argument("--height", type=int, default=6)
+        p.add_argument("--basis", choices=["e", "indicator"], default="indicator")
+        p.add_argument("--q", default="sym", help="'sym', an integer, or p/r")
 
     p = add("satake-check", cmd_satake_check, help="character-ring identity checks")
     p.add_argument("--datum", required=True)
@@ -379,45 +353,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _datum_hash(args) -> str | None:
-    datum = getattr(args, "datum", None)
-    if datum is None:
-        return None
-    rd = _resolve_datum(datum)
-    blob = json.dumps(rd.config(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _manifest(args, argv, output: str) -> str:
+def _manifest(args, rd, output: str) -> str:
     flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "manifest") and v is not None}
     payload = {
         "artifact_version": __version__,
         "subcommand": args.command,
         "flags": {k: (v if isinstance(v, (int, str, bool)) else str(v)) for k, v in flags.items()},
-        "datum_sha256": _datum_hash(args),
-        "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
+        "datum_sha256": None if rd is None else _sha256(json.dumps(rd.config(), sort_keys=True, separators=(",", ":"))),
+        "output_sha256": _sha256(output),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _run(argv, out: io.StringIO):
+    """Parse argv, load --datum once, run the command with its stdout in out; return (args, exit code, manifest)."""
+    args = build_parser().parse_args(argv)
+    datum = getattr(args, "datum", None)
+    rd = None if datum is None else _resolve_datum(datum)
+    with redirect_stdout(out):
+        code = args.fn(args, rd)
+    return args, code, _manifest(args, rd, out.getvalue())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    buffer = io.StringIO()
+    out = io.StringIO()
     try:
-        with redirect_stdout(buffer):
-            code = args.fn(args)
-    except (UsageError,) as e:
-        sys.stdout.write(buffer.getvalue())
+        args, code, manifest = _run(argv, out)
+    except UsageError as e:
+        sys.stdout.write(out.getvalue())
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # computation errors exit 1 with a diagnostic
-        sys.stdout.write(buffer.getvalue())
+        sys.stdout.write(out.getvalue())
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
-    output = buffer.getvalue()
-    sys.stdout.write(output)
-    manifest = _manifest(args, argv, output)
+    sys.stdout.write(out.getvalue())
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as fh:
             fh.write(manifest + "\n")
@@ -425,14 +399,10 @@ def main(argv=None) -> int:
 
 
 def run_capture(argv) -> tuple[str, str]:
-    """Run a subcommand, returning (stdout, manifest) without touching the filesystem."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        args.fn(args)
-    output = buffer.getvalue()
-    return output, _manifest(args, argv, output)
+    """Run a subcommand, returning (stdout, manifest) without touching the filesystem; errors propagate."""
+    out = io.StringIO()
+    _args, _code, manifest = _run(argv, out)
+    return out.getvalue(), manifest
 
 
 if __name__ == "__main__":

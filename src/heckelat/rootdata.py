@@ -98,7 +98,6 @@ class RootDatum:
         self.cone_rays: dict[tuple, tuple[list, list]] = {}
         self._build_roots()
         self.w0 = self.longest_element(range(self.n_simple))
-        self.two_rho: Vec = tuple(sum(col) for col in zip(*self.positive_coroots)) if self.positive_coroots else (0,) * self.rank
         self.two_rho_check: Covec = tuple(sum(col) for col in zip(*self.positive_roots)) if self.positive_roots else (0,) * self.rank
 
     # -- construction helpers -------------------------------------------
@@ -374,12 +373,10 @@ class ParabolicType:
         idx = sorted(self.indices)
         self.pos_coroots_levi = tuple(a for a in rd.positive_coroots if rd.in_span_of_simples(a, idx))
         self.pos_coroots_unipotent = tuple(a for a in rd.positive_coroots if a not in set(self.pos_coroots_levi))
-        self.coroots_levi = frozenset(self.pos_coroots_levi) | frozenset(tuple(-x for x in a) for a in self.pos_coroots_levi)
         self.pos_roots_levi = tuple(
             chi for chi in rd.positive_roots if all(c == 0 for j, c in enumerate(rd.root_coords[chi]) if j not in self.indices)
         )
         self.roots_levi = frozenset(self.pos_roots_levi) | frozenset(tuple(-x for x in c) for c in self.pos_roots_levi)
-        self.pos_roots_unipotent = tuple(chi for chi in rd.positive_roots if chi not in set(self.pos_roots_levi))
         self.two_rho_check_levi: Covec = (
             tuple(sum(col) for col in zip(*self.pos_roots_levi)) if self.pos_roots_levi else (0,) * rd.rank
         )
@@ -489,8 +486,3 @@ def load_root_datum(config) -> RootDatum:
 def parabolic(rd: RootDatum, indices) -> ParabolicType:
     """Standard parabolic with Levi generated by the given 0-based simple indices."""
     return ParabolicType(rd, indices)
-
-
-def weyl_elements(rd: RootDatum) -> tuple[Matrix, ...]:
-    """The complete list of Weyl elements as integer matrices on the coweight lattice."""
-    return rd.weyl_elements

@@ -118,8 +118,8 @@ def _root_image_wrong_at_s0():
 def _manifest_with_run_counter():
     original, runs = cli._manifest, itertools.count()
 
-    def manifest(args, argv, output):
-        return f"{original(args, argv, output)} run {next(runs)}"
+    def manifest(args, rd, output):
+        return f"{original(args, rd, output)} run {next(runs)}"
 
     return manifest
 

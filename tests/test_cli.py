@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from heckelat import cli
+from heckelat import cli, rootdata
 
 
 def run(argv):
@@ -145,3 +145,61 @@ def test_output_ordering_is_canonical():
     out, _ = run(["gk", "--datum", "A2", "--height", "6"])
     rows = [line.split(",", 1)[0] for line in out.strip().splitlines()[1:]]
     assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize("action", ["lambda", "sym"])
+def test_char_piece_is_1_based(capsys, action):
+    assert cli.main(["char", action, "--datum", "A2", "--piece", "0"]) == 2
+    assert "piece index out of range 1..2" in capsys.readouterr().err
+    assert cli.main(["char", action, "--datum", "A2", "--piece", "-1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["retract", "--datum", "A2", "--coweight=abc,1"],
+    ["retract", "--datum", "A2", "--coweight=1/0,1"],
+    ["gk", "--datum", "A1", "--q", "abc"],
+    ["global-sl2", "ct", "--q", "abc"],
+    ["intertwine", "--datum", "A1", "--input", '[[[0],"x"]]'],
+    ["global-sl2", "B", "--input", "[[0,1]]", "--input2", "notjson"],
+    ["intertwine", "--datum", "A2", "--input", "[[[0],1]]"],
+    ["intertwine", "--datum", "A1", "--input", "[[0,1]]"],
+    ["oracle-mu", "--group", "SL3", "--coweight", "1", "--q", "2"],
+    ["gk", "--datum", "A2", "--parabolic", "3"],
+], ids=[
+    "coweight-abc", "coweight-1/0", "gk-q-abc", "global-q-abc", "intertwine-value-x", "input2-notjson",
+    "intertwine-short-coweight", "intertwine-coweight-not-a-list", "oracle-short-coweight", "parabolic-index-3-of-2",
+])
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    with pytest.raises(cli.UsageError):
+        cli.run_capture(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gk", "--datum", "A1", "--height", "4"],
+    ["intertwine", "--datum", "A1", "--input", "[[[0],1]]"],
+    ["retract", "--datum", "A2", "--coweight=-1,0"],
+    ["weyl-identities", "--datum", "A2"],
+], ids=lambda argv: argv[0])
+def test_a_datum_command_builds_its_root_datum_once(monkeypatch, argv):
+    built = []
+    init = rootdata.RootDatum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rootdata.RootDatum, "__init__", counting_init)
+    cli.run_capture(argv)
+    assert len(built) == 1
+
+
+def test_datum_by_name_from_the_data_directory(monkeypatch, tmp_path):
+    config = json.dumps(rootdata.load_root_datum("B2").config())
+    (tmp_path / "mydatum.json").write_text(config, encoding="utf-8")
+    monkeypatch.setenv("HECKELAT_DATA_DIR", str(tmp_path))
+    out_named, man_named = run(["gk", "--datum", "mydatum", "--height", "4"])
+    out_inline, man_inline = run(["gk", "--datum", config, "--height", "4"])
+    assert out_named == out_inline and "coefficient" in out_named
+    assert json.loads(man_named)["datum_sha256"] == json.loads(man_inline)["datum_sha256"]

@@ -236,14 +236,14 @@ def test_dominant_representative():
 
 def test_weyl_cap_signals_error(monkeypatch):
     from heckelat import rootdata
-    from heckelat.rootdata import RootDatum, WeylEnumerationError, weyl_elements
+    from heckelat.rootdata import RootDatum, WeylEnumerationError
 
     monkeypatch.setattr(rootdata, "WEYL_CAP", 3)
     with pytest.raises(WeylEnumerationError):
         RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
     monkeypatch.undo()
     rd = load_root_datum("B2")
-    assert len(weyl_elements(rd)) == 8
+    assert len(rd.weyl_elements) == 8
 
 
 def test_invert_unit_is_unit():
