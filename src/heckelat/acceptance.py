@@ -301,7 +301,7 @@ def check_global_form(trials=100):
         _require(b12 == rhs, f"trial {t}: form differs from naive(L f1, f2)")
         # a witness that does not read nu_hat: psi solves R psi = CT f1 by back-substitution through mu_hat
         psi = _intertwiner_preimage(gs.ct_B(f1, qv), f1.upper, -f2.upper, qv)
-        witness = gs.naive_pairing(f1, f2, qv) - gs.t_pairing(psi, gs.ct_B_minus(f2, qv), qv, minus=True)
+        witness = gs.naive_pairing(f1, f2, qv) - gs.t_pairing(gs.negate(psi, qv), gs.ct_B(f2, qv), qv)
         _require(b12 == witness, f"trial {t}: form differs from the pairing with the back-substituted R^-1 CT f1")
 
 

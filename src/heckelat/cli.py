@@ -87,13 +87,18 @@ def _pf(flag: bool) -> str:
 
 
 def _resolve_datum(datum: str):
-    """A preset, a <datum>.json in $HECKELAT_DATA_DIR, or an inline JSON config."""
+    """A preset, a <datum>.json in $HECKELAT_DATA_DIR, or an inline JSON config; a UsageError otherwise."""
     data_dir = os.environ.get("HECKELAT_DATA_DIR")
     if datum not in PRESET_NAMES and data_dir:
         candidate = os.path.join(data_dir, f"{datum}.json")
         if os.path.exists(candidate):
             with open(candidate, encoding="utf-8") as fh:
                 return load_root_datum(fh.read())
+    if datum.strip() not in PRESET_NAMES and not datum.lstrip().startswith("{"):
+        raise UsageError(
+            f"--datum must be a preset ({', '.join(PRESET_NAMES)}), "
+            f"a file in $HECKELAT_DATA_DIR or inline JSON, got {datum!r}"
+        )
     return load_root_datum(datum)
 
 
@@ -372,6 +377,9 @@ def _manifest(args, rd, output: str) -> str:
 def _run(argv, out: io.StringIO):
     """Parse argv, load --datum once, run the command with its stdout in out; return (args, exit code, manifest)."""
     args = build_parser().parse_args(argv)
+    for name in ("height", "window"):
+        if getattr(args, name, 0) < 0:
+            raise UsageError(f"--{name} must be nonnegative, got {getattr(args, name)}")
     datum = getattr(args, "datum", None)
     rd = None if datum is None else _resolve_datum(datum)
     with redirect_stdout(out):

@@ -4,6 +4,9 @@ Every formula is parametric in qv, which may be the formal variable of Q(q) or a
 exact rational number. All normalizations follow mes(K) = 1 and
 mes(U(A)/U(F)) = 1; on the projective line this gives mes(O_A) = q, which is the
 source of the extra factor of q in the modulus twists below (see docs/conventions.md).
+
+The opposite parabolic enters only as the degree negation d -> -d (`negate`); every
+torus pairing, the opposite side's included, has one weight and divides by (q-1) once.
 """
 
 from __future__ import annotations
@@ -254,14 +257,7 @@ class TFunction:
     def from_dict(values: dict, qv) -> "TFunction":
         vals = {int(k): v for k, v in values.items() if v != 0}
         zero = _zero_like(qv)
-        if not vals:
-            return TFunction(lambda d: zero, upper=0, lower=0, qv=qv)
-        return TFunction(
-            lambda d: vals.get(d, zero),
-            upper=max(vals),
-            lower=min(vals),
-            qv=qv,
-        )
+        return TFunction(lambda d: vals.get(d, zero), upper=max(vals, default=0), lower=min(vals, default=0), qv=qv)
 
     def value(self, d: int):
         d = int(d)
@@ -275,13 +271,17 @@ class TFunction:
 
 
 class GFunction:
-    """Function on bundle classes (nonnegative degrees), memoized, with an optional certified upper bound."""
+    """Function on bundle classes (nonnegative degrees), memoized, with an optional certified upper bound.
 
-    def __init__(self, fn, upper=None, *, qv):
+    `psc_ct` is an optional pseudo-compactness certificate: the constant term, vanishing below its `lower`.
+    """
+
+    def __init__(self, fn, upper=None, *, qv, psc_ct=None):
         self._fn = fn
         self._memo: dict[int, object] = {}
         self.upper = upper
         self._zero = _zero_like(qv)
+        self.psc_ct = psc_ct
 
     @staticmethod
     def from_dict(values: dict, qv) -> "GFunction":
@@ -353,17 +353,21 @@ def eis_B(phi: TFunction, qv) -> GFunction:
     return GFunction(fn, upper=upper, qv=qv)
 
 
+def negate(phi: TFunction, qv) -> TFunction:
+    """Degree negation d -> phi(-d), the transport between the standard and opposite torus coordinates."""
+    return TFunction(
+        lambda d: phi.value(-d),
+        upper=None if phi.lower is None else -phi.lower,
+        lower=None if phi.upper is None else -phi.upper,
+        qv=qv,
+    )
+
+
 def eis_B_minus(psi: TFunction, qv) -> GFunction:
     """Eisenstein operator for the opposite parabolic: degree negation then eis_B."""
     if psi.upper is None:
         raise GlobalError("opposite Eisenstein sum needs a support bound above")
-    flipped = TFunction(
-        lambda d: psi.value(-d),
-        upper=(-psi.lower if psi.lower is not None else None),
-        lower=-psi.upper,
-        qv=qv,
-    )
-    return eis_B(flipped, qv)
+    return eis_B(negate(psi, qv), qv)
 
 
 def ct_kernel(n: int, d: int, qv):
@@ -388,27 +392,22 @@ def ct_B(f: GFunction, qv) -> TFunction:
 
     For d < 0 the column is c(0, d) f(0) + c(-d, d) f(-d) plus the middle terms
     1 <= n <= -d - 1, where c(n, d) = c(n, -n - 1) does not depend on d: a
-    prefix sum over n.
+    prefix sum over n. c(0, d) does not depend on d < 0 either, so it is read once.
     """
     middle = _running_sum(lambda n: ct_kernel(n, -n - 1, qv), f.value, 1, 1, _zero_like(qv))
+    c0 = ct_kernel(0, -1, qv)
 
     def fn(d):
         if d >= 0:
             return f.value(d)
-        return ct_kernel(0, d, qv) * f.value(0) + middle(-d - 1) + ct_kernel(-d, d, qv) * f.value(-d)
+        return c0 * f.value(0) + middle(-d - 1) + ct_kernel(-d, d, qv) * f.value(-d)
 
     return TFunction(fn, upper=f.upper, lower=None, qv=qv)
 
 
 def ct_B_minus(f: GFunction, qv) -> TFunction:
     """Constant term along the opposite parabolic, stored in its own degree coordinate."""
-    ct = ct_B(f, qv)
-    return TFunction(
-        lambda d: ct.value(-d),
-        upper=None,
-        lower=(-f.upper if f.upper is not None else None),
-        qv=qv,
-    )
+    return negate(ct_B(f, qv), qv)
 
 
 def global_R(psi: TFunction, qv) -> TFunction:
@@ -463,16 +462,15 @@ def naive_pairing(f1: GFunction, f2: GFunction, qv):
 
 
 def t_weight(d: int, qv):
-    """Measure of the degree-d class on the torus side of the standard parabolic."""
-    return qv ** (-2 * d - 1) / (qv - 1)
+    """The monomial q^{-2d-1}: the degree-d torus measure is q^{-2d-1}/(q-1), and t_pairing divides by (q-1) once."""
+    return qv ** (-2 * d - 1)
 
 
-def t_weight_minus(d: int, qv):
-    return qv ** (2 * d - 1) / (qv - 1)
+def t_pairing(phi1: TFunction, phi2: TFunction, qv):
+    """Torus-side pairing sum_d q^{-2d-1} phi1(d) phi2(d) / (q-1), finite when the windows overlap finitely.
 
-
-def t_pairing(phi1: TFunction, phi2: TFunction, qv, minus: bool = False):
-    """Weighted pairing on the torus side; finite when the windows overlap finitely."""
+    The opposite side's weight q^{2d-1}/(q-1) is this one at -d: pair the negated functions instead.
+    """
     uppers = [x for x in (phi1.upper, phi2.upper) if x is not None]
     lowers = [x for x in (phi1.lower, phi2.lower) if x is not None]
     if not uppers or not lowers:
@@ -480,9 +478,8 @@ def t_pairing(phi1: TFunction, phi2: TFunction, qv, minus: bool = False):
     lo, hi = max(lowers), min(uppers)
     acc = _zero_like(qv)
     for d in range(lo, hi + 1):
-        w = t_weight_minus(d, qv) if minus else t_weight(d, qv)
-        acc = acc + w * phi1.value(d) * phi2.value(d)
-    return acc
+        acc = acc + t_weight(d, qv) * phi1.value(d) * phi2.value(d)
+    return acc / (qv - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +498,9 @@ def op_L(f: GFunction, qv) -> GFunction:
     ct = ct_B(f, qv)
     psi = global_R_inverse(ct, qv)
     eis = eis_B_minus(psi, qv)
-
-    def fn(n):
-        return f.value(n) - eis.value(n)
-
-    out = GFunction(fn, upper=None, qv=qv)
-    out.psc_ct = TFunction(
-        lambda d: -psi.value(-d), upper=None, lower=-psi.upper, qv=qv
-    )
-    return out
+    flipped = negate(psi, qv)
+    certificate = TFunction(lambda d: -flipped.value(d), upper=flipped.upper, lower=flipped.lower, qv=qv)
+    return GFunction(lambda n: f.value(n) - eis.value(n), upper=None, qv=qv, psc_ct=certificate)
 
 
 def op_L_inverse(g: GFunction, qv) -> GFunction:
@@ -519,7 +510,7 @@ def op_L_inverse(g: GFunction, qv) -> GFunction:
     support of its constant term); the certificate is verified against the
     honestly computed constant term on the PROBE degrees below the bound.
     """
-    cert = getattr(g, "psc_ct", None)
+    cert = g.psc_ct
     if cert is None or cert.lower is None:
         raise CertificationError("input carries no pseudo-compact support certificate")
     ct = ct_B(g, qv)
@@ -540,8 +531,7 @@ def form_B(f1: GFunction, f2: GFunction, qv):
     if f1.upper is None or f2.upper is None:
         raise GlobalError("the form needs finitely supported inputs")
     psi = global_R_inverse(ct_B(f1, qv), qv)
-    ctm = ct_B_minus(f2, qv)
-    return naive_pairing(f1, f2, qv) - t_pairing(psi, ctm, qv, minus=True)
+    return naive_pairing(f1, f2, qv) - t_pairing(negate(psi, qv), ct_B(f2, qv), qv)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +543,7 @@ def verify_functional_equation(qv, d_range=range(-6, 7), e_range=range(-4, 5)) -
     for e in e_range:
         phi = TFunction.from_dict({e: _one_like(qv)}, qv)
         lhs = ct_B(eis_B(phi, qv), qv)
-        flipped = TFunction(lambda d, e=e: phi.value(-d), upper=-e, lower=-e, qv=qv)
-        rw = global_R(flipped, qv)
+        rw = global_R(negate(phi, qv), qv)
         for d in d_range:
             rhs = phi.value(d) + rw.value(d)
             if lhs.value(d) != rhs:

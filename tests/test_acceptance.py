@@ -198,6 +198,10 @@ MUTANTS = [
         _changed_at(globalsl2.t_weight, lambda d: True, lambda w, qv: qv * w), id="9a-t-weight-times-q",
     ),
     pytest.param(
+        acceptance.check_global_adjunction, (5,), globalsl2, "negate",
+        _source_mutant(globalsl2.negate, "phi.value(-d)", "phi.value(d)"), id="9a-negate-keeps-the-degree",
+    ),
+    pytest.param(
         acceptance.check_global_roundtrip, (), globalsl2, "nu_hat",
         _changed_at(globalsl2.nu_hat, lambda m: m == 1, lambda c, qv: c + 1), id="9b-nu-hat-1-plus-1",
     ),

@@ -165,9 +165,17 @@ def test_char_piece_is_1_based(capsys, action):
     ["intertwine", "--datum", "A1", "--input", "[[0,1]]"],
     ["oracle-mu", "--group", "SL3", "--coweight", "1", "--q", "2"],
     ["gk", "--datum", "A2", "--parabolic", "3"],
+    ["gk", "--datum", "A1", "--height", "-3"],
+    ["nu", "--datum", "A1", "--height", "-1"],
+    ["satake-check", "--datum", "A1", "--height", "-1"],
+    ["char", "lambda", "--datum", "A2", "--height", "-1"],
+    ["intertwine", "--datum", "A1", "--input", "[[[0],1]]", "--height", "-1"],
+    ["global-sl2", "L", "--window", "-2"],
 ], ids=[
     "coweight-abc", "coweight-1/0", "gk-q-abc", "global-q-abc", "intertwine-value-x", "input2-notjson",
     "intertwine-short-coweight", "intertwine-coweight-not-a-list", "oracle-short-coweight", "parabolic-index-3-of-2",
+    "gk-height-negative", "nu-height-negative", "satake-height-negative", "char-height-negative",
+    "intertwine-height-negative", "global-window-negative",
 ])
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert cli.main(argv) == 2
@@ -193,6 +201,18 @@ def test_a_datum_command_builds_its_root_datum_once(monkeypatch, argv):
     monkeypatch.setattr(rootdata.RootDatum, "__init__", counting_init)
     cli.run_capture(argv)
     assert len(built) == 1
+
+
+def test_an_unknown_datum_name_is_a_usage_error_that_lists_the_presets(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("HECKELAT_DATA_DIR", str(tmp_path))
+    assert cli.main(["gk", "--datum", "A9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and all(name in err for name in rootdata.PRESET_NAMES)
+    with pytest.raises(cli.UsageError):
+        run(["verify-all", "--datum", "A9"])
+    # malformed inline JSON is still reported by the datum loader
+    assert cli.main(["gk", "--datum", "{not json"]) == 1
+    assert '"RootDatumError"' in capsys.readouterr().err
 
 
 def test_datum_by_name_from_the_data_directory(monkeypatch, tmp_path):

@@ -170,8 +170,9 @@ def test_L_inverse_requires_certificate():
 
 def test_L_inverse_rejects_false_certificate():
     qv = Q
-    f = gs.GFunction.from_dict({0: ONE, 1: ONE}, qv)
-    f.psc_ct = gs.TFunction(lambda d: ZERO, upper=None, lower=0, qv=qv)
+    plain = gs.GFunction.from_dict({0: ONE, 1: ONE}, qv)
+    false_certificate = gs.TFunction(lambda d: ZERO, upper=None, lower=0, qv=qv)
+    f = gs.GFunction(plain.value, upper=plain.upper, qv=qv, psc_ct=false_certificate)
     with pytest.raises(gs.CertificationError):
         gs.op_L_inverse(f, qv)
 
@@ -212,7 +213,24 @@ def test_form_sign_structure():
     correction = naive - gs.form_B(f, f, qv)
     psi = gs.global_R_inverse(gs.ct_B(f, qv), qv)
     ctm = gs.ct_B_minus(f, qv)
-    assert correction == gs.t_pairing(psi, ctm, qv, minus=True)
+    # the opposite-side pairing, with its own weight q^{2d-1}/(q-1), written out
+    opposite = sum(
+        (Q ** (2 * d - 1) / (Q - 1) * psi.value(d) * ctm.value(d) for d in range(ctm.lower, psi.upper + 1)),
+        ZERO,
+    )
+    assert correction == opposite != ZERO
+
+
+def test_negate_swaps_and_negates_the_bounds():
+    qv = Q
+    both = gs.TFunction.from_dict({-2: ONE, 3: 2 * ONE}, qv)
+    flipped = gs.negate(both, qv)
+    assert (flipped.upper, flipped.lower) == (2, -3)
+    assert [flipped.value(d) for d in (-3, 2, 3)] == [2 * ONE, ONE, ZERO]
+    above = gs.negate(gs.TFunction(lambda d: ONE, upper=4, lower=None, qv=qv), qv)
+    assert (above.upper, above.lower) == (None, -4)
+    below = gs.negate(gs.TFunction(lambda d: ONE, upper=None, lower=-1, qv=qv), qv)
+    assert (below.upper, below.lower) == (1, None)
 
 
 def test_naive_pairing_examples():
