@@ -251,6 +251,8 @@ def _l_then_l_inverse(f, qv):
 
 def cmd_global(args, _rd) -> int:
     qv = _parse_q(args.q)
+    if args.q != "sym" and qv * (qv - 1) * (qv + 1) == 0:
+        raise UsageError(f"--q must not be 0, 1 or -1 (the global model divides by q(q - 1)(q + 1)), got {args.q!r}")
     if args.explain_conventions:
         print(gs.CONVENTIONS)
         return 0

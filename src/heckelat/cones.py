@@ -11,8 +11,8 @@ section of dimension d. A feasible candidate is tight on d - 1 independent
 constraints, so it spans a one-dimensional face of the pointed section and is
 extreme; no extremality filter is needed. The certificates keep coroots, roots
 and rays as int vectors, so their Weyl actions and pairings stay in Z, and
-they read the double description through `datum_rays`, once per datum and
-constraint tuple.
+they read the double description through `dual_generators`, one generating
+set per datum and vector tuple.
 """
 
 from __future__ import annotations
@@ -138,19 +138,20 @@ def rays_from_inequalities(constraints, dim: int):
     return lin, sorted(out)
 
 
-def datum_rays(rd: RootDatum, constraints):
-    """rays_from_inequalities(constraints, rd.rank) as fresh lists, computed once per datum and constraint tuple.
+def dual_generators(rd: RootDatum, vectors) -> tuple:
+    """Generators of the cone {y : <v, y> >= 0 for every v}: its extreme rays, then its lineality basis, then that basis negated.
 
-    The memo is `rd.cone_rays`, so it lives as long as the datum: a freshly
-    loaded datum starts cold. Equal constraints given as lists or tuples share
-    one entry.
+    Computed once per datum and vector tuple: the memo is `rd.cone_rays`, keyed
+    on the vectors' values (a list and a tuple of equal vectors share one
+    entry), so it lives as long as the datum and a freshly loaded datum starts
+    cold.
     """
-    key = tuple(tuple(c) for c in constraints)
-    hit = rd.cone_rays.get(key)
-    if hit is None:
-        hit = rd.cone_rays[key] = rays_from_inequalities(key, rd.rank)
-    lin, rays = hit
-    return list(lin), list(rays)
+    key = tuple(map(tuple, vectors))
+    gens = rd.cone_rays.get(key)
+    if gens is None:
+        lin, rays = rays_from_inequalities(key, rd.rank)
+        gens = rd.cone_rays[key] = (*rays, *lin, *map(vneg, lin))
+    return gens
 
 
 def _distinct_directions(vectors) -> list[tuple[int, ...]]:
@@ -241,21 +242,14 @@ class SupportShape:
         return any(in_cone(gens, tuple(x - y for x, y in zip(lam, b))) for b in self.base)
 
 
-def dominant_weight_rays(rd: RootDatum):
-    """(lineality, rays) of the rational dominant-weight cone."""
-    return datum_rays(rd, rd.simple_coroots)
-
-
 def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
     """True iff every dominant weight is bounded above on the shape.
 
-    By linearity it suffices that every extreme ray of the dominant-weight cone
+    By linearity it suffices that every generator of the dominant-weight cone
     is nonpositive on the shape's cone (the base is finite by construction).
     """
-    lin, rays = dominant_weight_rays(rd)
-    tests = list(rays) + list(lin) + [vneg(l) for l in lin]
     gens = cone_generators(rd, shape.cone)
-    return all(dot(chi, g) <= 0 for chi in tests for g in gens)
+    return all(dot(chi, g) <= 0 for chi in dual_generators(rd, rd.simple_coroots) for g in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -267,42 +261,27 @@ def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
     if rd.rank > RANK_CAP:
         raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
     pos_u = par.pos_coroots_unipotent
-    # the dual cone's lineality and extreme rays are the equalities and inequalities cutting out pos_G
-    eqs, ineqs = datum_rays(rd, rd.positive_coroots)
-    all_cons = []
-    for w in sorted(par.weyl_levi):
-        for e in eqs:
-            we = rd.act_on_weight(w, e)
-            all_cons.append(we)
-            all_cons.append(vneg(we))
-        for c in ineqs:
-            all_cons.append(rd.act_on_weight(w, c))
+    # the generators of pos_G's dual cone are the inequalities cutting out pos_G
+    dual_pos_g = dual_generators(rd, rd.positive_coroots)
+    all_cons = [rd.act_on_weight(w, c) for w in sorted(par.weyl_levi) for c in dual_pos_g]
     # inclusion pos_U subseteq intersection: every generator satisfies every constraint
     for g in pos_u:
         if any(dot(c, g) < 0 for c in all_cons):
             return False
-    # inclusion intersection subseteq pos_U: every extreme ray is a nonneg combination
-    lin, rays = datum_rays(rd, all_cons)
-    for v in rays + lin + [vneg(l) for l in lin]:
-        if not in_cone(pos_u, v):
-            return False
-    return True
+    # inclusion intersection subseteq pos_U: every generator is a nonneg combination
+    return all(in_cone(pos_u, v) for v in dual_generators(rd, all_cons))
 
 
 def check_pos_U_consequent(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that pos_U meets -dom_M in the same cone as pos_G does."""
-    neg_dom = [vneg(rd.simple_roots[j]) for j in sorted(par.indices)]
+    neg_dom = tuple(vneg(rd.simple_roots[j]) for j in sorted(par.indices))
 
     def side(gens):
-        eqs, ineqs = datum_rays(rd, gens)
-        cons = ineqs + eqs + [vneg(e) for e in eqs] + neg_dom
-        lin, rays = datum_rays(rd, cons)
-        return lin, rays, cons
+        cons = dual_generators(rd, gens) + neg_dom
+        return cons, dual_generators(rd, cons)
 
-    lin1, rays1, cons1 = side(par.pos_coroots_unipotent)
-    lin2, rays2, cons2 = side(rd.positive_coroots)
-    pts1 = rays1 + lin1 + [vneg(l) for l in lin1]
-    pts2 = rays2 + lin2 + [vneg(l) for l in lin2]
+    cons1, pts1 = side(par.pos_coroots_unipotent)
+    cons2, pts2 = side(rd.positive_coroots)
     return all(all(dot(c, v) >= 0 for c in cons2) for v in pts1) and all(
         all(dot(c, v) >= 0 for c in cons1) for v in pts2
     )
@@ -313,18 +292,16 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
     if rd.rank > RANK_CAP:
         raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
     gens_u = par.pos_coroots_unipotent
-    lin_c, rays_c = dominant_weight_rays(rd)
-    chamber_pts = rays_c + lin_c + [vneg(l) for l in lin_c]
+    chamber = dual_generators(rd, rd.simple_coroots)
     w_levi = sorted(par.weyl_levi)
     # (i) every W_M-translate of the dominant cone pairs >= 0 with pos_U
     for w in w_levi:
-        for v in chamber_pts:
+        for v in chamber:
             wv = rd.act_on_weight(w, v)
             if any(dot(wv, g) < 0 for g in gens_u):
                 return False
-    # (ii) every extreme ray of the dual cone lies in some W_M-translate of the dominant cone
-    lin_d, rays_d = datum_rays(rd, gens_u)
-    for v in rays_d + lin_d + [vneg(l) for l in lin_d]:
+    # (ii) every generator of the dual cone lies in some W_M-translate of the dominant cone
+    for v in dual_generators(rd, gens_u):
         if not any(
             all(pair(rd.act_on_weight(w, v), a) >= 0 for a in rd.simple_coroots)
             for w in w_levi
@@ -334,10 +311,9 @@ def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
     for i in range(rd.n_simple):
         if i in par.indices:
             continue  # glued to the neighboring chamber w s_i inside W_M
-        lin_w, rays_w = datum_rays(rd, rd.simple_coroots + (vneg(rd.simple_coroots[i]),))
-        wall_pts = rays_w + lin_w + [vneg(l) for l in lin_w]
+        wall = dual_generators(rd, rd.simple_coroots + (vneg(rd.simple_coroots[i]),))
         for w in w_levi:
-            translated = [rd.act_on_weight(w, v) for v in wall_pts]
+            translated = [rd.act_on_weight(w, v) for v in wall]
             if not any(all(dot(tv, g) == 0 for tv in translated) for g in gens_u):
                 return False
     return True

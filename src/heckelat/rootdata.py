@@ -94,8 +94,8 @@ class RootDatum:
         # filled on first use of each Weyl element: the columns of w^-1, and w's permutation of the roots
         self._inverse_columns: dict[Matrix, Matrix] = {}
         self._root_images: dict[Matrix, dict[Covec, Covec]] = {}
-        # cones.datum_rays: (lineality, rays) per constraint tuple, for as long as the datum lives
-        self.cone_rays: dict[tuple, tuple[list, list]] = {}
+        # cones.dual_generators: the dual cone's generators per vector tuple, for as long as the datum lives
+        self.cone_rays: dict[tuple, tuple[Covec, ...]] = {}
         self._build_roots()
         self.w0 = self.longest_element(range(self.n_simple))
         self.two_rho_check: Covec = tuple(sum(col) for col in zip(*self.positive_roots)) if self.positive_roots else (0,) * self.rank

@@ -57,34 +57,21 @@ def w_bullet_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list
     return out
 
 
-def double_cosets(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list[frozenset]:
-    """The double cosets W_{M'} w W_M, enumerated directly."""
-    left = sorted(par2.weyl_levi)
-    right = sorted(par.weyl_levi)
-    remaining = set(rd.weyl_elements)
-    cosets = []
-    while remaining:
-        w = min(remaining)
-        coset = set()
-        for a in left:
-            aw = mat_mul(a, w)
-            for b in right:
-                coset.add(mat_mul(aw, b))
-        cosets.append(frozenset(coset))
-        remaining -= coset
-    return cosets
+def double_coset(rd: RootDatum, par: ParabolicType, par2: ParabolicType, w: Matrix) -> frozenset:
+    """The double coset W_{M'} w W_M, enumerated directly."""
+    right = [mat_mul(w, b) for b in par.weyl_levi]
+    return frozenset(mat_mul(a, wb) for a in par2.weyl_levi for wb in right)
 
 
 def check_w_bullet_transversal(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> bool:
-    """The bullet set hits every (W_{M'}, W_M) double coset exactly once."""
-    bullets = w_bullet_set(rd, par, par2)
-    cosets = double_cosets(rd, par, par2)
-    if len(bullets) != len(cosets):
-        return False
-    for coset in cosets:
-        if sum(1 for w in bullets if w in coset) != 1:
+    """The bullets' (W_{M'}, W_M) double cosets are pairwise disjoint and cover W: each is hit exactly once."""
+    covered = set()
+    for w in w_bullet_set(rd, par, par2):
+        coset = double_coset(rd, par, par2, w)
+        if not covered.isdisjoint(coset):
             return False
-    return True
+        covered |= coset
+    return covered == set(rd.weyl_elements)
 
 
 @dataclass

@@ -173,6 +173,11 @@ MUTANTS = [
         id="5-extreme-ray-test-strict",
     ),
     pytest.param(
+        acceptance.check_cone_certificates, (("GL2",),), cones, "dual_generators",
+        _source_mutant(cones.dual_generators, "*lin, *map(vneg, lin))", "*lin)"),
+        id="5-lineality-one-sign",
+    ),
+    pytest.param(
         acceptance.check_weyl_identities, (("A2",),), weylids, "parabolic_sign", _flip_sign_at([0]),
         id="8-parabolic-sign-flipped-at-J0",
     ),

@@ -171,11 +171,14 @@ def test_char_piece_is_1_based(capsys, action):
     ["char", "lambda", "--datum", "A2", "--height", "-1"],
     ["intertwine", "--datum", "A1", "--input", "[[[0],1]]", "--height", "-1"],
     ["global-sl2", "L", "--window", "-2"],
+    ["global-sl2", "L", "--input", "[[0,1]]", "--q", "1"],
+    ["global-sl2", "L", "--input", "[[0,1]]", "--q", "0"],
+    ["global-sl2", "B", "--input", "[[0,1]]", "--input2", "[[0,1]]", "--q=-1"],
 ], ids=[
     "coweight-abc", "coweight-1/0", "gk-q-abc", "global-q-abc", "intertwine-value-x", "input2-notjson",
     "intertwine-short-coweight", "intertwine-coweight-not-a-list", "oracle-short-coweight", "parabolic-index-3-of-2",
     "gk-height-negative", "nu-height-negative", "satake-height-negative", "char-height-negative",
-    "intertwine-height-negative", "global-window-negative",
+    "intertwine-height-negative", "global-window-negative", "global-q-1", "global-q-0", "global-q-minus-1",
 ])
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert cli.main(argv) == 2

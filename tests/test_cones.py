@@ -163,26 +163,25 @@ def _counted_rays(monkeypatch):
     return calls
 
 
-def test_datum_rays_returns_fresh_lists():
-    rd = load_root_datum("B2")
-    lin, rays = cones.datum_rays(rd, rd.positive_coroots)
-    expected = cones.rays_from_inequalities(rd.positive_coroots, rd.rank)
-    assert (lin, rays) == expected
-    lin.append((9, 9))
-    rays.clear()
-    assert cones.datum_rays(rd, rd.positive_coroots) == expected
-    lin, rays = cones.dominant_weight_rays(rd)
-    rays.append((9, 9))
-    assert cones.dominant_weight_rays(rd) == cones.rays_from_inequalities(rd.simple_coroots, rd.rank)
+@pytest.mark.parametrize("name, vectors", [
+    ("B2", "positive_coroots"),
+    ("B2", "simple_coroots"),
+    ("GL2", "positive_coroots"),
+])
+def test_dual_generators_are_rays_then_lineality_with_both_signs(name, vectors):
+    rd = load_root_datum(name)
+    lin, rays = cones.rays_from_inequalities(getattr(rd, vectors), rd.rank)
+    expected = tuple(rays) + tuple(lin) + tuple(map(linalg.vneg, lin))
+    assert cones.dual_generators(rd, getattr(rd, vectors)) == expected
 
 
-def test_datum_rays_keys_on_constraint_values(monkeypatch):
+def test_dual_generators_keys_on_vector_values(monkeypatch):
     calls = _counted_rays(monkeypatch)
     rd = load_root_datum("A2")
-    as_tuple = cones.datum_rays(rd, ((1, 0), (0, 1), (1, 1)))
-    as_list = cones.datum_rays(rd, [[1, 0], [0, 1], [1, 1]])
+    as_tuple = cones.dual_generators(rd, ((1, 0), (0, 1), (1, 1)))
+    as_list = cones.dual_generators(rd, [[1, 0], [0, 1], [1, 1]])
     assert as_tuple == as_list and len(calls) == 1
-    cones.datum_rays(rd, [[0, 1], [1, 0], [1, 1]])
+    cones.dual_generators(rd, [[0, 1], [1, 0], [1, 1]])
     assert len(calls) == 2
 
 

@@ -66,8 +66,25 @@ def test_w_bullet_transversal_b2():
     rd = load_root_datum("B2")
     p1, p2 = parabolic(rd, [0]), parabolic(rd, [1])
     bullets = wi.w_bullet_set(rd, p1, p2)
-    assert len(bullets) == len(wi.double_cosets(rd, p1, p2))
+    assert len(bullets) == len({wi.double_coset(rd, p1, p2, w) for w in rd.weyl_elements})
     assert wi.check_w_bullet_transversal(rd, p1, p2)
+
+
+def test_transversal_fails_when_a_bullet_is_dropped(monkeypatch):
+    rd = load_root_datum("B2")
+    p1, p2 = parabolic(rd, [0]), parabolic(rd, [1])
+    bullets = wi.w_bullet_set(rd, p1, p2)
+    monkeypatch.setattr(wi, "w_bullet_set", lambda rd, par, par2: bullets[1:])
+    assert not wi.check_w_bullet_transversal(rd, p1, p2)
+
+
+def test_transversal_fails_when_a_covered_coset_gains_a_bullet(monkeypatch):
+    rd = load_root_datum("B2")
+    p1, p2 = parabolic(rd, [0]), parabolic(rd, [1])
+    bullets = wi.w_bullet_set(rd, p1, p2)
+    extra = next(w for w in wi.double_coset(rd, p1, p2, bullets[0]) if w != bullets[0])
+    monkeypatch.setattr(wi, "w_bullet_set", lambda rd, par, par2: [*bullets, extra])
+    assert not wi.check_w_bullet_transversal(rd, p1, p2)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "GL2"])
