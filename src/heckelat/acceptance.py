@@ -105,8 +105,9 @@ def _require_ball_fibres(group, q, depth, table, dim_u):
         _require(all(max(lam) <= depth for lam in hist), f"SL2 q={q} D={depth}: fibres outside the ball {sorted(hist)}")
 
 
-@_timed("2. Convolution inversion: gk * nu = unit to height 10 (A1 A2 B2 G2 A3; J empty and maximal)")
+@_timed("2. Convolution inversion: gk * nu = unit to height 10 and nu = gk^-1 (A1 A2 B2 G2 A3; J empty and maximal)")
 def check_inversion(datums=("A1", "A2", "B2", "G2", "A3")):
+    # the Neumann inversion of mu is the witness for nu's rank-one recurrences
     for name in datums:
         rd = load_root_datum(name)
         subsets = [[]] + [list(t) for t in _maximal_subsets(rd)]
@@ -117,6 +118,7 @@ def check_inversion(datums=("A1", "A2", "B2", "G2", "A3")):
             unit = hecke.GradedSeries.unit(rd, par, 10)
             _require(hecke.convolve(mu, nu_s) == unit, f"{name} J={J}: mu*nu != unit")
             _require(hecke.convolve(nu_s, mu) == unit, f"{name} J={J}: nu*mu != unit")
+            _require(nu_s == hecke.nu(rd, par, 10), f"{name} J={J}: mu.invert() != nu")
 
 
 @_timed("3. Inverse series has constant term 1 for every preset datum and parabolic")

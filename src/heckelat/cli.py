@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -191,15 +192,14 @@ def cmd_intertwine(args, rd) -> int:
     values = {_coweight(k, rd.rank, _integer): as_ratfunc(_rational(v, "value")) for k, v in data}
     window = cones.SupportShape.make(list(values) or [(0,) * rd.rank], cones.neg_pos_U(par.indices))
     phi = iw.SphericalFunction(rd, par, values, window, check_window=False)
-    mu = hecke.gk_mu(rd, par, args.height)
-    series = mu.invert() if args.inverse else mu
+    build, other_build = (hecke.nu, hecke.gk_mu) if args.inverse else (hecke.gk_mu, hecke.nu)
     apply_op = iw.apply_R_inverse_K if args.inverse else iw.apply_R_K
-    out = apply_op(rd, par, series, phi)
+    out = apply_op(rd, par, build(rd, par, args.height), phi)
     print("coweight,value")
     for lam in sorted(out.values):
         print(f'"{_coweight_str(lam)}",{_fmt(out.values[lam])}')
     if args.roundtrip:
-        other = mu if args.inverse else mu.invert()
+        other = other_build(rd, par, args.height)
         back_op = iw.apply_R_K if args.inverse else iw.apply_R_inverse_K
         back = back_op(rd, par, other, out, out_points=sorted(phi.values))
         ok = all(back.value(p) == phi.value(p) for p in phi.values)
@@ -360,6 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
+    return build_parser()
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -378,7 +384,7 @@ def _manifest(args, rd, output: str) -> str:
 
 def _run(argv, out: io.StringIO):
     """Parse argv, load --datum once, run the command with its stdout in out; return (args, exit code, manifest)."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     for name in ("height", "window"):
         if getattr(args, name, 0) < 0:
             raise UsageError(f"--{name} must be nonnegative, got {getattr(args, name)}")

@@ -131,42 +131,37 @@ class GradedSeries:
         return convolve(self, other)
 
     def invert(self) -> "GradedSeries":
-        """Graded Neumann inversion; requires an invertible constant term."""
+        """Graded Neumann inversion in push form; requires an invertible constant term.
+
+        inv(0) = 1/c0 and inv(lam) = -(sum over nonzero mu of c(mu) inv(lam - mu))/c0. Heights add, so the
+        points are settled one height bucket at a time: a settled inv(p) at height t is pushed, as
+        c(mu) inv(p), to p + mu in bucket t + height(mu) for every mu with t + height(mu) <= height. The
+        constructor's cone check puts every nonzero support point at height >= 1, so each push lands in a
+        later bucket, and no point outside the result is visited.
+        """
         c0 = self.constant_term()
         if c0.is_zero():
             raise HeckeError("series has zero constant term; not a unit")
         zero = (0,) * self.rd.rank
-        pos = {k: v for k, v in self.coeffs.items() if k != zero}
-        points = _monoid_points(list(pos) or [zero], self.height, self.par.height)
-        inv = {zero: ONE / c0}
-        for lam in points:
-            if lam == zero:
-                continue
-            acc = ZERO
-            for mu, cmu in pos.items():
-                rest = tuple(a - b for a, b in zip(lam, mu))
-                prev = inv.get(rest)
-                if prev is not None:
-                    acc = acc + cmu * prev
-            inv[lam] = -acc / c0
+        h = self.height
+        steps = sorted((self.par.height(mu), mu, c) for mu, c in self.coeffs.items() if mu != zero)
+        buckets: list[dict[Vec, RatFunc]] = [{} for _ in range(h + 1)]
+        buckets[0][zero] = -ONE  # so that the rule below settles inv(0) = 1/c0
+        inv = {}
+        for t, bucket in enumerate(buckets):
+            for p, acc in bucket.items():
+                value = -acc / c0
+                if value.is_zero():
+                    continue
+                inv[p] = value
+                for hmu, mu, cmu in steps:
+                    if t + hmu > h:
+                        break
+                    target = buckets[t + hmu]
+                    key = tuple(x + y for x, y in zip(p, mu))
+                    prev = target.get(key)
+                    target[key] = cmu * value if prev is None else prev + cmu * value
         return GradedSeries(self.rd, self.par, self.height, inv, self.basis)
-
-
-def _monoid_points(generators, height_bound, height_fn) -> list:
-    """All sums of the generators with height <= bound, sorted by (height, point)."""
-    zero = tuple(0 for _ in generators[0])
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in generators:
-                q = tuple(a + b for a, b in zip(p, g))
-                if q not in seen and height_fn(q) <= height_bound:
-                    seen.add(q)
-                    new.append(q)
-        frontier = new
-    return sorted(seen, key=lambda v: (height_fn(v), v))
 
 
 def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
@@ -192,19 +187,35 @@ def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
     return GradedSeries(s1.rd, s1.par, h, out, s1.basis)
 
 
-def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
-    """The Gindikin-Karpelevich series: product over non-Levi positive coroots of (1 - q^{-1} e^a)/(1 - e^a)."""
-    zero = (0,) * rd.rank
-    out = GradedSeries.unit(rd, par, height)
-    one_minus_qinv = ONE - q_pow(-1)
+def _rank_one_product(rd: RootDatum, par: ParabolicType, height: int, c: RatFunc, inverse: bool) -> GradedSeries:
+    """The product over non-Levi positive coroots a of (1 - t e^a)/(1 - s e^a): (t, s) = (c, 1), or (1, c) if inverse.
+
+    Each factor is a one-term recurrence along a: g = f (1 - t e^a)/(1 - s e^a) has
+    g(p) = f(p) - t f(p - a) + s g(p - a), a running sum pushed up each a-string from its
+    lowest point in the support of f to the height bound. The points of f are taken in
+    height order, so a string is walked once, from that lowest point.
+    """
+    t, s = (ONE, c) if inverse else (c, ONE)
+    terms = {(0,) * rd.rank: ONE}
     for a in par.pos_coroots_unipotent:
         ha = par.height(a)
-        factor = {zero: ONE}
-        n = 1
-        while n * ha <= height:
-            factor[tuple(n * x for x in a)] = one_minus_qinv
-            n += 1
-        out = convolve(out, GradedSeries(rd, par, height, factor))
+        out: dict[Vec, RatFunc] = {}
+        for hp, p in sorted((par.height(p), p) for p in terms):
+            if p in out:
+                continue
+            f_prev = g = ZERO
+            while hp <= height:
+                f = terms.get(p, ZERO)
+                out[p] = g = f - t * f_prev + s * g
+                f_prev = f
+                p, hp = tuple(x + y for x, y in zip(p, a)), hp + ha
+        terms = out
+    return GradedSeries(rd, par, height, terms)
+
+
+def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
+    """The Gindikin-Karpelevich series: product over non-Levi positive coroots of (1 - q^{-1} e^a)/(1 - e^a)."""
+    out = _rank_one_product(rd, par, height, q_pow(-1), inverse=False)
     if not out.constant_term().is_one():
         raise HeckeError("GK series must have constant term 1")
     if not par.is_levi_invariant(out.coeffs):
@@ -213,8 +224,9 @@ def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
 
 
 def nu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
-    """Convolution inverse of the Gindikin-Karpelevich series; constant term is asserted to be 1."""
-    out = gk_mu(rd, par, height).invert()
+    """Convolution inverse of the Gindikin-Karpelevich series: the product of the reciprocal factors
+    (1 - e^a)/(1 - q^{-1} e^a); its constant term is checked to be 1."""
+    out = _rank_one_product(rd, par, height, q_pow(-1), inverse=True)
     if not out.constant_term().is_one():
         raise HeckeError("inverse series must have constant term 1")
     return out

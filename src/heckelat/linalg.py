@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 QVec = tuple[Fraction, ...]
 QMat = tuple[QVec, ...]
@@ -23,7 +24,7 @@ def fvec(v) -> QVec:
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):

@@ -156,8 +156,15 @@ MUTANTS = [
     ),
     pytest.param(
         acceptance.check_inversion, (("A1", "A2"),), hecke.GradedSeries, "invert",
-        _source_mutant(hecke.GradedSeries.invert, "inv[lam] = -acc / c0", "inv[lam] = acc / c0"),
+        _source_mutant(hecke.GradedSeries.invert, "value = -acc / c0", "value = acc / c0"),
         id="2-invert-drops-the-minus-sign",
+    ),
+    pytest.param(  # nu's product leaves out its first coroot, so it is no longer mu.invert()
+        acceptance.check_inversion, (("A1", "A2"),), hecke, "_rank_one_product",
+        _source_mutant(
+            hecke._rank_one_product, "for a in par.pos_coroots_unipotent:", "for a in par.pos_coroots_unipotent[inverse:]:"
+        ),
+        id="2-rank-one-product-skips-a-coroot",
     ),
     pytest.param(
         acceptance.check_nu_constant_term, (("A1", "B2"),), hecke, "nu", _nu_with_constant_term_two(),

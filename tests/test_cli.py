@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +230,40 @@ def test_datum_by_name_from_the_data_directory(monkeypatch, tmp_path):
     out_inline, man_inline = run(["gk", "--datum", config, "--height", "4"])
     assert out_named == out_inline and "coefficient" in out_named
     assert json.loads(man_named)["datum_sha256"] == json.loads(man_inline)["datum_sha256"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_process(argv, tmp_path):
+    """(exit code, stdout, stderr, manifest or None) of `python -m heckelat.cli` in a new process."""
+    manifest = tmp_path / "manifest.json"
+    manifest.unlink(missing_ok=True)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckelat.cli", "--manifest", str(manifest), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, manifest.read_text() if manifest.exists() else None
+
+
+def test_one_parser_serves_a_sequence_of_commands_as_fresh_processes_do(capsys, tmp_path):
+    runs = [
+        ["gk", "--datum", "B2", "--height", "6"],
+        ["intertwine", "--datum", "A2", "--parabolic", "1", "--input", "[[[0,0],1],[[-1,0],2]]", "--roundtrip"],
+        ["gk", "--datum", "A1", "--basis", "x"],
+        ["nu", "--datum", "A1", "--height", "-1"],
+        ["nu", "--datum", "A2", "--height", "6", "--q", "3/2"],
+    ]
+    for argv in runs:
+        code, stdout, stderr, manifest = _fresh_process(argv, tmp_path)
+        try:
+            out, man = cli.run_capture(argv)
+        except cli.UsageError as e:
+            assert (code, stdout, stderr, manifest) == (2, "", f"usage error: {e}\n", None)
+        except SystemExit as e:  # argparse's own usage errors
+            assert (code, e.code, stdout, manifest) == (2, 2, "", None)
+            assert capsys.readouterr().err == stderr
+        else:
+            assert (code, stdout, manifest) == (0, out, man + "\n")
+    assert cli._parser.cache_info().currsize == 1

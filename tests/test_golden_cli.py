@@ -1,7 +1,8 @@
 """Byte-for-byte gate on command output: the SHA-256 of the stdout and of the manifest of a fixed list of commands.
 
 The list covers `gk` and `nu` (symbolic and at q = 2, in every basis where the
-table lies in Q(q), for A1 A2 B2 G2 at the Borel and the maximal parabolics),
+table lies in Q(q), for A1 A2 B2 G2 at the Borel and the maximal parabolics, and
+at heights 14 and 24 for A3 and G2),
 `satake-check`, `intertwine` (forward, inverse, with and without
 `--roundtrip`), `weyl-identities`, `char` (with `decompose` on G2 and A3
 Levis), `oracle-mu`, `retract` (A2 B2 G2 GL2 A3 at rational coweights),

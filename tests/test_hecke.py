@@ -1,8 +1,9 @@
 import pytest
 
+from heckelat import charring
 from heckelat import hecke as hk
-from heckelat.qfield import ONE, Q
-from heckelat.rootdata import load_root_datum, mat_apply, parabolic
+from heckelat.qfield import ONE, Q, ZERO, RatFunc, q_pow
+from heckelat.rootdata import PRESET_NAMES, index_subsets, load_root_datum, mat_apply, parabolic
 
 
 def test_convolution_identities():
@@ -160,3 +161,81 @@ def test_cone_memo_is_keyed_on_content_not_name():
     gl2_shaped = RootDatum("X", 2, [[1, -1]], [[1, -1]])
     assert hk.in_support_cone(a2_shaped, parabolic(a2_shaped, []), (1, 0))
     assert not hk.in_support_cone(gl2_shaped, parabolic(gl2_shaped, []), (1, 0))
+
+
+# -- reference implementations: the local series as first written -------------------------------
+
+
+def _invert_reference(s):
+    """Pull-form Neumann inversion: every sum of support points up to the height, each reading the whole support."""
+    c0 = s.constant_term()
+    zero = (0,) * s.rd.rank
+    pos = {k: v for k, v in s.coeffs.items() if k != zero}
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in pos:
+                q = tuple(a + b for a, b in zip(p, g))
+                if q not in seen and s.par.height(q) <= s.height:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    inv = {zero: ONE / c0}
+    for lam in sorted(seen, key=lambda v: (s.par.height(v), v)):
+        if lam == zero:
+            continue
+        acc = ZERO
+        for mu, cmu in pos.items():
+            prev = inv.get(tuple(a - b for a, b in zip(lam, mu)))
+            if prev is not None:
+                acc = acc + cmu * prev
+        inv[lam] = -acc / c0
+    return hk.GradedSeries(s.rd, s.par, s.height, inv, s.basis)
+
+
+def _gk_mu_reference(rd, par, height):
+    """The GK series as a convolution of dense factors 1 + (1 - q^-1)(e^a + e^2a + ...)."""
+    zero = (0,) * rd.rank
+    out = hk.GradedSeries.unit(rd, par, height)
+    for a in par.pos_coroots_unipotent:
+        factor, n = {zero: ONE}, 1
+        while n * par.height(a) <= height:
+            factor[tuple(n * x for x in a)] = ONE - q_pow(-1)
+            n += 1
+        out = hk.convolve(out, hk.GradedSeries(rd, par, height, factor))
+    return out
+
+
+def _skewed(s):
+    """s with constant term 3 - q and every other coefficient times (1 + hq)/(2 - q), h its height."""
+    out = {}
+    for lam, c in s.coeffs.items():
+        h = s.par.height(lam)
+        out[lam] = RatFunc((3, -1), (1,)) if h == 0 else c * RatFunc((1, h), (2, -1))
+    return hk.GradedSeries(s.rd, s.par, s.height, out, s.basis)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_local_series_equal_their_references(name):
+    rd = load_root_datum(name)
+    for J in index_subsets(rd.n_simple):
+        par = parabolic(rd, J)
+        for height in range(10):
+            mu = _gk_mu_reference(rd, par, height)
+            assert hk.gk_mu(rd, par, height) == mu, (name, J, height)
+            assert hk.nu(rd, par, height) == _invert_reference(mu), (name, J, height)
+            assert mu.invert() == _invert_reference(mu), (name, J, height)
+            skewed = _skewed(mu)
+            assert skewed.invert() == _invert_reference(skewed), (name, J, height)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_invert_equals_its_reference_on_character_series(name):
+    rd = load_root_datum(name)
+    for J in index_subsets(rd.n_simple):
+        par = parabolic(rd, J)
+        for piece in charring.u_P_graded_pieces(rd, par):
+            for build in (charring.lambda_series, charring.sym_series):
+                s = build(rd, par, q_pow(2), piece, 8)
+                assert s.invert() == _invert_reference(s), (name, J, piece.level)
