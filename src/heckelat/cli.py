@@ -192,16 +192,16 @@ def cmd_intertwine(args, rd) -> int:
     values = {_coweight(k, rd.rank, _integer): as_ratfunc(_rational(v, "value")) for k, v in data}
     window = cones.SupportShape.make(list(values) or [(0,) * rd.rank], cones.neg_pos_U(par.indices))
     phi = iw.SphericalFunction(rd, par, values, window, check_window=False)
-    build, other_build = (hecke.nu, hecke.gk_mu) if args.inverse else (hecke.gk_mu, hecke.nu)
-    apply_op = iw.apply_R_inverse_K if args.inverse else iw.apply_R_K
-    out = apply_op(rd, par, build(rd, par, args.height), phi)
+    steps = [(hecke.gk_mu, iw.apply_R_K), (hecke.nu, iw.apply_R_inverse_K)]
+    if args.inverse:
+        steps.reverse()
+    (kernel, apply_op), (back_kernel, back_op) = steps
+    out = apply_op(rd, par, kernel(rd, par, args.height), phi)
     print("coweight,value")
     for lam in sorted(out.values):
         print(f'"{_coweight_str(lam)}",{_fmt(out.values[lam])}')
     if args.roundtrip:
-        other = other_build(rd, par, args.height)
-        back_op = iw.apply_R_K if args.inverse else iw.apply_R_inverse_K
-        back = back_op(rd, par, other, out, out_points=sorted(phi.values))
+        back = back_op(rd, par, back_kernel(rd, par, args.height), out, out_points=sorted(phi.values))
         ok = all(back.value(p) == phi.value(p) for p in phi.values)
         print(f"roundtrip,{_pf(ok)}")
         return 0 if ok else 1
