@@ -207,7 +207,7 @@ def check_local_roundtrip(trials=100):
         par = ParabolicType(rd, J)
         height = 18
         mu = hecke.gk_mu(rd, par, height)
-        nu_s = mu.invert()
+        nu_s = hecke.nu(rd, par, height)
         for t in range(trials):
             pts = {tuple(rng.randint(-1, 2) for _ in range(rd.rank)) for _ in range(4)}
             window = cones.SupportShape.make(sorted(pts), cones.neg_pos_U(J))

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hecke import GradedSeries
-from .qfield import ONE, as_ratfunc
+from .hecke import GradedSeries, rank_one_product
+from .qfield import ZERO, as_ratfunc
 from .rootdata import ParabolicType, RootDatum, Vec, dominance_leq, pair
 
 # The completed character ring is the cone-series ring of hecke: its e-basis
@@ -40,30 +40,13 @@ def u_P_graded_pieces(rd: RootDatum, par: ParabolicType) -> list[GradedPiece]:
 def lambda_series(rd: RootDatum, par: ParabolicType, t, piece: GradedPiece, height: int) -> CharSeries:
     """Alternating exterior-power series of a graded piece: the product of (1 - t e^w) over its weights."""
     t = as_ratfunc(t)
-    out = CharSeries.unit(rd, par, height)
-    for w in piece.weights:
-        factor = CharSeries(rd, par, height, {(0,) * rd.rank: ONE, w: -t})
-        out = out * factor
-    return out
+    return rank_one_product(rd, par, height, [(w, t, ZERO) for w in piece.weights])
 
 
 def sym_series(rd: RootDatum, par: ParabolicType, t, piece: GradedPiece, height: int) -> CharSeries:
-    """Symmetric-power series of a graded piece: the product of geometric series in t e^w."""
+    """Symmetric-power series of a graded piece: the product of the geometric series 1/(1 - t e^w) over its weights."""
     t = as_ratfunc(t)
-    out = CharSeries.unit(rd, par, height)
-    for w in piece.weights:
-        hw = par.height(w)
-        if hw <= 0:
-            raise CharError(f"weight {w} is not strictly positive in the grading; series not summable")
-        coeffs = {}
-        n = 0
-        tn = ONE
-        while n * hw <= height:
-            coeffs[tuple(n * x for x in w)] = tn
-            tn = tn * t
-            n += 1
-        out = out * CharSeries(rd, par, height, coeffs)
-    return out
+    return rank_one_product(rd, par, height, [(w, ZERO, t) for w in piece.weights])
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,15 @@ def cmd_series(args, rd) -> int:
     build = hecke.gk_mu if args.command == "gk" else hecke.nu
     par = _parse_parabolic(args.parabolic, rd)
     qv = _parse_q(args.q)
-    shown = build(rd, par, args.height).to_basis(args.basis)
+    rows = sorted(build(rd, par, args.height).to_basis(args.basis).coeffs.items())
+    if qv is not Q:
+        try:
+            rows = [(lam, c.eval(qv)) for lam, c in rows]
+        except ZeroDivisionError:
+            raise UsageError(f"--q {args.q} is a pole of a coefficient of this {args.basis}-basis table") from None
     print("coweight,coefficient")
-    for lam in sorted(shown.coeffs):
-        c = shown.coeffs[lam]
-        print(f'"{_coweight_str(lam)}",{_fmt(c if qv is Q else c.eval(qv))}')
+    for lam, c in rows:
+        print(f'"{_coweight_str(lam)}",{_fmt(c)}')
     return 0
 
 

@@ -187,18 +187,20 @@ def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
     return GradedSeries(s1.rd, s1.par, h, out, s1.basis)
 
 
-def _rank_one_product(rd: RootDatum, par: ParabolicType, height: int, c: RatFunc, inverse: bool) -> GradedSeries:
-    """The product over non-Levi positive coroots a of (1 - t e^a)/(1 - s e^a): (t, s) = (c, 1), or (1, c) if inverse.
+def rank_one_product(rd: RootDatum, par: ParabolicType, height: int, factors) -> GradedSeries:
+    """The product of the rank-one factors (1 - t e^a)/(1 - s e^a), one for each (a, t, s) in factors.
 
     Each factor is a one-term recurrence along a: g = f (1 - t e^a)/(1 - s e^a) has
     g(p) = f(p) - t f(p - a) + s g(p - a), a running sum pushed up each a-string from its
     lowest point in the support of f to the height bound. The points of f are taken in
-    height order, so a string is walked once, from that lowest point.
+    height order, so a string is walked once, from that lowest point. A factor of height
+    <= 0 raises: its strings would never reach the bound.
     """
-    t, s = (ONE, c) if inverse else (c, ONE)
     terms = {(0,) * rd.rank: ONE}
-    for a in par.pos_coroots_unipotent:
+    for a, t, s in factors:
         ha = par.height(a)
+        if ha <= 0:
+            raise HeckeError(f"factor at {a} has height {ha}; a rank-one factor needs positive height")
         out: dict[Vec, RatFunc] = {}
         for hp, p in sorted((par.height(p), p) for p in terms):
             if p in out:
@@ -215,7 +217,7 @@ def _rank_one_product(rd: RootDatum, par: ParabolicType, height: int, c: RatFunc
 
 def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
     """The Gindikin-Karpelevich series: product over non-Levi positive coroots of (1 - q^{-1} e^a)/(1 - e^a)."""
-    out = _rank_one_product(rd, par, height, q_pow(-1), inverse=False)
+    out = rank_one_product(rd, par, height, [(a, q_pow(-1), ONE) for a in par.pos_coroots_unipotent])
     if not out.constant_term().is_one():
         raise HeckeError("GK series must have constant term 1")
     if not par.is_levi_invariant(out.coeffs):
@@ -226,7 +228,7 @@ def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
 def nu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
     """Convolution inverse of the Gindikin-Karpelevich series: the product of the reciprocal factors
     (1 - e^a)/(1 - q^{-1} e^a); its constant term is checked to be 1."""
-    out = _rank_one_product(rd, par, height, q_pow(-1), inverse=True)
+    out = rank_one_product(rd, par, height, [(a, ONE, q_pow(-1)) for a in par.pos_coroots_unipotent])
     if not out.constant_term().is_one():
         raise HeckeError("inverse series must have constant term 1")
     return out
@@ -253,18 +255,16 @@ def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries, 
 
 def _lambda_product_side(rd, par, height: int, swap: bool) -> GradedSeries:
     """Product over graded pieces of Lambda(q^{a-1}, piece)/Lambda(q^a, piece) (or its reciprocal)."""
-    from .charring import lambda_series, u_P_graded_pieces
+    from .charring import u_P_graded_pieces
 
     scale = twist_scale(par)
-    out = GradedSeries.unit(rd, par, height)
+    factors = []
     for piece in u_P_graded_pieces(rd, par):
-        num_t, den_t = q_pow(int(scale * (piece.level - 1))), q_pow(int(scale * piece.level))
+        t, s = q_pow(int(scale * (piece.level - 1))), q_pow(int(scale * piece.level))
         if swap:
-            num_t, den_t = den_t, num_t
-        num = lambda_series(rd, par, num_t, piece, height)
-        den = lambda_series(rd, par, den_t, piece, height)
-        out = out * (num * den.invert())
-    return out
+            t, s = s, t
+        factors += [(w, t, s) for w in piece.weights]
+    return rank_one_product(rd, par, height, factors)
 
 
 def verify_series_reformulation(rd: RootDatum, par: ParabolicType, height: int) -> bool:
@@ -273,9 +273,8 @@ def verify_series_reformulation(rd: RootDatum, par: ParabolicType, height: int) 
     Levels with half-integral values are handled by doubling all exponents
     (q -> u^2, see twist_scale), which is injective on Q(q).
     """
-    mu_s = gk_mu(rd, par, height)
-    smu = satake_character_bridge(rd, par, mu_s)
-    snu = satake_character_bridge(rd, par, mu_s.invert())
+    smu = satake_character_bridge(rd, par, gk_mu(rd, par, height))
+    snu = satake_character_bridge(rd, par, nu(rd, par, height))
     lhs_mu = _lambda_product_side(rd, par, height, swap=False)
     lhs_nu = _lambda_product_side(rd, par, height, swap=True)
     return smu == lhs_mu and snu == lhs_nu
@@ -283,9 +282,8 @@ def verify_series_reformulation(rd: RootDatum, par: ParabolicType, height: int) 
 
 def verify_smu_snu_unit(rd: RootDatum, par: ParabolicType, height: int) -> bool:
     """The bridge is multiplicative: S(mu) S(nu) = 1 in the completed character ring."""
-    mu_s = gk_mu(rd, par, height)
-    smu = satake_character_bridge(rd, par, mu_s)
-    snu = satake_character_bridge(rd, par, mu_s.invert())
+    smu = satake_character_bridge(rd, par, gk_mu(rd, par, height))
+    snu = satake_character_bridge(rd, par, nu(rd, par, height))
     return smu * snu == GradedSeries.unit(rd, par, height)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import cones
 from .cones import SupportShape
-from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, gk_mu, in_support_cone, twist_scale
+from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, in_support_cone, nu, twist_scale
 from .qfield import RatFunc, ZERO, as_ratfunc, q_pow
 from .rootdata import ParabolicType, RootDatum, Vec
 
@@ -104,5 +104,4 @@ def asymp_delta_K(rd: RootDatum, par: ParabolicType, lam, height: int | None = N
         raise IntertwineError(f"{lam} lies outside the computed window (height {height})")
     if not in_support_cone(rd, par, lam):
         return ZERO
-    nu_s = gk_mu(rd, par, height).invert()
-    return nu_s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeff(lam)
+    return nu(rd, par, height).to_basis(INDICATOR_BASIS, twist_scale(par)).coeff(lam)

@@ -159,11 +159,9 @@ MUTANTS = [
         _source_mutant(hecke.GradedSeries.invert, "value = -acc / c0", "value = acc / c0"),
         id="2-invert-drops-the-minus-sign",
     ),
-    pytest.param(  # nu's product leaves out its first coroot, so it is no longer mu.invert()
-        acceptance.check_inversion, (("A1", "A2"),), hecke, "_rank_one_product",
-        _source_mutant(
-            hecke._rank_one_product, "for a in par.pos_coroots_unipotent:", "for a in par.pos_coroots_unipotent[inverse:]:"
-        ),
+    pytest.param(  # nu's factor list leaves out its first coroot, so it is no longer mu.invert()
+        acceptance.check_inversion, (("A1", "A2"),), hecke, "nu",
+        _source_mutant(hecke.nu, "for a in par.pos_coroots_unipotent]", "for a in par.pos_coroots_unipotent[1:]]"),
         id="2-rank-one-product-skips-a-coroot",
     ),
     pytest.param(
@@ -194,8 +192,13 @@ MUTANTS = [
     ),
     pytest.param(
         acceptance.check_character_identities, (), charring, "sym_series",
-        _source_mutant(charring.sym_series, "while n * hw <= height", "while n * hw < height"),
-        id="6-sym-series-stops-one-term-early",
+        _source_mutant(charring.sym_series, "for w in piece.weights]", "for w in piece.weights[1:]]"),
+        id="6-sym-series-drops-a-weight",
+    ),
+    pytest.param(
+        acceptance.check_character_identities, (), hecke, "_lambda_product_side",
+        _source_mutant(hecke._lambda_product_side, "piece.level - 1", "piece.level - 2"),
+        id="6-lambda-ratio-level-off-by-one",
     ),
     pytest.param(
         acceptance.check_local_roundtrip, (5,), intertwine, "apply_R_inverse_K", _inverse_twist_one_power_off,

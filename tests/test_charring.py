@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heckelat import charring as ch
+from heckelat.hecke import HeckeError
 from heckelat.qfield import ONE, Q, q_pow
 from heckelat.rootdata import load_root_datum, mat_apply, parabolic
 
@@ -71,8 +72,11 @@ def test_sym_series_geometric_and_kostant():
 def test_sym_series_rejects_zero_weight():
     rd = load_root_datum("A2")
     par = parabolic(rd, [])
-    with pytest.raises(ch.CharError):
-        ch.sym_series(rd, par, Q, ch.GradedPiece(Fraction(1), ((0, 0),)), 4)
+    zero = ch.GradedPiece(Fraction(1), ((0, 0),))
+    with pytest.raises(HeckeError, match="positive height"):
+        ch.sym_series(rd, par, Q, zero, 4)
+    with pytest.raises(HeckeError, match="positive height"):
+        ch.lambda_series(rd, par, Q, zero, 4)
 
 
 def test_lambda_times_sym_is_unit():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import cli, rootdata
+from heckelat import cli, hecke, rootdata
 
 
 def run(argv):
@@ -90,6 +90,36 @@ def test_global_roundtrip_and_conventions():
 def test_satake_check():
     out, _ = run(["satake-check", "--datum", "A2", "--height", "6"])
     assert out.count("pass") == 3
+
+
+def test_satake_check_inverts_only_the_lambda_series_of_each_piece(monkeypatch):
+    # mu's inverse comes from nu and the Lambda-ratio side from rank-one factors; the product
+    # expansion still inverts one Lambda-series per graded piece (A2 Borel has two)
+    calls = []
+    invert = hecke.GradedSeries.invert
+
+    def counting_invert(self):
+        calls.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(hecke.GradedSeries, "invert", counting_invert)
+    out, _ = run(["satake-check", "--datum", "A2", "--height", "8"])
+    assert out.count("pass") == 3
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["gk", "nu"])
+def test_series_at_a_pole_of_q_is_a_usage_error_with_no_output(capsys, command):
+    argv = [command, "--datum", "A1", "--height", "3", "--basis", "e", "--q", "0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --q 0 ")
+    with pytest.raises(cli.UsageError, match="--q"):
+        run(argv)
+    # the indicator coefficients are polynomials in q, so q = 0 is a value there
+    out, _ = run([command, "--datum", "A1", "--height", "3", "--q", "0"])
+    assert out.splitlines() == ["coweight,coefficient", '"(0)",1', f'"(1)",{-1 if command == "gk" else 1}']
 
 
 def test_unknown_flag_exits_2(capsys):

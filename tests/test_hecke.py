@@ -2,7 +2,7 @@ import pytest
 
 from heckelat import charring
 from heckelat import hecke as hk
-from heckelat.qfield import ONE, Q, ZERO, RatFunc, q_pow
+from heckelat.qfield import ONE, Q, ZERO, RatFunc, as_ratfunc, q_pow
 from heckelat.rootdata import PRESET_NAMES, index_subsets, load_root_datum, mat_apply, parabolic
 
 
@@ -239,3 +239,53 @@ def test_invert_equals_its_reference_on_character_series(name):
             for build in (charring.lambda_series, charring.sym_series):
                 s = build(rd, par, q_pow(2), piece, 8)
                 assert s.invert() == _invert_reference(s), (name, J, piece.level)
+
+
+def _lambda_reference(rd, par, t, piece, height):
+    """The Lambda-series as a convolution of the explicit factors 1 - t e^w."""
+    zero = (0,) * rd.rank
+    out = hk.GradedSeries.unit(rd, par, height)
+    for w in piece.weights:
+        out = hk.convolve(out, hk.GradedSeries(rd, par, height, {zero: ONE, w: -t}))
+    return out
+
+
+def _sym_reference(rd, par, t, piece, height):
+    """The Sym-series as a convolution of the explicit geometric factors 1 + t e^w + t^2 e^2w + ..."""
+    out = hk.GradedSeries.unit(rd, par, height)
+    for w in piece.weights:
+        factor, n = {}, 0
+        while n * par.height(w) <= height:
+            factor[tuple(n * x for x in w)] = as_ratfunc(t) ** n
+            n += 1
+        out = hk.convolve(out, hk.GradedSeries(rd, par, height, factor))
+    return out
+
+
+def _lambda_ratio_reference(rd, par, height, swap):
+    """The Lambda-ratio side as lambda_series(num) * lambda_series(den).invert(), piece by piece."""
+    scale = hk.twist_scale(par)
+    out = hk.GradedSeries.unit(rd, par, height)
+    for piece in charring.u_P_graded_pieces(rd, par):
+        num_t, den_t = q_pow(int(scale * (piece.level - 1))), q_pow(int(scale * piece.level))
+        if swap:
+            num_t, den_t = den_t, num_t
+        num = charring.lambda_series(rd, par, num_t, piece, height)
+        out = out * (num * charring.lambda_series(rd, par, den_t, piece, height).invert())
+    return out
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_character_series_equal_their_references(name):
+    rd = load_root_datum(name)
+    for J in index_subsets(rd.n_simple):
+        par = parabolic(rd, J)
+        for height in range(7):
+            for swap in (False, True):
+                want = _lambda_ratio_reference(rd, par, height, swap)
+                assert hk._lambda_product_side(rd, par, height, swap) == want, (name, J, height, swap)
+            for piece in charring.u_P_graded_pieces(rd, par):
+                for t in (Q, q_pow(-1), q_pow(3), RatFunc((1,), (2,)), 2, 0, -1):
+                    where = (name, J, piece.level, t, height)
+                    assert charring.lambda_series(rd, par, t, piece, height) == _lambda_reference(rd, par, t, piece, height), where
+                    assert charring.sym_series(rd, par, t, piece, height) == _sym_reference(rd, par, t, piece, height), where
