@@ -5,7 +5,7 @@ table lies in Q(q), for A1 A2 B2 G2 at the Borel and the maximal parabolics, and
 at heights 14 and 24 for A3 and G2),
 `satake-check`, `intertwine` (forward, inverse, with and without
 `--roundtrip`), `weyl-identities`, `char` (with `decompose` on G2 and A3
-Levis), `oracle-mu`, `retract` (A2 B2 G2 GL2 A3 at rational coweights),
+Levis and on B3 and C3 with the full Levi, plain and virtual), `oracle-mu`, `retract` (A2 B2 G2 GL2 A3 at rational coweights),
 `cone-check` (A2 B2 G2 GL2) and `global-sl2` (every
 action, symbolic and at q = 2 and q = 3/2, and `--explain-conventions`). A
 refactor must leave every digest as it is. After an intended change of output, re-record with
