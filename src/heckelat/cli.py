@@ -107,7 +107,11 @@ def cmd_series(args, rd) -> int:
     build = hecke.gk_mu if args.command == "gk" else hecke.nu
     par = _parse_parabolic(args.parabolic, rd)
     qv = _parse_q(args.q)
-    rows = sorted(build(rd, par, args.height).to_basis(args.basis).coeffs.items())
+    series = build(rd, par, args.height)
+    try:
+        rows = sorted(series.to_basis(args.basis).coeffs.items())
+    except hecke.HeckeError as e:
+        raise UsageError(f"{e}; print this table with --basis e") from None
     if qv is not Q:
         try:
             rows = [(lam, c.eval(qv)) for lam, c in rows]

@@ -180,11 +180,6 @@ class ConeId:
     tag: str
     indices: frozenset | None = None
 
-    def __str__(self):
-        if self.indices is None:
-            return self.tag
-        return f"{self.tag}({sorted(self.indices)})"
-
 
 def pos_G() -> ConeId:
     return ConeId("pos_G")

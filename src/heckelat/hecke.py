@@ -240,7 +240,7 @@ def nu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
 # charring builds its series on the type above, so it is imported where used.
 
 
-def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries, height: int | None = None) -> GradedSeries:
+def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries) -> GradedSeries:
     """Reinterpret a W_M-invariant e-basis series as an element of the completed character ring.
 
     The character-side coefficient at a lattice point is the indicator-basis
@@ -249,8 +249,7 @@ def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries, 
     """
     if not s.par.is_levi_invariant(s.coeffs):
         raise HeckeError("series is not W_M-invariant")
-    h = s.height if height is None else min(height, s.height)
-    return GradedSeries(rd, par, h, s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs)
+    return GradedSeries(rd, par, s.height, s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs)
 
 
 def _lambda_product_side(rd, par, height: int, swap: bool) -> GradedSeries:

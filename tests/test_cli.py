@@ -122,6 +122,16 @@ def test_series_at_a_pole_of_q_is_a_usage_error_with_no_output(capsys, command):
     assert out.splitlines() == ["coweight,coefficient", '"(0)",1', f'"(1)",{-1 if command == "gk" else 1}']
 
 
+@pytest.mark.parametrize("command", ["gk", "nu"])
+def test_indicator_table_outside_q_of_q_is_a_usage_error_naming_the_e_basis(capsys, command):
+    argv = [command, "--datum", "A2", "--parabolic", "1", "--height", "4"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: basis conversion at ") and "--basis e" in captured.err
+    out, _ = run([*argv, "--basis", "e"])
+    assert out.startswith("coweight,coefficient\n") and len(out.splitlines()) > 2
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gk", "--datum", "A1", "--no-such-flag"])
