@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add, sub
 
 Coeffs = tuple[int, ...]  # ascending degree, no trailing zeros, () is the zero polynomial
 
@@ -186,20 +187,7 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n1, n2 = self._n, other._n
-        if not n1:
-            return other
-        if not n2:
-            return self
-        v1, v2, d1, d2 = self._v, other._v, self._d, other._d
-        v = min(v1, v2)
-        if d1 == d2:
-            return _lowest_terms(v, _padd(_shift(n1, v1 - v), _shift(n2, v2 - v)), d1)
-        n = _padd(_shift(_pmul(n1, d2), v1 - v), _shift(_pmul(n2, d1), v2 - v))
-        if len(d1) == 1 or len(d2) == 1:
-            # a constant denominator is a unit of Q[q], so n stays coprime to the other one
-            return _coprime_terms(v, n, _pmul(d1, d2))
-        return _lowest_terms(v, n, _pmul(d1, d2))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -210,13 +198,13 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, -1)
 
     def __mul__(self, other) -> "RatFunc":
         other = _coerce(other)
@@ -226,6 +214,11 @@ class RatFunc:
         if not n1 or not n2:
             return ZERO
         v = self._v + other._v
+        # a one-term Laurent factor c q^w only shifts the valuation and scales the other numerator
+        if d1 == (1,) and len(n1) == 1:
+            return _rf(v, *_normalize(_scale(n2, n1[0]), d2))
+        if d2 == (1,) and len(n2) == 1:
+            return _rf(v, *_normalize(_scale(n1, n2[0]), d1))
         if d1 == (1,) and d2 == (1,):
             return _rf(v, _pmul(n1, n2), (1,))
         # cross-reduce against a non-constant denominator before multiplying
@@ -260,6 +253,8 @@ class RatFunc:
     def __pow__(self, k: int) -> "RatFunc":
         if k == 0:
             return ONE
+        if self._n == (1,) and self._d == (1,):
+            return _rf(k * self._v, (1,), (1,))
         base = self if k > 0 else ONE / self
         k = abs(k)
         out = ONE
@@ -278,16 +273,22 @@ class RatFunc:
         return self._v == other._v and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self._v, self._n, self._d))
+        # a constant hashes as the int or Fraction it equals, as __eq__ requires
+        if self._v or len(self._n) > 1 or len(self._d) > 1:
+            return hash((self._v, self._n, self._d))
+        return hash(Fraction(self._n[0], self._d[0])) if self._n else 0
 
     # -- evaluation / substitution ----------------------------------------
     def eval(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        num = sum((Fraction(c) * x**k for k, c in enumerate(self.num)), Fraction(0))
-        den = sum((Fraction(c) * x**k for k, c in enumerate(self.den)), Fraction(0))
-        if den == 0:
+        p, b = x.numerator, x.denominator
+        num, den = self.num, self.den
+        hd = _horner(den, p, b)
+        if not hd:
             raise ZeroDivisionError(f"denominator vanishes at q={x}")
-        return num / den
+        # num(x)/den(x) = hn b^(1-len(num)) / (hd b^(1-len(den)))
+        hn, k = _horner(num, p, b), len(den) - len(num)
+        return Fraction(hn * b**k, hd) if k >= 0 else Fraction(hn, hd * b**-k)
 
     def double_exponents(self) -> "RatFunc":
         """Substitute q -> q^2 (used to realize half-integral powers exactly)."""
@@ -339,6 +340,61 @@ def _valuation(a: Coeffs) -> int:
 
 def _shift(a: Coeffs, k: int) -> Coeffs:
     return (0,) * k + a if k else a
+
+
+def _scale(a: Coeffs, c: int) -> Coeffs:
+    return a if c == 1 else tuple([c * x for x in a])
+
+
+def _horner(a: Coeffs, p: int, b: int) -> int:
+    """b^(len(a)-1) a(p/b) for b > 0, by Horner's rule in Z."""
+    acc, bk = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * bk
+        bk *= b
+    return acc
+
+
+def _sum(a: RatFunc, b: RatFunc, sign: int) -> RatFunc:
+    """a + sign * b for sign 1 or -1."""
+    n1, n2 = a._n, b._n
+    if not n2:
+        return a
+    if not n1:
+        return b if sign == 1 else _rf(b._v, _pneg(n2), b._d)
+    v1, v2, d1, d2 = a._v, b._v, a._d, b._d
+    if d1 == (1,) and d2 == (1,):
+        return _laurent_sum(v1, n1, v2, n2, sign)
+    if sign < 0:
+        n2 = _pneg(n2)
+    v = min(v1, v2)
+    if d1 == d2:
+        return _lowest_terms(v, _padd(_shift(n1, v1 - v), _shift(n2, v2 - v)), d1)
+    n = _padd(_shift(_pmul(n1, d2), v1 - v), _shift(_pmul(n2, d1), v2 - v))
+    if len(d1) == 1 or len(d2) == 1:
+        # a constant denominator is a unit of Q[q], so n stays coprime to the other one
+        return _coprime_terms(v, n, _pmul(d1, d2))
+    return _lowest_terms(v, n, _pmul(d1, d2))
+
+
+def _laurent_sum(v1: int, n1: Coeffs, v2: int, n2: Coeffs, sign: int) -> RatFunc:
+    """q^v1 n1 + sign * q^v2 n2 for nonzero n1, n2 not divisible by q, in one pass over the shifted numerators."""
+    if v1 <= v2:
+        v, out, k, rest, op = v1, list(n1), v2 - v1, n2, add if sign == 1 else sub
+    else:
+        v, out, k, rest, op = v2, list(n2 if sign == 1 else _pneg(n2)), v1 - v2, n1, add
+    end = k + len(rest)
+    if end > len(out):
+        out.extend([0] * (end - len(out)))
+    out[k:end] = map(op, out[k:end], rest)
+    n = _strip(out)
+    if not n:
+        return ZERO
+    if n[0]:
+        return _rf(v, n, (1,))
+    # the lowest terms cancelled, which needs v1 == v2
+    j = _valuation(n)
+    return _rf(v + j, n[j:], (1,))
 
 
 def _coprime_terms(v: int, n: Coeffs, d: Coeffs) -> RatFunc:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import acceptance, charring, cli, cones, globalsl2, hecke, intertwine, padic, weylids
+from heckelat import acceptance, charring, cli, cones, globalsl2, hecke, intertwine, padic, qfield, weylids
 from heckelat.qfield import q_pow
 from heckelat.rootdata import ParabolicType, RootDatum, load_root_datum
 
@@ -164,6 +164,11 @@ MUTANTS = [
         _source_mutant(hecke.nu, "for a in par.pos_coroots_unipotent]", "for a in par.pos_coroots_unipotent[1:]]"),
         id="2-rank-one-product-skips-a-coroot",
     ),
+    pytest.param(  # a sum whose lowest terms cancel keeps its old valuation, so q^v n shifts to q^(v-j) n
+        acceptance.check_inversion, (("A1", "A2"),), qfield, "_laurent_sum",
+        _source_mutant(qfield._laurent_sum, "return _rf(v + j, n[j:], (1,))", "return _rf(v, n[j:], (1,))"),
+        id="2-laurent-sum-keeps-the-valuation",
+    ),
     pytest.param(
         acceptance.check_nu_constant_term, (("A1", "B2"),), hecke, "nu", _nu_with_constant_term_two(),
         id="3-nu-constant-term-2",
@@ -203,6 +208,11 @@ MUTANTS = [
     pytest.param(
         acceptance.check_local_roundtrip, (5,), intertwine, "apply_R_inverse_K", _inverse_twist_one_power_off,
         id="7-inverse-twist-one-power-off",
+    ),
+    pytest.param(  # the same value, but not in normal form: q^v (0, ..., 0, n_j, ...) no longer equals q^(v+j) n
+        acceptance.check_local_roundtrip, (5,), qfield, "_laurent_sum",
+        _source_mutant(qfield._laurent_sum, "return _rf(v + j, n[j:], (1,))", "return _rf(v, n, (1,))"),
+        id="7-laurent-sum-keeps-a-leading-zero",
     ),
     pytest.param(
         acceptance.check_local_roundtrip, (5,), hecke.GradedSeries, "to_basis", _to_basis_untwisted,

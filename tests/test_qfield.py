@@ -213,3 +213,119 @@ def test_laurent_elements_print_as_their_coprime_pair():
     assert str((ONE - q_pow(-1)) * q_pow(-2)) == "(q - 1)/(q^3)"
     assert str(Q - 1 + q_pow(-1)) == "(q^2 - q + 1)/(q)"
     assert ((Q - 1) / Q) / ((Q - 1) / Q**2) == Q
+
+
+# -- differential check of the Laurent fast paths --------------------------------
+# One-term products, one-pass sums and differences and monomial powers, each
+# against the general route it replaces: the normal form of the (num, den) pair
+# built with _padd and _pmul, and powers by repeated multiplication.
+
+def _laurent(coeffs, v):
+    """q^v times the polynomial coeffs, brought to normal form by the general constructor."""
+    return RatFunc((0,) * v + tuple(coeffs), (1,)) if v >= 0 else RatFunc(tuple(coeffs), (0,) * -v + (1,))
+
+
+def _rand_laurent_poly(rng):
+    return _laurent(_rand_poly(rng), rng.randint(-5, 5))
+
+
+def _general_sum(a, b, sign):
+    return RatFunc(_padd(_pmul(a.num, b.den), _pmul((sign,), _pmul(b.num, a.den))), _pmul(a.den, b.den))
+
+
+def _general_product(a, b):
+    return RatFunc(_pmul(a.num, b.num), _pmul(a.den, b.den))
+
+
+def _check_sum_and_difference(a, b):
+    for r, s in [(a + b, _general_sum(a, b, 1)), (a - b, _general_sum(a, b, -1)),
+                 (b + a, _general_sum(b, a, 1)), (b - a, _general_sum(b, a, -1))]:
+        _assert_canonical(r)
+        _assert_same_value(r, s)
+
+
+def test_one_term_products_match_the_general_product():
+    rng = random.Random(20191)
+    for _ in range(300):
+        m = _laurent((rng.choice([1, -1, 3]),), rng.randint(-5, 2))
+        others = [ONE, ZERO, m, _rand_laurent_poly(rng), _rand_laurent(rng), _rand_ratfunc(rng)]
+        for other in others:
+            for r, s in [(m * other, _general_product(m, other)), (other * m, _general_product(other, m))]:
+                _assert_canonical(r)
+                _assert_same_value(r, s)
+    p = _rand_laurent_poly(rng)
+    assert ONE * p == p * ONE == p and (ZERO * p).is_zero() and (p * ZERO).is_zero()
+    assert (-1 * p) == -p and 3 * q_pow(-2) * p == _general_product(_laurent((3,), -2), p)
+
+
+def test_laurent_sums_match_the_general_sum():
+    rng = random.Random(20192)
+    for _ in range(300):
+        n, v = _rand_poly(rng), rng.randint(-5, 5)
+        a = _laurent(n, v)
+        j = rng.randint(1, len(n))
+        m = list(_rand_poly(rng, 5)) + [1]
+        sign = rng.choice([1, -1])
+        cases = [
+            _rand_laurent_poly(rng),
+            ONE, ZERO, -ONE, a, -a,  # a - a and a + (-a) cancel to zero
+            # the lowest j terms cancel in a + b (sign 1) or a - b (sign -1), so the valuation moves
+            _laurent([-sign * c for c in n[:j]] + m, v),
+            # the highest terms cancel: the tops of a and b sit at the same degree
+            _laurent(m[:-1] + [-sign * n[-1]], v + len(n) - len(m)),
+            # a gap between the supports, on either side
+            _laurent(_rand_poly(rng), v + len(n) + rng.randint(1, 4)),
+            _laurent(_rand_poly(rng, 2), v - 3 - rng.randint(1, 4)),
+        ]
+        assert all(b._d == (1,) for b in cases)  # every operand is a Laurent polynomial
+        for b in cases:
+            _check_sum_and_difference(a, b)
+        lowest = a + sign * cases[6]
+        assert lowest.is_zero() or lowest._v > v
+    p = _rand_laurent_poly(rng)
+    assert (p - p).is_zero() and (p + (-p)).is_zero() and (-p - -p).is_zero()
+    assert (p - p).den == (1,) and hash(p - p) == hash(ZERO)
+
+
+def test_monomial_powers_match_repeated_multiplication():
+    for v in range(-4, 5):
+        for k in range(-5, 6):
+            got, expected = q_pow(v) ** k, ONE
+            for _ in range(abs(k)):
+                expected = RatFunc(_pmul(expected.num, (0,) * max(v, 0) + (1,)), _pmul(expected.den, (0,) * max(-v, 0) + (1,)))
+            if k < 0:
+                expected = RatFunc(expected.den, expected.num)
+            _assert_canonical(got)
+            _assert_same_value(got, expected)
+            assert got == q_pow(k * v)
+    assert (-Q) ** 3 == -(Q**3) and (3 * Q) ** -2 == RatFunc((1,), (0, 0, 9))
+
+
+def test_constants_hash_as_the_numbers_they_equal():
+    assert len({ONE, 1}) == 1 and {ONE: "x"}.get(1) == "x" and {1: "x"}.get(ONE) == "x"
+    for x in [0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 4)]:
+        r = as_ratfunc(x)
+        assert r == x and hash(r) == hash(x) and {x: 1}.get(r) == 1
+    # constants reached through the general route hash the same way
+    assert hash((Q + 1) / (2 * Q + 2)) == hash(Fraction(1, 2)) and hash(Q - Q) == hash(0)
+    assert hash(q_pow(-1) * Q) == hash(1)
+    assert len({Q, Q * 1, q_pow(1), Q + 0}) == 1
+
+
+def test_eval_matches_summing_powers():
+    rng = random.Random(20193)
+    xs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 4), Fraction(5, 7), 3]
+    checked = 0
+    for _ in range(300):
+        r = _rand_laurent(rng) if rng.random() < 0.6 else _rand_ratfunc(rng) * q_pow(rng.randint(-5, 5))
+        for x in xs:
+            x = Fraction(x)
+            den = _poly_at(r.den, x)
+            if den == 0:
+                with pytest.raises(ZeroDivisionError, match=f"denominator vanishes at q={x}"):
+                    r.eval(x)
+                continue
+            got, expected = r.eval(x), _poly_at(r.num, x) / den
+            assert type(got) is Fraction and got == expected and str(got) == str(expected), (r, x)
+            checked += 1
+    assert checked > 1500
