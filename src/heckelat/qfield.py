@@ -5,16 +5,22 @@ and n, d are integer polynomials (coefficient tuples in Z[q]) that q divides
 neither (n[0] != 0 != d[0]), coprime in Q[q], with no common integer content
 and a positive leading coefficient of d; zero is v = 0, n = (), d = (1,). The
 form is unique (a canonical form in the sense of Geddes, Czapor & Labahn,
-*Algorithms for Computer Algebra*, 1992), so equality and hashing compare
-(v, n, d).
+*Algorithms for Computer Algebra*, 1992), so equality compares (v, n, d).
+A constant (v = 0, n of length at most 1, d of length 1) hashes as the int
+or Fraction it equals, so `ONE` and `1` are one dict key; every other
+element hashes (v, n, d).
 
-Almost every element the program builds is a Laurent polynomial (d = (1,)).
-Those add by shifting to the smaller valuation and multiply by adding
-valuations, with no gcd and no exact division; a polynomial gcd (primitive
-pseudo-remainder sequence in Z[q]) runs only where a non-constant d appears.
+Almost every element the program builds is a Laurent polynomial (d = (1,)),
+and the operators take fast paths for them: a sum or difference is one pass
+over the two numerators shifted to the smaller valuation, which moves only
+when the lowest terms cancel; a product with a one-term factor c q^w adds w to
+the valuation and scales the other numerator by c; (q^w)^k is q^(kw). Other
+Laurent products multiply the numerators. None of these needs a gcd or an
+exact division; a polynomial gcd (primitive pseudo-remainder sequence in
+Z[q]) runs only where a non-constant d appears.
 `num` and `den` give the element as one coprime pair in Z[q], q^v moved to the
 side it belongs to; that is the pair the printer reads. `Fraction` appears only
-at the boundary: `from_fraction`, `eval` and `q_pow`.
+at the boundary: `from_fraction`, `eval`, `q_pow` and the hash of a constant.
 """
 
 from __future__ import annotations
