@@ -3,4 +3,4 @@
 __version__ = "0.1.0"
 
 from .qfield import ONE, Q, RatFunc, ZERO, q_pow  # noqa: F401
-from .rootdata import ParabolicType, RootDatum, load_root_datum, parabolic  # noqa: F401
+from .rootdata import ParabolicType, RootDatum, load_root_datum  # noqa: F401

@@ -8,7 +8,7 @@ from fractions import Fraction
 from . import linalg
 from .hecke import GradedSeries, rank_one_product
 from .qfield import ZERO, as_ratfunc
-from .rootdata import ParabolicType, RootDatum, Vec, mat_apply, pair
+from .rootdata import ParabolicType, RootDatum, Vec, pair
 
 # The completed character ring is the cone-series ring of hecke: its e-basis
 # coefficients are the Hecke side's indicator-basis coefficients.
@@ -72,7 +72,7 @@ def decompose_into_irreducibles(rd: RootDatum, par: ParabolicType, f) -> tuple[l
     two_rho = tuple(sum(a[i] for a in par.pos_coroots_levi) for i in range(rd.rank))
     # w(2rho) - 2rho is twice an integer combination of coroots, so halving is exact
     delta = {
-        tuple((x - y) // 2 for x, y in zip(mat_apply(w, two_rho), two_rho)): linalg.det(w) for w in par.weyl_levi
+        tuple((x - y) // 2 for x, y in zip(linalg.mat_vec(w, two_rho), two_rho)): linalg.det(w) for w in par.weyl_levi
     }
     prod: dict[Vec, int] = {}
     for mu, c in work.items():

@@ -219,7 +219,12 @@ def cmd_intertwine(args, rd) -> int:
 def cmd_oracle_mu(args, _rd) -> int:
     rd = load_root_datum("A1" if args.group == "SL2" else "A2")
     lam = _coweight(args.coweight.split(","), rd.rank, _integer)
-    measure = padic.mu_oracle(args.group, lam, args.q, args.precision)
+    try:
+        measure = padic.mu_oracle(args.group, lam, args.q, args.precision)
+    except padic.PrecisionError as e:
+        raise UsageError(f"--precision {args.precision}: {e}") from None
+    except padic.OracleError as e:
+        raise UsageError(f"--q {args.q} with --coweight {args.coweight}: {e}") from None
     par = ParabolicType(rd, [])
     height = max(2 * sum(lam), 2)
     table = hecke.gk_mu(rd, par, height).to_basis(hecke.INDICATOR_BASIS).coeff(lam).eval(Fraction(args.q))
@@ -253,6 +258,14 @@ def _degree_values(text: str | None, what: str, qv) -> dict:
     return {_integer(k, "degree"): lift(_rational(v, "value")) for k, v in _json(text, what)}
 
 
+def _degree_function(kind, values: dict, what: str, qv):
+    """kind.from_dict(values, qv): a UsageError naming what when kind does not index one of the degrees."""
+    try:
+        return kind.from_dict(values, qv)
+    except gs.GlobalError as e:
+        raise UsageError(f"{what}: {e}") from None
+
+
 def _l_then_l_inverse(f, qv):
     return gs.op_L_inverse(gs.op_L(f, qv), qv)
 
@@ -274,18 +287,18 @@ def cmd_global(args, _rd) -> int:
     }
     if args.action in tables:
         header, degrees, kind, operator = tables[args.action]
-        out = operator(kind.from_dict(values, qv), qv)
+        out = operator(_degree_function(kind, values, "--input", qv), qv)
         print(f"{header},value")
         for n in degrees:
             print(f"{n},{_fmt(out.value(n))}")
         return 0
-    f = gs.GFunction.from_dict(values, qv)
+    f = _degree_function(gs.GFunction, values, "--input", qv)
     if args.action == "roundtrip":
         back = _l_then_l_inverse(f, qv)
         ok = all(back.value(n) == f.value(n) for n in range(0, window + 1))
         print(f"roundtrip,{_pf(ok)}")
         return 0 if ok else 1
-    f2 = gs.GFunction.from_dict(_degree_values(args.input2, "--input2", qv), qv)
+    f2 = _degree_function(gs.GFunction, _degree_values(args.input2, "--input2", qv), "--input2", qv)
     print(f"B,{_fmt(gs.form_B(f, f2, qv))}")
     return 0
 

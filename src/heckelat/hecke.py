@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import cones
 from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow
 from .rootdata import ParabolicType, RootDatum, Vec
 
@@ -28,8 +29,6 @@ def in_support_cone(rd, par, lam) -> bool:
     key = (par.pos_coroots_unipotent, tuple(lam))
     hit = _CONE_MEMO.get(key)
     if hit is None:
-        from . import cones
-
         hit = _CONE_MEMO[key] = cones.in_cone(par.pos_coroots_unipotent, lam)
     return hit
 
@@ -92,16 +91,6 @@ class GradedSeries:
             and self.height == other.height
             and self.coeffs == other.coeffs
         )
-
-    def graded_component(self, theta_class) -> dict[Vec, RatFunc]:
-        """Coefficients supported on the given class of the quotient grading lattice."""
-        target = tuple(Fraction(x) for x in theta_class)
-        return {
-            k: v for k, v in self.coeffs.items() if tuple(self.par.project(k)) == target
-        }
-
-    def classes(self) -> list:
-        return sorted({tuple(self.par.project(k)) for k in self.coeffs})
 
     # -- basis conversion --------------------------------------------------
     def to_basis(self, basis: str, scale: int = 1) -> "GradedSeries":

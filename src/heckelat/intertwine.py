@@ -1,10 +1,10 @@
-"""K-invariant intertwining operator, its inverse, and the asymptotics value, acting on windowed functions on the coweight lattice."""
+"""K-invariant intertwining operator and its inverse, acting on windowed functions on the coweight lattice."""
 
 from __future__ import annotations
 
 from . import cones
 from .cones import SupportShape
-from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, in_support_cone, nu, twist_scale
+from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, twist_scale
 from .qfield import RatFunc, ZERO, as_ratfunc, q_pow
 from .rootdata import ParabolicType, RootDatum, Vec
 
@@ -37,9 +37,6 @@ class SphericalFunction:
 
     def __eq__(self, other):
         return isinstance(other, SphericalFunction) and self.values == other.values
-
-    def is_zero(self) -> bool:
-        return not self.values
 
     def max_height(self):
         return max(map(self.par.height, self.values), default=0)
@@ -92,16 +89,3 @@ def apply_R_inverse_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, p
         return q_pow(-scale * (par.height(lam) + par.height(theta)))
 
     return _apply_kernel(rd, par, series, phi, out_points, twist)
-
-
-def asymp_delta_K(rd: RootDatum, par: ParabolicType, lam, height: int | None = None) -> RatFunc:
-    """Asymptotics of the basic spherical vector: the indicator-basis value of the inverse series at lam."""
-    lam = tuple(int(x) for x in lam)
-    h = par.height(lam)
-    if height is None:
-        height = max(h, 0)
-    if h > height:
-        raise IntertwineError(f"{lam} lies outside the computed window (height {height})")
-    if not in_support_cone(rd, par, lam):
-        return ZERO
-    return nu(rd, par, height).to_basis(INDICATOR_BASIS, twist_scale(par)).coeff(lam)

@@ -7,8 +7,8 @@ with 2rho_P, come only from ParabolicType.height.
 A RootDatum owns the lattice coordinates: int tables of every coroot and root
 on the simple coroots and roots, built by reflecting coordinate vectors with
 the Cartan matrix, and the one Levi solve (`levi_solve`, with det C_J and the
-int adjugate of each Cartan principal submatrix C_J cached) behind the Levi
-projection, the Langlands retraction and the dominance order.
+int adjugate of each Cartan principal submatrix C_J cached) behind the
+Langlands retraction and the dominance order.
 
 A Weyl element acts on the roots by lookup: `root_image(w)` is w's permutation
 of the root set, built from the cached columns of w^-1 the first time w is
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 from . import linalg
-from .linalg import dot, mat_mul
+from .linalg import dot, mat_mul, mat_vec
 
 Vec = tuple[int, ...]  # coweight, coordinates in the ambient lattice Z^rank
 Covec = tuple[int, ...]  # weight, a functional on the coweight lattice via the dot product
@@ -42,10 +41,6 @@ class WeylEnumerationError(RuntimeError):
 def pair(chi, lam):
     """Pairing <chi, lam> of a weight with a coweight: an int on the lattice, a Fraction on a rational coweight."""
     return dot(chi, lam)
-
-
-def mat_apply(m: Matrix, v) -> tuple:
-    return tuple(dot(row, v) for row in m)
 
 
 def index_subsets(n: int):
@@ -209,7 +204,7 @@ class RootDatum:
                         seen.add(image)
                         stack.append(image)
         basis = tuple(zip(*simples))
-        return {mat_apply(basis, c): c for c in seen}
+        return {mat_vec(basis, c): c for c in seen}
 
     def _invert(self, w: Matrix) -> Matrix:
         d = linalg.det(w)  # +-1 on a lattice automorphism, so w^-1 = d adj(w)
@@ -265,7 +260,7 @@ class RootDatum:
         """The longest element of W_J: the one element of W_J sending every positive coroot of the Levi to a negative coroot."""
         pos = [a for a in self.positive_coroots if self.in_span_of_simples(a, indices)]
         for w in self.subgroup(indices):
-            if all(min(self.coroot_coords[mat_apply(w, a)]) < 0 for a in pos):
+            if all(min(self.coroot_coords[mat_vec(w, a)]) < 0 for a in pos):
                 return w
         raise RootDatumError(f"no longest element in W_J for J = {sorted(indices)}")
 
@@ -302,7 +297,7 @@ class RootDatum:
             neg = next((i for i in idx if pair(self.simple_roots[i], cur) < 0), None)
             if neg is None:
                 return cur
-            cur = mat_apply(self._simple_reflections[neg], cur)
+            cur = mat_vec(self._simple_reflections[neg], cur)
 
     def config(self) -> dict:
         return {
@@ -392,12 +387,7 @@ class ParabolicType:
 
     def is_levi_invariant(self, values: dict) -> bool:
         """The map {lattice point: nonzero value} is constant along W_M-orbits (a missing point holds zero)."""
-        return all(values.get(mat_apply(w, lam)) == v for w in self.weyl_levi for lam, v in values.items())
-
-    def project(self, lam) -> tuple:
-        """Class of lam in Lambda_{G,P}: its point on the canonical slice, by RootDatum.levi_solve."""
-        val, _, d = self.rd.levi_solve(self.indices, lam)
-        return tuple(Fraction(x, d) for x in val)
+        return all(values.get(mat_vec(w, lam)) == v for w in self.weyl_levi for lam, v in values.items())
 
     def height(self, lam):
         """Grading <2rho_P, lam> used for all truncations: an int on the lattice."""
@@ -457,11 +447,7 @@ PRESET_NAMES = tuple(sorted(_PRESET_CARTANS) + ["GL2"])
 
 
 def load_root_datum(config) -> RootDatum:
-    """Build a RootDatum from a preset name, config dict, JSON text, or path to a JSON file."""
-    if isinstance(config, RootDatum):
-        return config
-    if isinstance(config, Path):
-        config = config.read_text()
+    """Build a RootDatum from a preset name, config dict or JSON text."""
     if isinstance(config, str):
         name = config.strip()
         if name in PRESET_NAMES:
@@ -481,8 +467,3 @@ def load_root_datum(config) -> RootDatum:
     if declared != [list(r) for r in rd.cartan]:
         raise RootDatumError("declared cartan matrix is inconsistent with the root/coroot pairings")
     return rd
-
-
-def parabolic(rd: RootDatum, indices) -> ParabolicType:
-    """Standard parabolic with Levi generated by the given 0-based simple indices."""
-    return ParabolicType(rd, indices)

@@ -27,22 +27,6 @@ def _is_positive_root(rd: RootDatum, chi) -> bool:
     raise WeylIdentityError(f"{chi} is not a root")
 
 
-def w_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list[Matrix]:
-    """Elements w with w^{-1} positive on the roots of M' and wMw^{-1} a standard Levi of M'."""
-    simple_set = set(rd.simple_roots)
-    roots_m2 = set(par2.roots_levi)
-    out = []
-    for w in rd.weyl_elements:
-        inv_image = rd.root_image(rd.w_inverse(w))
-        if not all(_is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
-            continue
-        image = rd.root_image(w)
-        image_simples = [image[rd.simple_roots[j]] for j in sorted(par.indices)]
-        if all(chi in simple_set and chi in roots_m2 for chi in image_simples):
-            out.append(w)
-    return out
-
-
 def w_bullet_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list[Matrix]:
     """Minimal-length representatives of the double cosets W_{M'} \\ W / W_M."""
     out = []

@@ -231,6 +231,25 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
         cli.run_capture(argv)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle-mu", "--group", "SL2", "--coweight", "1", "--q", "4"], "--q 4 "),
+    (["oracle-mu", "--group", "SL2", "--coweight", "1", "--q", "2", "--precision", "0"], "--precision 0:"),
+    (["oracle-mu", "--group", "SL3", "--coweight", "1,1", "--q", "2", "--precision", "0"], "--precision 0:"),
+    *[(["global-sl2", action, "--window", "2", "--input", "[[-1,1]]"], "--input:") for action in ("ct", "L", "Linv", "roundtrip")],
+    (["global-sl2", "B", "--input", "[[-1,1]]", "--input2", "[[0,1]]"], "--input:"),
+    (["global-sl2", "B", "--input", "[[0,1]]", "--input2", "[[-1,1]]"], "--input2:"),
+], ids=[
+    "oracle-q-not-prime", "oracle-sl2-precision-0", "oracle-sl3-precision-0",
+    "global-ct-negative-degree", "global-L-negative-degree", "global-Linv-negative-degree",
+    "global-roundtrip-negative-degree", "global-B-negative-degree", "global-B-negative-degree-in-input2",
+])
+def test_out_of_range_input_is_a_usage_error_naming_the_flag(capsys, argv, flag):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag}")
+
+
 @pytest.mark.parametrize("argv", [
     ["gk", "--datum", "A1", "--height", "4"],
     ["intertwine", "--datum", "A1", "--input", "[[[0],1]]"],

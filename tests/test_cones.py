@@ -8,7 +8,7 @@ import pytest
 from heckelat import acceptance, cones, linalg
 from heckelat.cones import SupportShape, in_cone, langlands_retraction, nonneg_combination
 from heckelat.intertwine import SphericalFunction
-from heckelat.rootdata import ParabolicType, load_root_datum, parabolic
+from heckelat.rootdata import ParabolicType, load_root_datum
 
 
 def brute_member(gens, target, grid=5):
@@ -262,7 +262,7 @@ def test_retraction_property_sweep():
 
 def test_retraction_property_rejects_non_dominant():
     rd = load_root_datum("A2")
-    par = parabolic(rd, [0])
+    par = ParabolicType(rd, [0])
     with pytest.raises(cones.ConeError):
         cones.check_retraction_property(rd, par, (-1, 0))
 
@@ -270,7 +270,7 @@ def test_retraction_property_rejects_non_dominant():
 def test_downward_saturation_in_support_cone():
     # within a bounded window: Levi-dominant points below a pos_U point stay in pos_U
     rd = load_root_datum("A2")
-    par = parabolic(rd, [0])
+    par = ParabolicType(rd, [0])
     pos_u = [cones.fvec(a) for a in par.pos_coroots_unipotent]
     window = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
     from heckelat.rootdata import dominance_leq

@@ -3,12 +3,13 @@ import pytest
 from heckelat import charring
 from heckelat import hecke as hk
 from heckelat.qfield import ONE, Q, ZERO, RatFunc, as_ratfunc, q_pow
-from heckelat.rootdata import PRESET_NAMES, index_subsets, load_root_datum, mat_apply, parabolic
+from heckelat.linalg import mat_vec
+from heckelat.rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum
 
 
 def test_convolution_identities():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     s = hk.GradedSeries(rd, par, 10, {(0,): ONE, (1,): ONE})
     unit = hk.GradedSeries.unit(rd, par, 10)
     assert hk.convolve(s, unit) == s
@@ -16,7 +17,7 @@ def test_convolution_identities():
     st = hk.convolve(s, t)
     assert st.coeff((0,)) == ONE and st.coeff((1,)).is_zero() and st.coeff((2,)) == -ONE
     rd2 = load_root_datum("A2")
-    par2 = parabolic(rd2, [])
+    par2 = ParabolicType(rd2, [])
     e1 = hk.GradedSeries(rd2, par2, 8, {(1, 0): ONE})
     e2 = hk.GradedSeries(rd2, par2, 8, {(0, 1): ONE})
     assert hk.convolve(e1, e2).coeff((1, 1)) == ONE
@@ -24,15 +25,15 @@ def test_convolution_identities():
 
 def test_convolution_rejects_mismatch():
     rd = load_root_datum("A2")
-    s1 = hk.GradedSeries.unit(rd, parabolic(rd, []), 6)
-    s2 = hk.GradedSeries.unit(rd, parabolic(rd, [0]), 6)
+    s1 = hk.GradedSeries.unit(rd, ParabolicType(rd, []), 6)
+    s2 = hk.GradedSeries.unit(rd, ParabolicType(rd, [0]), 6)
     with pytest.raises(hk.HeckeError):
         hk.convolve(s1, s2)
 
 
 def test_gk_tables_rank_one():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     ind = hk.gk_mu(rd, par, 14).to_basis(hk.INDICATOR_BASIS)
     assert ind.coeff((0,)) == ONE
     for n in range(1, 8):
@@ -45,7 +46,7 @@ def test_gk_tables_rank_one():
 
 def test_gk_table_a2():
     rd = load_root_datum("A2")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     ind = hk.gk_mu(rd, par, 8).to_basis(hk.INDICATOR_BASIS)
     # expanding the three factors by hand to height 4 and converting bases
     assert ind.coeff((1, 1)) == 2 * Q**2 - 3 * Q + 1
@@ -57,12 +58,12 @@ def test_gk_table_a2():
 def test_gk_is_levi_invariant():
     rd = load_root_datum("B2")
     for J in ([], [0], [1]):
-        par = parabolic(rd, J)
+        par = ParabolicType(rd, J)
         mu = hk.gk_mu(rd, par, 8)
         assert par.is_levi_invariant(mu.coeffs)
         for w in par.weyl_levi:
             for lam, c in mu.coeffs.items():
-                assert mu.coeff(tuple(int(x) for x in mat_apply(w, lam))) == c
+                assert mu.coeff(tuple(int(x) for x in mat_vec(w, lam))) == c
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
@@ -71,7 +72,7 @@ def test_inversion_to_height_ten(name):
     full = set(range(rd.n_simple))
     subsets = [[]] + sorted({tuple(sorted(full - {j})) for j in full})
     for J in subsets:
-        par = parabolic(rd, list(J))
+        par = ParabolicType(rd, list(J))
         mu = hk.gk_mu(rd, par, 10)
         nu_s = mu.invert()
         assert hk.convolve(mu, nu_s) == hk.GradedSeries.unit(rd, par, 10)
@@ -80,7 +81,7 @@ def test_inversion_to_height_ten(name):
 
 def test_invert_rejects_zero_constant_term():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     s = hk.GradedSeries(rd, par, 6, {(1,): ONE})
     with pytest.raises(hk.HeckeError):
         s.invert()
@@ -88,10 +89,10 @@ def test_invert_rejects_zero_constant_term():
 
 def test_basis_conversion_roundtrip_and_halfpow_error():
     rd = load_root_datum("A2")
-    par0 = parabolic(rd, [])
+    par0 = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par0, 6)
     assert mu.to_basis(hk.INDICATOR_BASIS).to_basis(hk.E_BASIS) == mu
-    par1 = parabolic(rd, [0])
+    par1 = ParabolicType(rd, [0])
     mu1 = hk.gk_mu(rd, par1, 6)
     with pytest.raises(hk.HeckeError):
         mu1.to_basis(hk.INDICATOR_BASIS)  # needs q^{3/2}
@@ -99,7 +100,7 @@ def test_basis_conversion_roundtrip_and_halfpow_error():
 
 def test_satake_bridge_values():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par, 8)
     bridged = hk.satake_character_bridge(rd, par, mu)
     assert bridged.coeff((1,)) == Q - 1
@@ -109,7 +110,7 @@ def test_satake_bridge_values():
 
 def test_satake_bridge_is_multiplicative():
     rd = load_root_datum("A2")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par, 6)
     nu_s = mu.invert()
     lhs = hk.satake_character_bridge(rd, par, hk.convolve(mu, nu_s))
@@ -119,7 +120,7 @@ def test_satake_bridge_is_multiplicative():
 
 def test_bridge_rejects_non_invariant():
     rd = load_root_datum("A2")
-    par = parabolic(rd, [0])
+    par = ParabolicType(rd, [0])
     s = hk.GradedSeries(rd, par, 6, {(0, 0): ONE, (0, 1): Q})
     with pytest.raises(hk.HeckeError):
         hk.satake_character_bridge(rd, par, s)
@@ -131,7 +132,7 @@ def test_bridge_rejects_non_invariant():
 )
 def test_series_reformulations(name, J):
     rd = load_root_datum(name)
-    par = parabolic(rd, J)
+    par = ParabolicType(rd, J)
     assert hk.verify_series_reformulation(rd, par, 8)
     assert hk.verify_smu_snu_unit(rd, par, 8)
     assert hk.verify_alternating_sym_expansion(rd, par, 8)
@@ -139,12 +140,12 @@ def test_series_reformulations(name, J):
 
 def test_expansion_to_height_ten_rank_one():
     rd = load_root_datum("A1")
-    assert hk.verify_alternating_sym_expansion(rd, parabolic(rd, []), 10)
+    assert hk.verify_alternating_sym_expansion(rd, ParabolicType(rd, []), 10)
 
 
 def test_height_slab_is_finite():
     rd = load_root_datum("G2")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par, 10)
     heights = {}
     for lam in mu.coeffs:
@@ -159,8 +160,8 @@ def test_cone_memo_is_keyed_on_content_not_name():
 
     a2_shaped = RootDatum("X", 2, [[1, 0], [0, 1]], [[2, -1], [-1, 2]])
     gl2_shaped = RootDatum("X", 2, [[1, -1]], [[1, -1]])
-    assert hk.in_support_cone(a2_shaped, parabolic(a2_shaped, []), (1, 0))
-    assert not hk.in_support_cone(gl2_shaped, parabolic(gl2_shaped, []), (1, 0))
+    assert hk.in_support_cone(a2_shaped, ParabolicType(a2_shaped, []), (1, 0))
+    assert not hk.in_support_cone(gl2_shaped, ParabolicType(gl2_shaped, []), (1, 0))
 
 
 # -- reference implementations: the local series as first written -------------------------------
@@ -220,7 +221,7 @@ def _skewed(s):
 def test_local_series_equal_their_references(name):
     rd = load_root_datum(name)
     for J in index_subsets(rd.n_simple):
-        par = parabolic(rd, J)
+        par = ParabolicType(rd, J)
         for height in range(10):
             mu = _gk_mu_reference(rd, par, height)
             assert hk.gk_mu(rd, par, height) == mu, (name, J, height)
@@ -234,7 +235,7 @@ def test_local_series_equal_their_references(name):
 def test_invert_equals_its_reference_on_character_series(name):
     rd = load_root_datum(name)
     for J in index_subsets(rd.n_simple):
-        par = parabolic(rd, J)
+        par = ParabolicType(rd, J)
         for piece in charring.u_P_graded_pieces(rd, par):
             for build in (charring.lambda_series, charring.sym_series):
                 s = build(rd, par, q_pow(2), piece, 8)
@@ -279,7 +280,7 @@ def _lambda_ratio_reference(rd, par, height, swap):
 def test_character_series_equal_their_references(name):
     rd = load_root_datum(name)
     for J in index_subsets(rd.n_simple):
-        par = parabolic(rd, J)
+        par = ParabolicType(rd, J)
         for height in range(7):
             for swap in (False, True):
                 want = _lambda_ratio_reference(rd, par, height, swap)

@@ -4,7 +4,7 @@ import pytest
 
 from heckelat import cones, hecke as hk, intertwine as iw
 from heckelat.qfield import ONE, Q, ZERO, q_pow
-from heckelat.rootdata import load_root_datum, pair, parabolic
+from heckelat.rootdata import ParabolicType, load_root_datum, pair
 
 
 def make_phi(rd, par, values):
@@ -15,16 +15,16 @@ def make_phi(rd, par, values):
 
 def test_zero_maps_to_zero():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par, 8)
     phi = make_phi(rd, par, {})
-    assert iw.apply_R_K(rd, par, mu, phi).is_zero()
-    assert iw.apply_R_inverse_K(rd, par, mu.invert(), phi).is_zero()
+    assert iw.apply_R_K(rd, par, mu, phi).values == {}
+    assert iw.apply_R_inverse_K(rd, par, mu.invert(), phi).values == {}
 
 
 def test_rank_one_values_match_direct_convolution():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par, 16)
     phi = make_phi(rd, par, {(0,): ONE})
     out = iw.apply_R_K(rd, par, mu, phi)
@@ -38,7 +38,7 @@ def test_rank_one_values_match_direct_convolution():
 def test_matrix_oracle_dense_convolution():
     # independent dense double loop over a window, maximal parabolic of A2
     rd = load_root_datum("A2")
-    par = parabolic(rd, [0])
+    par = ParabolicType(rd, [0])
     height = 15
     mu = hk.gk_mu(rd, par, height)
     scale = hk.twist_scale(par)
@@ -63,7 +63,7 @@ def test_matrix_oracle_dense_convolution():
 def test_round_trip_both_orders(name, J):
     rng = random.Random(77)
     rd = load_root_datum(name)
-    par = parabolic(rd, J)
+    par = ParabolicType(rd, J)
     height = 18
     mu = hk.gk_mu(rd, par, height)
     nu_s = mu.invert()
@@ -88,7 +88,7 @@ def test_round_trip_both_orders(name, J):
 
 def test_truncation_error_is_raised():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par, 4)
     phi = make_phi(rd, par, {(2,): ONE})
     with pytest.raises(hk.TruncationError):
@@ -97,7 +97,7 @@ def test_truncation_error_is_raised():
 
 def test_window_propagation_class():
     rd = load_root_datum("A2")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     mu = hk.gk_mu(rd, par, 12)
     phi = make_phi(rd, par, {(1, 1): ONE})
     out = iw.apply_R_K(rd, par, mu, phi)
@@ -107,14 +107,18 @@ def test_window_propagation_class():
         assert out.window.contains(rd, lam)
 
 
+def _asymptotics(rd, par, height):
+    """The asymptotics of the basic spherical vector: the inverse series in the indicator basis."""
+    return hk.nu(rd, par, height).to_basis(hk.INDICATOR_BASIS, hk.twist_scale(par))
+
+
 def test_asymptotics_values():
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
-    assert iw.asymp_delta_K(rd, par, (0,)) == ONE
-    assert iw.asymp_delta_K(rd, par, (1,), height=6) == 1 - Q
-    assert iw.asymp_delta_K(rd, par, (-1,), height=6) == ZERO
-    with pytest.raises(iw.IntertwineError):
-        iw.asymp_delta_K(rd, par, (4,), height=2)
+    par = ParabolicType(rd, [])
+    asymp = _asymptotics(rd, par, 6)
+    assert asymp.coeff((0,)) == ONE
+    assert asymp.coeff((1,)) == 1 - Q
+    assert asymp.coeff((-1,)) == ZERO
 
 
 def test_asymptotics_constant_value_on_all_presets():
@@ -122,5 +126,5 @@ def test_asymptotics_constant_value_on_all_presets():
 
     for name in PRESET_NAMES:
         rd = load_root_datum(name)
-        par = parabolic(rd, [])
-        assert iw.asymp_delta_K(rd, par, (0,) * rd.rank) == ONE
+        par = ParabolicType(rd, [])
+        assert _asymptotics(rd, par, 0).constant_term() == ONE

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckelat import hecke as hk, padic as pd
-from heckelat.rootdata import load_root_datum, parabolic
+from heckelat.rootdata import ParabolicType, load_root_datum
 
 
 def _el(q, terms, tail):
@@ -130,7 +130,7 @@ def test_oracle_rejects_nonprime():
 
 def test_sl2_oracle_matches_table_and_is_precision_independent():
     rd = load_root_datum("A1")
-    ind = hk.gk_mu(rd, parabolic(rd, []), 14).to_basis(hk.INDICATOR_BASIS)
+    ind = hk.gk_mu(rd, ParabolicType(rd, []), 14).to_basis(hk.INDICATOR_BASIS)
     for q in (2, 3):
         for n in range(0, 6):
             value = pd.mu_oracle("SL2", (n,), q, 3)
@@ -145,7 +145,7 @@ def test_sl3_fast_equals_full_enumeration():
 
 def test_sl3_oracle_matches_table():
     rd = load_root_datum("A2")
-    ind = hk.gk_mu(rd, parabolic(rd, []), 12).to_basis(hk.INDICATOR_BASIS)
+    ind = hk.gk_mu(rd, ParabolicType(rd, []), 12).to_basis(hk.INDICATOR_BASIS)
     for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (1, 2)]:
         prec = max(lam) + 2
         assert pd.mu_oracle("SL3", lam, 2, prec) == ind.coeff(lam).eval(Fraction(2)), lam

@@ -1,7 +1,8 @@
 import pytest
 
 from heckelat import weylids as wi
-from heckelat.rootdata import index_subsets, load_root_datum, mat_apply, parabolic
+from heckelat.linalg import mat_vec
+from heckelat.rootdata import ParabolicType, index_subsets, load_root_datum
 
 
 def ident(rank):
@@ -19,52 +20,37 @@ def test_parabolic_sign():
     assert wi.parabolic_sign(rd3, [0, 2]) == -1
 
 
-def test_w_set_examples():
-    rd = load_root_datum("A2")
-    torus = parabolic(rd, [])
-    p1 = parabolic(rd, [0])
-    p2 = parabolic(rd, [1])
-    full = parabolic(rd, [0, 1])
-    assert len(wi.w_set(rd, torus, p1)) == 3
-    assert ident(2) in wi.w_set(rd, full, full)
-    movers = wi.w_set(rd, p1, p2)
-    assert movers, "some element conjugates the first Levi into the second"
-    for w in movers:
-        assert rd.act_on_weight(w, rd.simple_roots[0]) == rd.simple_roots[1]
-
-
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "GL2"])
-def test_w_set_agrees_with_its_coroot_side_definition(name):
+def test_w_bullet_set_agrees_with_its_coroot_side_definition(name):
     # second route to the same set: act on coweights by the matrices themselves
-    # instead of on weights by the inverse transpose
+    # instead of on roots by root_image
     rd = load_root_datum(name)
     positive = set(rd.positive_coroots)
     for J in index_subsets(rd.n_simple):
         for J2 in index_subsets(rd.n_simple):
-            par, par2 = parabolic(rd, J), parabolic(rd, J2)
-            simples_j2 = {rd.simple_coroots[k] for k in J2}
+            par, par2 = ParabolicType(rd, J), ParabolicType(rd, J2)
             expected = [
                 w
                 for w in rd.weyl_elements
-                if all(mat_apply(rd.w_inverse(w), a) in positive for a in par2.pos_coroots_levi)
-                and all(mat_apply(w, rd.simple_coroots[j]) in simples_j2 for j in J)
+                if all(mat_vec(w, a) in positive for a in par.pos_coroots_levi)
+                and all(mat_vec(rd.w_inverse(w), a) in positive for a in par2.pos_coroots_levi)
             ]
-            assert wi.w_set(rd, par, par2) == expected, (name, J, J2)
+            assert wi.w_bullet_set(rd, par, par2) == expected, (name, J, J2)
 
 
 def test_w_bullet_counts():
     rd = load_root_datum("A2")
-    torus = parabolic(rd, [])
+    torus = ParabolicType(rd, [])
     assert len(wi.w_bullet_set(rd, torus, torus)) == 6
     for Ja, Jb in [([], []), ([0], [1]), ([0], [0]), ([0, 1], []), ([], [0, 1])]:
-        pa, pb = parabolic(rd, Ja), parabolic(rd, Jb)
+        pa, pb = ParabolicType(rd, Ja), ParabolicType(rd, Jb)
         assert ident(2) in wi.w_bullet_set(rd, pa, pb)
         assert wi.check_w_bullet_transversal(rd, pa, pb)
 
 
 def test_w_bullet_transversal_b2():
     rd = load_root_datum("B2")
-    p1, p2 = parabolic(rd, [0]), parabolic(rd, [1])
+    p1, p2 = ParabolicType(rd, [0]), ParabolicType(rd, [1])
     bullets = wi.w_bullet_set(rd, p1, p2)
     assert len(bullets) == len({wi.double_coset(rd, p1, p2, w) for w in rd.weyl_elements})
     assert wi.check_w_bullet_transversal(rd, p1, p2)
@@ -72,7 +58,7 @@ def test_w_bullet_transversal_b2():
 
 def test_transversal_fails_when_a_bullet_is_dropped(monkeypatch):
     rd = load_root_datum("B2")
-    p1, p2 = parabolic(rd, [0]), parabolic(rd, [1])
+    p1, p2 = ParabolicType(rd, [0]), ParabolicType(rd, [1])
     bullets = wi.w_bullet_set(rd, p1, p2)
     monkeypatch.setattr(wi, "w_bullet_set", lambda rd, par, par2: bullets[1:])
     assert not wi.check_w_bullet_transversal(rd, p1, p2)
@@ -80,7 +66,7 @@ def test_transversal_fails_when_a_bullet_is_dropped(monkeypatch):
 
 def test_transversal_fails_when_a_covered_coset_gains_a_bullet(monkeypatch):
     rd = load_root_datum("B2")
-    p1, p2 = parabolic(rd, [0]), parabolic(rd, [1])
+    p1, p2 = ParabolicType(rd, [0]), ParabolicType(rd, [1])
     bullets = wi.w_bullet_set(rd, p1, p2)
     extra = next(w for w in wi.double_coset(rd, p1, p2, bullets[0]) if w != bullets[0])
     monkeypatch.setattr(wi, "w_bullet_set", lambda rd, par, par2: [*bullets, extra])
@@ -108,7 +94,7 @@ def test_moebius_examples():
 def test_a1_survivor_is_levi_longest_element():
     # for the Borel of the rank-one datum the surviving translate is the identity
     rd = load_root_datum("A1")
-    par = parabolic(rd, [])
+    par = ParabolicType(rd, [])
     assert par.w0_levi == ident(1)
     rep = wi.verify_vanishing_A(rd)
     assert rep.passed
