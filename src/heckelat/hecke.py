@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import cones
 from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow
@@ -51,6 +52,9 @@ class GradedSeries:
     q^{<rho_P, lam>} per lattice point; the completed character ring reads the
     indicator coefficients as its own e-basis (see satake_character_bridge).
     In either basis the product is the cone-graded Cauchy product.
+
+    A series is read-only once built (coeffs is a read-only mapping), so each
+    conversion to another basis is made once and kept on the instance.
     """
 
     def __init__(self, rd: RootDatum, par: ParabolicType, height: int, coeffs: dict, basis: str = E_BASIS):
@@ -71,7 +75,8 @@ class GradedSeries:
             if not in_support_cone(rd, par, key):
                 raise HeckeError(f"support point {key} lies outside the support cone")
             clean[key] = v
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
+        self._converted: dict[tuple[str, int], GradedSeries] = {}
 
     # -- basics ---------------------------------------------------------
     @staticmethod
@@ -98,11 +103,15 @@ class GradedSeries:
 
         With scale 2 the indicator coefficients are read in u = q^{1/2}: c(u^2) u^{<2rho_P, lam>}.
         That is integral where <rho_P, lam> is not; twist_scale picks the scale.
+        A second call with the same basis and scale returns the same object.
         """
         if scale != 1 and (self.basis, basis) != (E_BASIS, INDICATOR_BASIS):
             raise HeckeError("only the e-basis converts to the doubled indicator basis")
         if basis == self.basis:
             return self
+        converted = self._converted.get((basis, scale))
+        if converted is not None:
+            return converted
         sign = 1 if basis == INDICATOR_BASIS else -1
         out = {}
         for lam, c in self.coeffs.items():
@@ -113,7 +122,8 @@ class GradedSeries:
                     "lie in Q(q); keep the e-basis or work with doubled exponents"
                 )
             out[lam] = (c if scale == 1 else c.double_exponents()) * q_pow(sign * e // 2)
-        return GradedSeries(self.rd, self.par, self.height, out, basis)
+        converted = self._converted[basis, scale] = GradedSeries(self.rd, self.par, self.height, out, basis)
+        return converted
 
     # -- algebra ----------------------------------------------------------
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":

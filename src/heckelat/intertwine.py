@@ -43,7 +43,12 @@ class SphericalFunction:
 
 
 def _apply_kernel(rd, par, series, phi, out_points, twist):
-    """Twisted shift convolution out(lam) = twist(lam, theta) sum kernel(theta) phi(lam + theta)."""
+    """Twisted shift convolution out(lam) = twist(lam, theta) sum kernel(theta) phi(lam + theta).
+
+    With fewer requested outputs than input points, each output pulls phi(lam + theta) over the
+    kernel (|out| x |kernel| reads); otherwise every kernel term is pushed from every input point
+    (|kernel| x |phi|), keeping those that land on a requested output.
+    """
     if series.par.indices != par.indices:
         raise IntertwineError("series parabolic does not match")
     scale = twist_scale(par)
@@ -63,13 +68,22 @@ def _apply_kernel(rd, par, series, phi, out_points, twist):
             )
     out_set = set(out_points)
     out: dict[Vec, RatFunc] = {}
-    for theta, k in kernel.items():
-        for p, v in phi.values.items():
-            lam = tuple(a - b for a, b in zip(p, theta))
-            if lam in out_set:
-                term = twist(scale, lam, theta) * k * v
-                prev = out.get(lam)
-                out[lam] = term if prev is None else prev + term
+    if len(out_set) < len(phi.values):
+        for lam in out_set:
+            for theta, k in kernel.items():
+                v = phi.values.get(tuple(a + b for a, b in zip(lam, theta)))
+                if v is not None:
+                    term = twist(scale, lam, theta) * k * v
+                    prev = out.get(lam)
+                    out[lam] = term if prev is None else prev + term
+    else:
+        for theta, k in kernel.items():
+            for p, v in phi.values.items():
+                lam = tuple(a - b for a, b in zip(p, theta))
+                if lam in out_set:
+                    term = twist(scale, lam, theta) * k * v
+                    prev = out.get(lam)
+                    out[lam] = term if prev is None else prev + term
     out = {k2: v2 for k2, v2 in out.items() if not v2.is_zero()}
     window = SupportShape.make(phi.window.base, cones.neg_pos_U(par.indices))
     return SphericalFunction(rd, par, out, window, check_window=False)

@@ -218,6 +218,11 @@ MUTANTS = [
         acceptance.check_local_roundtrip, (5,), hecke.GradedSeries, "to_basis", _to_basis_untwisted,
         id="7-to-basis-drops-twist",
     ),
+    pytest.param(  # only the pull loop (fewer outputs than inputs) changes: it reads phi at lam - theta
+        acceptance.check_local_roundtrip, (5,), intertwine, "_apply_kernel",
+        _source_mutant(intertwine._apply_kernel, "tuple(a + b for a, b in zip(lam, theta))", "tuple(a - b for a, b in zip(lam, theta))"),
+        id="7-pull-reads-phi-at-lam-minus-theta",
+    ),
     pytest.param(
         acceptance.check_global_adjunction, (5,), globalsl2, "t_weight",
         _changed_at(globalsl2.t_weight, lambda d: True, lambda w, qv: qv * w), id="9a-t-weight-times-q",

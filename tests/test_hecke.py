@@ -98,6 +98,33 @@ def test_basis_conversion_roundtrip_and_halfpow_error():
         mu1.to_basis(hk.INDICATOR_BASIS)  # needs q^{3/2}
 
 
+@pytest.mark.parametrize("J", [[], [0]])  # twist_scale 1 and 2
+def test_basis_conversion_is_made_once_per_series(J):
+    rd = load_root_datum("A2")
+    par = ParabolicType(rd, J)
+    scale = hk.twist_scale(par)
+    mu = hk.gk_mu(rd, par, 8)
+    converted = mu.to_basis(hk.INDICATOR_BASIS, scale)
+    assert mu.to_basis(hk.INDICATOR_BASIS, scale) is converted
+    fresh = hk.gk_mu(rd, par, 8).to_basis(hk.INDICATOR_BASIS, scale)
+    assert fresh is not converted and fresh == converted
+    if scale == 1:  # the scale is part of the key: reading in u = q^{1/2} is another series
+        assert mu.to_basis(hk.INDICATOR_BASIS, 2) != converted
+
+
+def test_series_are_read_only():
+    rd = load_root_datum("A1")
+    par = ParabolicType(rd, [])
+    mu = hk.gk_mu(rd, par, 4)
+    with pytest.raises(TypeError):
+        mu.coeffs[(1,)] = ONE
+    with pytest.raises(TypeError):
+        del mu.coeffs[(0,)]
+    expected = {(0,): ONE, (1,): 1 - q_pow(-1), (2,): 1 - q_pow(-1)}
+    assert mu.coeffs == expected and expected == mu.coeffs
+    assert hk.GradedSeries(rd, par, 4, expected) == mu
+
+
 def test_satake_bridge_values():
     rd = load_root_datum("A1")
     par = ParabolicType(rd, [])

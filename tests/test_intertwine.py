@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from heckelat import cones, hecke as hk, intertwine as iw
 from heckelat.qfield import ONE, Q, ZERO, q_pow
-from heckelat.rootdata import ParabolicType, load_root_datum, pair
+from heckelat.rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum, pair
 
 
 def make_phi(rd, par, values):
@@ -47,16 +48,17 @@ def test_matrix_oracle_dense_convolution():
     pts = [(a, b) for a in range(-1, 2) for b in range(-1, 2)]
     values = {p: rng.randint(-4, 4) for p in pts}
     phi = make_phi(rd, par, values)
-    outer = sorted(values)
-    out = iw.apply_R_K(rd, par, mu, phi, out_points=outer)
-    for lam in outer:
-        dense = ZERO
-        for theta, k in kernel.items():
-            arg = tuple(a + b for a, b in zip(lam, theta))
-            if arg in phi.values:
-                dense = dense + k * phi.values[arg]
-        twist = q_pow(scale * pair(par.two_rho_check_P, lam))
-        assert out.value(lam) == twist * dense
+    # all nine points of the window push; three points, one below the window, pull
+    for outer in (sorted(values), [(-1, -1), (0, 1), (-2, -1)]):
+        out = iw.apply_R_K(rd, par, mu, phi, out_points=outer)
+        for lam in outer:
+            dense = ZERO
+            for theta, k in kernel.items():
+                arg = tuple(a + b for a, b in zip(lam, theta))
+                if arg in phi.values:
+                    dense = dense + k * phi.values[arg]
+            twist = q_pow(scale * pair(par.two_rho_check_P, lam))
+            assert out.value(lam) == twist * dense
 
 
 @pytest.mark.parametrize("name,J", [("A1", []), ("A2", []), ("A2", [0]), ("A2", [1])])
@@ -84,6 +86,36 @@ def test_round_trip_both_orders(name, J):
             iw.apply_R_K(rd, par, mu, inv, out_points=outer).value(p) == phi.value(p)
             for p in outer
         )
+
+
+ROUNDTRIP_CASES = [("A1", []), ("A2", []), ("A2", [0]), ("A2", [1])]
+PRESET_CASES = [(name, J) for name in PRESET_NAMES for J in index_subsets(load_root_datum(name).n_simple)]
+
+
+@pytest.mark.parametrize(
+    "name,J,box,extra_height",
+    [pytest.param(name, J, (-1, 2), 18, id=f"roundtrip-{name}-J{''.join(map(str, J))}") for name, J in ROUNDTRIP_CASES]
+    + [pytest.param(name, J, (-1, 1), 2, id=f"{name}-J{''.join(map(str, J))}") for name, J in PRESET_CASES],
+)
+def test_pulled_outputs_equal_pushed_outputs(name, J, box, extra_height):
+    """A few requested outputs (fewer than the input points: the pull loop) read the same values as
+    every certified output (a request that holds each input point: the push loop), for R and R^-1."""
+    rng = random.Random(f"{name} {J}")
+    rd = load_root_datum(name)
+    par = ParabolicType(rd, J)
+    grid = list(itertools.product(range(box[0], box[1] + 1), repeat=rd.rank))
+    pts = rng.sample(grid, min(5, len(grid)))
+    phi = make_phi(rd, par, {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in pts})
+    low = min(phi.values, key=par.height)
+    height = phi.max_height() - par.height(low) + extra_height
+    for series, apply in ((hk.gk_mu(rd, par, height), iw.apply_R_K), (hk.nu(rd, par, height), iw.apply_R_inverse_K)):
+        pushed = apply(rd, par, series, phi)
+        requested = sorted({low, *rng.sample(sorted(pushed.values), min(2, len(phi.values) - 2))})
+        assert len(requested) < len(phi.values)
+        pulled = apply(rd, par, series, phi, out_points=requested)
+        assert set(pulled.values) <= set(requested)
+        for lam in requested:
+            assert pulled.value(lam) == pushed.value(lam), (name, J, apply.__name__, lam)
 
 
 def test_truncation_error_is_raised():
