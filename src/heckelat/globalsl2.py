@@ -6,7 +6,8 @@ mes(U(A)/U(F)) = 1; on the projective line this gives mes(O_A) = q, which is the
 source of the extra factor of q in the modulus twists below (see docs/conventions.md).
 
 The opposite parabolic enters only as the degree negation d -> -d (`negate`); every
-torus pairing, the opposite side's included, has one weight and divides by (q-1) once.
+torus pairing, the opposite side's included, has one weight. Both pairings, the naive
+one over bundle classes and the torus one, divide by (q-1) once, after their sums.
 """
 
 from __future__ import annotations
@@ -253,11 +254,11 @@ class TFunction:
         self.lower = lower
         self._zero = _zero_like(qv)
 
-    @staticmethod
-    def from_dict(values: dict, qv) -> "TFunction":
+    @classmethod
+    def from_dict(cls, values: dict, qv) -> "TFunction":
         vals = {int(k): v for k, v in values.items() if v != 0}
         zero = _zero_like(qv)
-        return TFunction(lambda d: vals.get(d, zero), upper=max(vals, default=0), lower=min(vals, default=0), qv=qv)
+        return cls(lambda d: vals.get(d, zero), upper=max(vals, default=0), lower=min(vals, default=0), qv=qv)
 
     def value(self, d: int):
         d = int(d)
@@ -270,32 +271,23 @@ class TFunction:
         return self._memo[d]
 
 
-class GFunction:
-    """Function on bundle classes (nonnegative degrees), memoized, with an optional certified upper bound.
+class GFunction(TFunction):
+    """Function on bundle classes: a TFunction whose lower bound is at least 0; a negative degree raises.
 
     `psc_ct` is an optional pseudo-compactness certificate: the constant term, vanishing below its `lower`.
     """
 
-    def __init__(self, fn, upper=None, *, qv, psc_ct=None):
-        self._fn = fn
-        self._memo: dict[int, object] = {}
-        self.upper = upper
-        self._zero = _zero_like(qv)
-        self.psc_ct = psc_ct
-
-    @staticmethod
-    def from_dict(values: dict, qv) -> "GFunction":
-        vals = {int(k): v for k, v in values.items() if v != 0}
-        if any(k < 0 for k in vals):
+    def __init__(self, fn, upper=None, lower=0, *, qv, psc_ct=None):
+        if lower < 0:
             raise GlobalError("bundle classes are indexed by nonnegative integers")
-        zero = _zero_like(qv)
-        return GFunction(lambda n: vals.get(n, zero), upper=max(vals, default=0), qv=qv)
+        super().__init__(fn, upper, lower, qv=qv)
+        self.psc_ct = psc_ct
 
     def value(self, n: int):
         n = int(n)
         if n < 0:
             raise GlobalError("bundle classes are indexed by nonnegative integers")
-        if self.upper is not None and n > self.upper:
+        if n < self.lower or (self.upper is not None and n > self.upper):
             return self._zero
         if n not in self._memo:
             self._memo[n] = self._fn(n)
@@ -308,23 +300,31 @@ class GFunction:
 # Away from one or two diagonal terms every kernel below is a constant or a
 # geometric sequence along its window, so each operator value is those diagonal
 # terms plus a running sum over the window, filled on demand by _running_sum.
-# The shapes each recurrence relies on are tested against the kernels themselves.
+# Each running sum reads its first weight from the kernel once and steps every
+# later weight by the kernel's ratio, q^{-2} or q^2; the diagonal terms use
+# their closed forms, and coefficients equal to 1 are not multiplied in. Both
+# pairings further below step their weights the same way and divide by (q-1)
+# once, after the sum. The ratios and closed forms each of them relies on are
+# tested against the kernels themselves.
 
 
-def _running_sum(weight, fn, start, step, zero):
-    """Lazy running sum: k -> sum of weight(j) * fn(j) for j = start, start + step, ... through k.
+def _running_sum(first, ratio, fn, start, step, zero):
+    """Lazy running sum: k -> sum of w(j) * fn(j) for j = start, start + step, ... through k.
 
-    The sum is zero for k before start. Partial sums are memoised as they are
-    filled, so reading w degrees, in any order, costs w terms in all.
+    The weights are geometric: w(start) = first, and each later weight is the one
+    before it times ratio. The sum is zero for k before start. Partial sums are
+    memoised as they are filled, so reading w degrees, in any order, costs w terms in all.
     """
     sums = [zero]  # sums[i] is the sum of the first i terms
+    weight = first  # the weight of the next term
 
     def total(k):
+        nonlocal weight
         i = (k - start) * step + 1
         while len(sums) <= i:
-            j = start + (len(sums) - 1) * step
-            v = fn(j)
-            sums.append(sums[-1] + weight(j) * v if v != 0 else sums[-1])
+            v = fn(start + (len(sums) - 1) * step)
+            sums.append(sums[-1] + weight * v if v != 0 else sums[-1])
+            weight = weight * ratio
         return sums[i] if i > 0 else zero
 
     return total
@@ -335,17 +335,19 @@ def eis_B(phi: TFunction, qv) -> GFunction:
 
     sigma(n, d) vanishes for d > n and for -n < d < n and equals sigma(0, d) for
     d < -n, so (Eis phi)(n) is the terms at d = n and d = -n plus a prefix sum
-    of sigma(0, d) phi(d) from the lower bound of phi through -n - 1.
+    of sigma(0, d) phi(d) from the lower bound of phi through -n - 1. The
+    diagonal coefficients are sigma(0, 0) = q + 1, and sigma(n, n) = 1 and
+    sigma(n, -n) = q^{2n+1} for n > 0. The prefix sum ends at -1 or below,
+    where sigma(0, d + 1) = q^{-2} sigma(0, d); when phi.lower >= 0 it is empty.
     """
     if phi.lower is None:
         raise GlobalError("Eisenstein sum needs a support bound below (plus-type window)")
-    below = _running_sum(lambda d: subbundle_count(0, d, qv), phi.value, phi.lower, 1, _zero_like(qv))
+    below = _running_sum(subbundle_count(0, phi.lower, qv), qv**-2, phi.value, phi.lower, 1, _zero_like(qv))
 
     def fn(n):
-        acc = below(-n - 1) + subbundle_count(n, n, qv) * phi.value(n)
-        if n:
-            acc = acc + subbundle_count(n, -n, qv) * phi.value(-n)
-        return acc
+        if n == 0:
+            return below(-1) + (qv + 1) * phi.value(0)
+        return below(-n - 1) + phi.value(n) + qv ** (2 * n + 1) * phi.value(-n)
 
     upper = None
     if phi.upper is not None:
@@ -392,15 +394,17 @@ def ct_B(f: GFunction, qv) -> TFunction:
 
     For d < 0 the column is c(0, d) f(0) + c(-d, d) f(-d) plus the middle terms
     1 <= n <= -d - 1, where c(n, d) = c(n, -n - 1) does not depend on d: a
-    prefix sum over n. c(0, d) does not depend on d < 0 either, so it is read once.
+    prefix sum over n, with c(n + 1, -n - 2) = q^{-2} c(n, -n - 1). c(0, d) does
+    not depend on d < 0 either, so c(0, -1) f(0) is computed once, and
+    c(-d, d) = q^{2d+1}.
     """
-    middle = _running_sum(lambda n: ct_kernel(n, -n - 1, qv), f.value, 1, 1, _zero_like(qv))
-    c0 = ct_kernel(0, -1, qv)
+    middle = _running_sum(ct_kernel(1, -2, qv), qv**-2, f.value, 1, 1, _zero_like(qv))
+    c0_f0 = ct_kernel(0, -1, qv) * f.value(0)
 
     def fn(d):
         if d >= 0:
             return f.value(d)
-        return c0 * f.value(0) + middle(-d - 1) + ct_kernel(-d, d, qv) * f.value(-d)
+        return c0_f0 + middle(-d - 1) + qv ** (2 * d + 1) * f.value(-d)
 
     return TFunction(fn, upper=f.upper, lower=None, qv=qv)
 
@@ -414,16 +418,17 @@ def global_R(psi: TFunction, qv) -> TFunction:
     """Forward intertwiner: modulus-inverse prefactor times upward convolution with the forward kernel.
 
     R(psi)(d) = q^{2d+1} sum_m mu_hat(m) psi(d + m), on windows bounded above.
-    Since mu_hat(m) = q^{2m-2} mu_hat(1) for m >= 1, this is
-    mu_hat(0) q^{2d+1} psi(d) + mu_hat(1) sum_{e > d} q^{2e-1} psi(e): a suffix sum.
+    Since mu_hat(0) = 1 and mu_hat(m) = q^{2m-2} mu_hat(1) for m >= 1, this is
+    q^{2d+1} psi(d) + mu_hat(1) sum_{e > d} q^{2e-1} psi(e): a suffix sum whose
+    weight steps by q^{-2} from each degree to the one below it.
     """
     if psi.upper is None:
         raise GlobalError("forward intertwiner needs a support bound above")
-    mu0, mu1 = mu_hat(0, qv), mu_hat(1, qv)
-    above = _running_sum(lambda e: qv ** (2 * e - 1), psi.value, psi.upper, -1, _zero_like(qv))
+    mu1 = mu_hat(1, qv)
+    above = _running_sum(qv ** (2 * psi.upper - 1), qv**-2, psi.value, psi.upper, -1, _zero_like(qv))
 
     def fn(d):
-        return mu0 * qv ** (2 * d + 1) * psi.value(d) + mu1 * above(d + 1)
+        return qv ** (2 * d + 1) * psi.value(d) + mu1 * above(d + 1)
 
     return TFunction(fn, upper=psi.upper, lower=None, qv=qv)
 
@@ -432,16 +437,17 @@ def global_R_inverse(phi: TFunction, qv) -> TFunction:
     """Inverse intertwiner: modulus at the input point inside the sum, inverse kernel.
 
     R^{-1}(phi)(d) = sum_m q^{-2(d+m)-1} nu_hat(m) phi(d + m), on windows bounded above.
-    Since nu_hat(m) = nu_hat(1) for m >= 1, this is
-    nu_hat(0) q^{-2d-1} phi(d) + nu_hat(1) sum_{e > d} q^{-2e-1} phi(e): a suffix sum.
+    Since nu_hat(0) = 1 and nu_hat(m) = nu_hat(1) for m >= 1, this is
+    q^{-2d-1} phi(d) + nu_hat(1) sum_{e > d} q^{-2e-1} phi(e): a suffix sum whose
+    weight steps by q^2 from each degree to the one below it.
     """
     if phi.upper is None:
         raise GlobalError("inverse intertwiner needs a support bound above")
-    nu0, nu1 = nu_hat(0, qv), nu_hat(1, qv)
-    above = _running_sum(lambda e: qv ** (-2 * e - 1), phi.value, phi.upper, -1, _zero_like(qv))
+    nu1 = nu_hat(1, qv)
+    above = _running_sum(qv ** (-2 * phi.upper - 1), qv**2, phi.value, phi.upper, -1, _zero_like(qv))
 
     def fn(d):
-        return nu0 * qv ** (-2 * d - 1) * phi.value(d) + nu1 * above(d + 1)
+        return qv ** (-2 * d - 1) * phi.value(d) + nu1 * above(d + 1)
 
     return TFunction(fn, upper=phi.upper, lower=None, qv=qv)
 
@@ -451,14 +457,20 @@ def global_R_inverse(phi: TFunction, qv) -> TFunction:
 
 
 def naive_pairing(f1: GFunction, f2: GFunction, qv):
-    """Groupoid-weighted sum over bundle classes."""
+    """Groupoid-weighted sum over bundle classes: sum_n f1(n) f2(n) / aut(n).
+
+    aut(0) = (q-1) q (q+1) and aut(n) = (q-1) q^{2n+1} for n >= 1, so this is
+    f1(0) f2(0) / (q (q+1)) + sum_{n >= 1} q^{-2n-1} f1(n) f2(n), over (q-1).
+    """
     if f1.upper is None and f2.upper is None:
         raise GlobalError("naive pairing needs one factor of certified finite support")
     upper = min(x for x in (f1.upper, f2.upper) if x is not None)
-    acc = _zero_like(qv)
-    for n in range(0, upper + 1):
-        acc = acc + f1.value(n) * f2.value(n) / aut_count(n, qv)
-    return acc
+    acc = f1.value(0) * f2.value(0) / (qv * (qv + 1))
+    weight, ratio = qv**-3, qv**-2
+    for n in range(1, upper + 1):
+        acc = acc + weight * (f1.value(n) * f2.value(n))
+        weight = weight * ratio
+    return acc / (qv - 1)
 
 
 def t_weight(d: int, qv):
@@ -469,6 +481,7 @@ def t_weight(d: int, qv):
 def t_pairing(phi1: TFunction, phi2: TFunction, qv):
     """Torus-side pairing sum_d q^{-2d-1} phi1(d) phi2(d) / (q-1), finite when the windows overlap finitely.
 
+    The weight is read from t_weight at the lowest degree of the window and steps by q^{-2} from there.
     The opposite side's weight q^{2d-1}/(q-1) is this one at -d: pair the negated functions instead.
     """
     uppers = [x for x in (phi1.upper, phi2.upper) if x is not None]
@@ -477,8 +490,10 @@ def t_pairing(phi1: TFunction, phi2: TFunction, qv):
         raise GlobalError("pairing window is not certified finite")
     lo, hi = max(lowers), min(uppers)
     acc = _zero_like(qv)
+    weight, ratio = t_weight(lo, qv), qv**-2
     for d in range(lo, hi + 1):
-        acc = acc + t_weight(d, qv) * phi1.value(d) * phi2.value(d)
+        acc = acc + weight * (phi1.value(d) * phi2.value(d))
+        weight = weight * ratio
     return acc / (qv - 1)
 
 

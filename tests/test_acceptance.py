@@ -231,6 +231,15 @@ MUTANTS = [
         acceptance.check_global_adjunction, (5,), globalsl2, "negate",
         _source_mutant(globalsl2.negate, "phi.value(-d)", "phi.value(d)"), id="9a-negate-keeps-the-degree",
     ),
+    pytest.param(  # the n = 0 term is f1(0) f2(0) over (q-1) in place of q(q+1), before the sum's own division by (q-1)
+        acceptance.check_global_adjunction, (5,), globalsl2, "naive_pairing",
+        _source_mutant(globalsl2.naive_pairing, "/ (qv * (qv + 1))", "/ (qv - 1)"),
+        id="9a-naive-pairing-n0-over-q-minus-1",
+    ),
+    pytest.param(  # the weights q^{-2e-1} of the suffix sum step by q per degree downward, not q^2
+        acceptance.check_global_roundtrip, (), globalsl2, "global_R_inverse",
+        _source_mutant(globalsl2.global_R_inverse, "qv**2,", "qv,"), id="9b-r-inverse-ratio-q",
+    ),
     pytest.param(
         acceptance.check_global_roundtrip, (), globalsl2, "nu_hat",
         _changed_at(globalsl2.nu_hat, lambda m: m == 1, lambda c, qv: c + 1), id="9b-nu-hat-1-plus-1",

@@ -61,6 +61,21 @@ def test_closed_point_counts():
     assert gs.count_closed_points(1, Q) == Q + 1
 
 
+def test_bundle_functions_are_torus_functions_on_nonnegative_degrees():
+    qv = Q
+    f = gs.GFunction.from_dict({0: ZERO, 2: ONE, 3: 2 * ONE}, qv)
+    assert isinstance(f, gs.TFunction)
+    assert (f.upper, f.lower) == (3, 2)
+    assert [f.value(n) for n in range(0, 6)] == [ZERO, ZERO, ONE, 2 * ONE, ZERO, ZERO]
+    assert gs.GFunction(lambda n: ONE, qv=qv).lower == 0
+    with pytest.raises(gs.GlobalError):
+        f.value(-1)
+    with pytest.raises(gs.GlobalError):
+        gs.GFunction.from_dict({-1: ONE, 0: ONE}, qv)
+    with pytest.raises(gs.GlobalError):
+        gs.GFunction(lambda n: ONE, upper=2, lower=-1, qv=qv)
+
+
 def test_eis_examples():
     qv = Q
     phi0 = gs.TFunction.from_dict({0: ONE}, qv)
@@ -344,16 +359,16 @@ def assert_same_values(make_new, ref, points, rng):
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_running_sum_operators_match_whole_window_sums(qv):
+    # windows with phi.lower >= 0 leave the Eisenstein prefix sum empty; the torus-side
+    # reads start at -40, far below every window
     rng = random.Random(11)
-    for _ in range(4):
-        phi = rand_t(rng, qv)
+    for lo, hi in ((-5, 3), (-5, 3), (0, 4), (2, 5)):
+        phi = rand_t(rng, qv, lo, hi)
         f = rand_g(rng, qv)
-        assert_same_values(lambda: gs.eis_B(phi, qv), ref_eis(phi, qv), range(0, phi.upper - phi.lower + 3), rng)
-        assert_same_values(lambda: gs.ct_B(f, qv), ref_ct(f, qv), range(-9, f.upper + 3), rng)
-        assert_same_values(lambda: gs.global_R(phi, qv), ref_R(phi, qv), range(phi.lower - 4, phi.upper + 3), rng)
-        assert_same_values(
-            lambda: gs.global_R_inverse(phi, qv), ref_R_inverse(phi, qv), range(phi.lower - 4, phi.upper + 3), rng
-        )
+        assert_same_values(lambda: gs.eis_B(phi, qv), ref_eis(phi, qv), range(0, phi.upper - min(phi.lower, 0) + 3), rng)
+        assert_same_values(lambda: gs.ct_B(f, qv), ref_ct(f, qv), range(-40, f.upper + 3), rng)
+        assert_same_values(lambda: gs.global_R(phi, qv), ref_R(phi, qv), range(-40, phi.upper + 3), rng)
+        assert_same_values(lambda: gs.global_R_inverse(phi, qv), ref_R_inverse(phi, qv), range(-40, phi.upper + 3), rng)
 
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
@@ -409,3 +424,87 @@ def test_subbundle_counts_vanish_strictly_between_minus_n_and_n(qv):
 def test_middle_constant_term_kernel_does_not_depend_on_the_degree(qv):
     for d in range(-9, 0):
         assert all(gs.ct_kernel(n, d, qv) == gs.ct_kernel(n, -n - 1, qv) for n in range(1, -d))
+
+
+# The first weights, ratios and diagonal closed forms the operators and pairings
+# use in place of per-term kernel calls.
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_subbundle_counts_below_zero_step_by_q_squared_downward(qv):
+    assert all(gs.subbundle_count(0, d - 1, qv) == qv**2 * gs.subbundle_count(0, d, qv) for d in range(-9, 0))
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_middle_constant_term_kernel_steps_by_q_to_the_minus_two(qv):
+    assert all(gs.ct_kernel(n + 1, -n - 2, qv) == qv**-2 * gs.ct_kernel(n, -n - 1, qv) for n in range(1, 10))
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_diagonal_subbundle_counts_and_constant_term_kernel(qv):
+    assert gs.subbundle_count(0, 0, qv) == qv + 1
+    for n in range(1, 8):
+        assert gs.subbundle_count(n, n, qv) == 1
+        assert gs.subbundle_count(n, -n, qv) == qv ** (2 * n + 1)
+    assert all(gs.ct_kernel(-d, d, qv) == qv ** (2 * d + 1) for d in range(-8, 0))
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_intertwiner_kernels_start_at_one(qv):
+    assert gs.mu_hat(0, qv) == gs.nu_hat(0, qv) == 1
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_pairing_weights_step_by_q_to_the_minus_two(qv):
+    assert all(gs.t_weight(d + 1, qv) == qv**-2 * gs.t_weight(d, qv) for d in range(-8, 8))
+    assert all(gs.aut_count(n + 1, qv) == qv**2 * gs.aut_count(n, qv) for n in range(1, 9))
+    # the terms naive_pairing writes out before dividing by (q-1) once
+    assert gs.aut_count(0, qv) == (qv - 1) * qv * (qv + 1)
+    assert gs.aut_count(1, qv) == (qv - 1) * qv**3
+
+
+def ref_naive(f1, f2, qv):
+    upper = min(x for x in (f1.upper, f2.upper) if x is not None)
+    return sum((f1.value(n) * f2.value(n) / gs.aut_count(n, qv) for n in range(0, upper + 1)), 0 * qv)
+
+
+def ref_t_pairing(phi1, phi2, qv):
+    lo, hi = max(phi1.lower, phi2.lower), min(phi1.upper, phi2.upper)
+    return sum((gs.t_weight(d, qv) / (qv - 1) * phi1.value(d) * phi2.value(d) for d in range(lo, hi + 1)), 0 * qv)
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_pairings_match_per_term_weight_sums(qv):
+    rng = random.Random(15)
+    unbounded = gs.GFunction(lambda n: qv**n, upper=None, qv=qv)
+    for nmax in (0, 0, 1, 3, 5):
+        f1, f2 = rand_g(rng, qv, nmax=nmax), rand_g(rng, qv, nmax=rng.randint(0, 5))
+        assert gs.naive_pairing(f1, f2, qv) == ref_naive(f1, f2, qv)
+        assert gs.naive_pairing(unbounded, f1, qv) == gs.naive_pairing(f1, unbounded, qv) == ref_naive(f1, unbounded, qv)
+    assert gs.naive_pairing(gs.GFunction.from_dict({0: 3}, qv), gs.GFunction.from_dict({0: 5}, qv), qv) == 15 / (
+        qv * (qv - 1) * (qv + 1)
+    )
+    for (lo1, hi1), (lo2, hi2) in (((-5, 3), (-2, 6)), ((-4, 0), (-6, 0)), ((0, 0), (-3, 3)), ((-5, -2), (1, 4))):
+        phi1, phi2 = rand_t(rng, qv, lo1, hi1), rand_t(rng, qv, lo2, hi2)
+        assert gs.t_pairing(phi1, phi2, qv) == ref_t_pairing(phi1, phi2, qv)
+
+
+def test_operators_read_each_kernel_a_fixed_number_of_times(monkeypatch):
+    qv = Fraction(2)
+    calls = {"subbundle_count": 0, "ct_kernel": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(gs, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(gs, name, counted)
+
+    def kernel_calls(width):
+        calls.update(dict.fromkeys(calls, 0))
+        eis = gs.eis_B(gs.TFunction.from_dict({d: 1 for d in range(-width, 1)}, qv), qv)
+        ct = gs.ct_B(gs.GFunction.from_dict({n: 1 for n in range(0, width + 1)}, qv), qv)
+        for k in range(0, width + 1):
+            eis.value(k), ct.value(-k)
+        return dict(calls)
+
+    assert kernel_calls(40) == kernel_calls(5) == {"subbundle_count": 1, "ct_kernel": 2}
