@@ -1,18 +1,21 @@
-"""Rational polyhedral cone decision procedures: membership, duality certificates, the Langlands retraction, and support shapes.
+"""Rational polyhedral cone decision procedures: membership, duality certificates, the Langlands retraction, and support windows.
 
-Membership is an exact phase-1 simplex on an int tableau, and the Langlands
+Membership in pos_U, for series supports and windows alike, is a sign test
+against the generators of its dual cone (`in_pos_U`). The exact phase-1
+simplex on an int tableau (`in_cone`) is the independent route that the
+certificates, the retraction property and criterion 4 use. The Langlands
 retraction solves in ints once the coweight's denominators are cleared:
 Fraction appears only in the simplex's coefficients and the retraction's input
-and output. The double description (`rays_from_inequalities`) runs in
-integers too: constraints, lineality basis and extreme rays are primitive int
-vectors, and each candidate ray is the generalised cross product (signed
-maximal minors, `linalg.det`) of d - 1 constraints restricted to a pointed
-section of dimension d. A feasible candidate is tight on d - 1 independent
-constraints, so it spans a one-dimensional face of the pointed section and is
-extreme; no extremality filter is needed. The certificates keep coroots, roots
-and rays as int vectors, so their Weyl actions and pairings stay in Z, and
-they read the double description through `dual_generators`, one generating
-set per datum and vector tuple.
+and output. The double description (`rays_from_inequalities`) runs in integers
+too: constraints, lineality basis and extreme rays are primitive int vectors,
+and each candidate ray is the generalised cross product (signed maximal
+minors, `linalg.det`) of d - 1 constraints restricted to a pointed section of
+dimension d. A feasible candidate is tight on d - 1 independent constraints,
+so it spans a one-dimensional face of the pointed section and is extreme; no
+extremality filter is needed. The certificates keep coroots, roots and rays as
+int vectors, so their Weyl actions and pairings stay in Z, and they read the
+double description through `dual_generators`, one generating set per datum and
+vector tuple.
 """
 
 from __future__ import annotations
@@ -172,79 +175,56 @@ def _cross(rows, d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# named cones
+# membership in pos_U, and support windows
 
 
-@dataclass(frozen=True)
-class ConeId:
-    tag: str
-    indices: frozenset | None = None
+def in_pos_U(par: ParabolicType, v) -> bool:
+    """v lies in pos_U, the cone of the parabolic's unipotent coroots.
+
+    By the Farkas lemma, exactly when v pairs >= 0 with every generator of the
+    dual cone (`dual_generators`: its rays and both signs of its lineality
+    basis), so membership is a few integer sign tests. `in_cone` stays the
+    independent route of the certificates.
+    """
+    return all(dot(c, v) >= 0 for c in dual_generators(par.rd, par.pos_coroots_unipotent))
 
 
-def pos_G() -> ConeId:
-    return ConeId("pos_G")
+def neg_pos_U(indices) -> frozenset:
+    """The cone -pos_U of the standard parabolic with these Levi indices, named by the indices."""
+    return frozenset(map(int, indices))
 
 
-def neg_pos_G() -> ConeId:
-    return ConeId("neg_pos_G")
-
-
-def pos_U(indices) -> ConeId:
-    return ConeId("pos_U", frozenset(indices))
-
-
-def neg_pos_U(indices) -> ConeId:
-    return ConeId("neg_pos_U", frozenset(indices))
-
-
-def cone_generators(rd: RootDatum, cone: ConeId):
-    """A finite generating set (lineality directions appear with both signs)."""
-    tag = cone.tag
-    if tag in ("pos_G", "neg_pos_G"):
-        gens = list(rd.positive_coroots)
-    elif cone.indices is None:
-        raise ConeError(f"cone {tag} requires a parabolic index set")
-    elif tag in ("pos_U", "neg_pos_U"):
-        # the unipotent coroots, by the rule of ParabolicType.pos_coroots_unipotent
-        gens = [a for a in rd.positive_coroots if not rd.in_span_of_simples(a, cone.indices)]
-    else:
-        raise ConeError(f"unknown cone tag {tag!r}")
-    return gens if tag.startswith("pos") else [vneg(g) for g in gens]
-
-
-def cone_member(rd: RootDatum, cone: ConeId, lam) -> bool:
-    """lam lies in the rational cone generated by the named cone's generators."""
-    return in_cone(cone_generators(rd, cone), lam)
-
-
-# ---------------------------------------------------------------------------
-# support shapes
+def cone_member(rd: RootDatum, cone: frozenset, lam) -> bool:
+    """lam lies in the cone -pos_U named by cone."""
+    return in_pos_U(ParabolicType(rd, cone), vneg(lam))
 
 
 @dataclass(frozen=True)
 class SupportShape:
-    """The set {theta + c : theta in base, c in cone}; carrier for boundedness predicates."""
+    """The window {b - c : b in base, c in pos_U}, a finite union of translates of -pos_U; cone names it by J."""
 
     base: tuple
-    cone: ConeId
+    cone: frozenset
 
     @staticmethod
-    def make(base, cone: ConeId) -> "SupportShape":
+    def make(base, cone: frozenset) -> "SupportShape":
         return SupportShape(tuple(sorted(set(map(tuple, base)))), cone)
 
-    def contains(self, rd: RootDatum, lam) -> bool:
-        gens = cone_generators(rd, self.cone)
-        return any(in_cone(gens, tuple(x - y for x, y in zip(lam, b))) for b in self.base)
+    def contains(self, par: ParabolicType, lam) -> bool:
+        """lam lies in the window: b - lam lies in pos_U for some base point b."""
+        if par.indices != self.cone:
+            raise ConeError(f"window cone -pos_U of J={sorted(self.cone)} does not belong to {par}")
+        return any(in_pos_U(par, tuple(x - y for x, y in zip(b, lam))) for b in self.base)
 
 
 def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
     """True iff every dominant weight is bounded above on the shape.
 
     By linearity it suffices that every generator of the dominant-weight cone
-    is nonpositive on the shape's cone (the base is finite by construction).
+    pairs >= 0 with every generator of pos_U (the base is finite by construction).
     """
-    gens = cone_generators(rd, shape.cone)
-    return all(dot(chi, g) <= 0 for chi in dual_generators(rd, rd.simple_coroots) for g in gens)
+    pos_u = ParabolicType(rd, shape.cone).pos_coroots_unipotent
+    return all(dot(chi, a) >= 0 for chi in dual_generators(rd, rd.simple_coroots) for a in pos_u)
 
 
 # ---------------------------------------------------------------------------

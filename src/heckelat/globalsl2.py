@@ -510,10 +510,9 @@ def op_L(f: GFunction, qv) -> GFunction:
     """
     if f.upper is None:
         raise GlobalError("L needs finitely supported input")
-    ct = ct_B(f, qv)
-    psi = global_R_inverse(ct, qv)
-    eis = eis_B_minus(psi, qv)
-    flipped = negate(psi, qv)
+    psi = global_R_inverse(ct_B(f, qv), qv)
+    flipped = negate(psi, qv)  # eis_B_minus(psi) is eis_B of this same negation
+    eis = eis_B(flipped, qv)
     certificate = TFunction(lambda d: -flipped.value(d), upper=flipped.upper, lower=flipped.lower, qv=qv)
     return GFunction(lambda n: f.value(n) - eis.value(n), upper=None, qv=qv, psc_ct=certificate)
 

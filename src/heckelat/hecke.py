@@ -21,8 +21,8 @@ class TruncationError(HeckeError):
 _CONE_MEMO: dict = {}
 
 
-def in_support_cone(rd, par, lam) -> bool:
-    """Cached membership of a lattice point in the parabolic's unipotent support cone.
+def in_support_cone(par, lam) -> bool:
+    """Cached membership of a lattice point in the parabolic's unipotent support cone, by `cones.in_pos_U`.
 
     The memo is keyed on the cone's generators, not on names, so data that share
     a name but not a cone never share entries.
@@ -30,7 +30,7 @@ def in_support_cone(rd, par, lam) -> bool:
     key = (par.pos_coroots_unipotent, tuple(lam))
     hit = _CONE_MEMO.get(key)
     if hit is None:
-        hit = _CONE_MEMO[key] = cones.in_cone(par.pos_coroots_unipotent, lam)
+        hit = _CONE_MEMO[key] = cones.in_pos_U(par, lam)
     return hit
 
 
@@ -72,7 +72,7 @@ class GradedSeries:
             key = tuple(int(x) for x in k)
             if par.height(key) > self.height:
                 continue
-            if not in_support_cone(rd, par, key):
+            if not in_support_cone(par, key):
                 raise HeckeError(f"support point {key} lies outside the support cone")
             clean[key] = v
         self.coeffs = MappingProxyType(clean)

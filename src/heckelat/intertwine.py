@@ -26,10 +26,8 @@ class SphericalFunction:
                 self.values[tuple(int(x) for x in k)] = v
         self.window = window
         if check_window:
-            if not cones.bounded_above(rd, window):
-                raise IntertwineError("window is not of bounded-above type")
             for lam in self.values:
-                if not window.contains(rd, lam):
+                if not window.contains(par, lam):
                     raise IntertwineError(f"support point {lam} lies outside the declared window")
 
     def value(self, lam) -> RatFunc:

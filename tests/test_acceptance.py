@@ -169,6 +169,11 @@ MUTANTS = [
         _source_mutant(qfield._laurent_sum, "return _rf(v + j, n[j:], (1,))", "return _rf(v, n[j:], (1,))"),
         id="2-laurent-sum-keeps-the-valuation",
     ),
+    pytest.param(  # the origin pairs to 0 with every dual generator, so no series keeps its constant term
+        acceptance.check_inversion, (("A1", "A2"),), cones, "in_pos_U",
+        _source_mutant(cones.in_pos_U, "dot(c, v) >= 0", "dot(c, v) > 0"),
+        id="2-support-cone-sign-test-strict",
+    ),
     pytest.param(
         acceptance.check_nu_constant_term, (("A1", "B2"),), hecke, "nu", _nu_with_constant_term_two(),
         id="3-nu-constant-term-2",
@@ -263,6 +268,7 @@ MUTANTS = [
 @pytest.mark.parametrize("check, args, module, attr, mutant", MUTANTS)
 def test_mutant_fails_its_criterion(monkeypatch, check, args, module, attr, mutant):
     assert check(*args).passed
+    monkeypatch.setattr(hecke, "_CONE_MEMO", {})  # answers the true code cached must not hide the mutant
     monkeypatch.setattr(module, attr, mutant)
     result = check(*args)
     assert not result.passed, result.line()

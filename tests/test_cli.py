@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import cli, hecke, rootdata
+from heckelat import acceptance, cli, hecke, rootdata
 
 
 def run(argv):
@@ -134,6 +134,47 @@ def test_indicator_table_outside_q_of_q_is_a_usage_error_naming_the_e_basis(caps
     out, _ = run([*argv, "--basis", "e"])
     assert out.startswith("coweight,coefficient\n") and len(out.splitlines()) > 2
 
+@pytest.mark.parametrize("word", ["full", "ALL"])
+@pytest.mark.parametrize("argv", [
+    ["gk", "--datum", "A2", "--height", "4", "--basis", "e"],
+    ["cone-check", "--datum", "B2"],
+], ids=lambda argv: argv[0])
+def test_parabolic_full_is_the_explicit_index_list(argv, word):
+    out, _ = run([*argv, "--parabolic", word])
+    assert out == run([*argv, "--parabolic", "1,2"])[0]
+    assert out != run([*argv, "--parabolic", "1"])[0]
+
+
+def test_verify_all_exit_code_and_datum_narrowing(monkeypatch, capsys):
+    calls, failing = [], set()
+
+    def fake(name):
+        @acceptance._timed(name)
+        def check(datums=("A2",)):
+            calls.append((name, datums))
+            acceptance._require(name not in failing, "sabotaged")
+
+        return check
+
+    narrowable, fixed = fake("x. narrowable"), fake("y. fixed")
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", [narrowable, fixed])
+    monkeypatch.setattr(acceptance, "_DATUM_NARROWABLE", {narrowable})
+
+    assert cli.main(["verify-all"]) == 0
+    assert calls == [("x. narrowable", ("A2",)), ("y. fixed", ("A2",))]
+    assert [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "[PASS] x. narrowable", "[PASS] y. fixed",
+    ]
+    calls.clear()
+    assert cli.main(["verify-all", "--datum", "A1"]) == 0
+    assert calls == [("x. narrowable", ("A1",)), ("y. fixed", ("A2",))]
+    capsys.readouterr()
+    failing.add("y. fixed")
+    assert cli.main(["verify-all"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("[PASS] x. narrowable") and out[1].startswith("[FAIL] y. fixed") and out[1].endswith("-- sabotaged")
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gk", "--datum", "A1", "--no-such-flag"])
@@ -220,15 +261,20 @@ def test_char_piece_is_1_based(capsys, action):
     ["global-sl2", "L", "--input", "[[0,1]]", "--q", "1"],
     ["global-sl2", "L", "--input", "[[0,1]]", "--q", "0"],
     ["global-sl2", "B", "--input", "[[0,1]]", "--input2", "[[0,1]]", "--q=-1"],
+    ["char", "decompose", "--datum", "A2"],
+    ["char", "decompose", "--datum", "A2", "--input", "[[[0,0],1],[1,2,3]]"],
 ], ids=[
     "coweight-abc", "coweight-1/0", "gk-q-abc", "global-q-abc", "intertwine-value-x", "input2-notjson",
     "intertwine-short-coweight", "intertwine-coweight-not-a-list", "oracle-short-coweight", "parabolic-index-3-of-2",
     "gk-height-negative", "nu-height-negative", "satake-height-negative", "char-height-negative",
     "intertwine-height-negative", "global-window-negative", "global-q-1", "global-q-0", "global-q-minus-1",
+    "decompose-needs-input", "decompose-input-not-pairs",
 ])
 def test_malformed_input_is_a_usage_error(capsys, argv):
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("usage error:")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
     with pytest.raises(cli.UsageError):
         cli.run_capture(argv)
 

@@ -5,10 +5,10 @@ from math import gcd
 
 import pytest
 
-from heckelat import acceptance, cones, linalg
+from heckelat import acceptance, cones, hecke, linalg
 from heckelat.cones import SupportShape, in_cone, langlands_retraction, nonneg_combination
 from heckelat.intertwine import SphericalFunction
-from heckelat.rootdata import ParabolicType, load_root_datum
+from heckelat.rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum
 
 
 def brute_member(gens, target, grid=5):
@@ -36,10 +36,14 @@ def test_nonneg_combination_against_brute():
 
 
 def test_cone_member_examples():
+    # A2 with J = {0}: pos_U is spanned by the coroots (0, 1) and (1, 1)
     rd = load_root_datum("A2")
-    assert cones.cone_member(rd, cones.pos_U([0]), (1, 1))
-    assert not cones.cone_member(rd, cones.pos_U([0]), (1, 0))
-    assert cones.cone_member(rd, cones.pos_U([0]), (0, 0))
+    assert in_cone([(0, 1), (1, 1)], (1, 1))
+    assert not in_cone([(0, 1), (1, 1)], (1, 0))
+    assert in_cone([(0, 1), (1, 1)], (0, 0))
+    assert cones.cone_member(rd, cones.neg_pos_U([0]), (-1, -1))
+    assert not cones.cone_member(rd, cones.neg_pos_U([0]), (-1, 0))
+    assert cones.cone_member(rd, cones.neg_pos_U([0]), (0, 0))
     coeffs = nonneg_combination([(0, 1), (1, 1)], (1, 2))
     assert coeffs is not None and all(c >= 0 for c in coeffs)
 
@@ -204,6 +208,53 @@ def test_certificates_compute_each_double_description_once_per_datum(monkeypatch
     assert len(calls) == 2 * cold  # a freshly loaded datum starts cold
 
 
+def test_sign_tests_agree_with_the_simplex_on_every_preset_and_parabolic():
+    """in_pos_U, in_support_cone and SupportShape.contains against in_cone, over a box of lattice points.
+
+    The box is [-3, 3]^r for r <= 2 and [-2, 2]^r otherwise. GL2's dual cone has a
+    lineality line, and J = full has the zero cone, whose dual is the whole space.
+    """
+    rng = random.Random(29)
+    answers = set()
+    for name in PRESET_NAMES:
+        rd = load_root_datum(name)
+        r = 3 if rd.rank <= 2 else 2
+        box = list(product(range(-r, r + 1), repeat=rd.rank))
+        for J in index_subsets(rd.n_simple):
+            par = ParabolicType(rd, J)
+            gens = par.pos_coroots_unipotent
+            for lam in box:
+                member = in_cone(gens, lam)
+                answers.add(member)
+                assert cones.in_pos_U(par, lam) == member, (name, J, lam)
+                assert hecke.in_support_cone(par, lam) == member, (name, J, lam)
+            for _ in range(2):
+                base = rng.sample(box, rng.randint(1, 3))
+                window = SupportShape.make(base, cones.neg_pos_U(J))
+                for lam in box:
+                    member = any(in_cone(gens, tuple(x - y for x, y in zip(b, lam))) for b in base)
+                    assert window.contains(par, lam) == member, (name, J, base, lam)
+    assert answers == {True, False}
+
+
+def test_series_and_windows_never_reach_the_simplex(monkeypatch):
+    def refuse(gens, target):
+        raise AssertionError(f"simplex called on {target}")
+
+    monkeypatch.setattr(cones, "nonneg_combination", refuse)
+    monkeypatch.setattr(hecke, "_CONE_MEMO", {})
+    rd = load_root_datum("A2")
+    pts = [(0, 0), (1, 0), (0, -1), (-1, 1)]
+    for J in index_subsets(rd.n_simple):
+        par = ParabolicType(rd, J)
+        mu, nu = hecke.gk_mu(rd, par, 8), hecke.nu(rd, par, 8)
+        assert hecke.convolve(mu, nu) == hecke.GradedSeries.unit(rd, par, 8)
+        phi = SphericalFunction(rd, par, {p: 1 for p in pts}, SupportShape.make(pts, cones.neg_pos_U(J)))
+        assert sorted(phi.values) == sorted(pts)
+    with pytest.raises(AssertionError, match="simplex called"):
+        in_cone(par.pos_coroots_unipotent, (1, 0))
+
+
 def test_window_check_builds_no_parabolic(monkeypatch):
     rd = load_root_datum("A2")
     par = ParabolicType(rd, [0])
@@ -285,18 +336,23 @@ def test_downward_saturation_in_support_cone():
 
 
 def test_bounded_above_examples():
-    rd = load_root_datum("A2")
-    assert cones.bounded_above(rd, SupportShape.make([(0, 0)], cones.neg_pos_G()))
-    assert not cones.bounded_above(rd, SupportShape.make([(0, 0)], cones.pos_G()))
-    assert cones.bounded_above(rd, SupportShape.make([(1, 0)], cones.neg_pos_U([0])))
+    # a dominant weight pairs >= 0 with every positive coroot, so every -pos_U window is bounded above;
+    # that is why SphericalFunction does not check it
+    for name in PRESET_NAMES:
+        rd = load_root_datum(name)
+        for J in index_subsets(rd.n_simple):
+            assert cones.bounded_above(rd, SupportShape.make([(1,) * rd.rank], cones.neg_pos_U(J))), (name, J)
 
 
 def test_support_shape_contains():
     rd = load_root_datum("A2")
+    par = ParabolicType(rd, [0])
     shape = SupportShape.make([(1, 0)], cones.neg_pos_U([0]))
-    assert shape.contains(rd, (1, 0))
-    assert shape.contains(rd, (0, -1))
-    assert not shape.contains(rd, (2, 0))
+    assert shape.contains(par, (1, 0))
+    assert shape.contains(par, (0, -1))
+    assert not shape.contains(par, (2, 0))
+    with pytest.raises(cones.ConeError, match="does not belong"):
+        shape.contains(ParabolicType(rd, []), (1, 0))
 
 
 def test_rank_cap_enforced():

@@ -187,8 +187,8 @@ def test_cone_memo_is_keyed_on_content_not_name():
 
     a2_shaped = RootDatum("X", 2, [[1, 0], [0, 1]], [[2, -1], [-1, 2]])
     gl2_shaped = RootDatum("X", 2, [[1, -1]], [[1, -1]])
-    assert hk.in_support_cone(a2_shaped, ParabolicType(a2_shaped, []), (1, 0))
-    assert not hk.in_support_cone(gl2_shaped, ParabolicType(gl2_shaped, []), (1, 0))
+    assert hk.in_support_cone(ParabolicType(a2_shaped, []), (1, 0))
+    assert not hk.in_support_cone(ParabolicType(gl2_shaped, []), (1, 0))
 
 
 # -- reference implementations: the local series as first written -------------------------------

@@ -134,9 +134,9 @@ def test_window_propagation_class():
     phi = make_phi(rd, par, {(1, 1): ONE})
     out = iw.apply_R_K(rd, par, mu, phi)
     # output window has the downward cone type: every computed point sits below the base
-    assert out.window.cone.tag == "neg_pos_U"
+    assert out.window.cone == cones.neg_pos_U(par.indices)
     for lam in out.values:
-        assert out.window.contains(rd, lam)
+        assert out.window.contains(par, lam)
 
 
 def _asymptotics(rd, par, height):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from heckelat import cones, linalg
+from heckelat import cones, linalg, rootdata
 from heckelat.rootdata import (
     PRESET_NAMES,
     ParabolicType,
@@ -144,6 +144,54 @@ def test_load_rejects_non_finite_type(cartan):
         load_root_datum(config)
 
 
+def _star(*arms):
+    """Cartan matrix of a simply-laced tree: a branch node 0 with a path of each given length."""
+    n = 1 + sum(arms)
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    node = 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            cartan[prev][node] = cartan[node][prev] = -1
+            prev, node = node, node + 1
+    return cartan
+
+
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("cartan, order", [
+    (F4_CARTAN, 1152),
+    (_star(1, 1, 1), 192),
+    (_star(1, 1, 2), 1920),
+    (_star(3, 1, 1), 23040),
+    (_star(1, 2, 2), 51840),
+    (_star(1, 2, 3), 2903040),
+    (_star(4, 2, 1), 696729600),
+], ids=["F4", "D4", "D5", "D6", "E6", "E7", "E8"])
+def test_component_weyl_order_classifies_each_diagram(cartan, order):
+    assert rootdata._component_weyl_order(cartan, list(range(len(cartan)))) == order
+
+
+def test_component_weyl_order_rejects_an_unrecognized_diagram():
+    with pytest.raises(RootDatumError, match="unrecognized"):
+        rootdata._component_weyl_order(_star(2, 2, 2), list(range(7)))
+
+
+def test_d4_from_inline_json_passes_the_weyl_order_check():
+    cartan = _star(1, 1, 1)
+    config = {
+        "name": "D4",
+        "rank": 4,
+        "cartan": cartan,
+        "simple_coroots": [[int(i == j) for j in range(4)] for i in range(4)],
+        "simple_roots": cartan,
+    }
+    rd = load_root_datum(json.dumps(config))
+    assert len(rd.weyl_elements) == rd.expected_weyl_order() == 192
+    assert len(rd.positive_coroots) == 12
+
+
 def test_load_rejects_inconsistent_declared_cartan():
     rd = load_root_datum("A2")
     config = rd.config()
@@ -223,8 +271,10 @@ def test_gl2_non_semisimple():
     rd = load_root_datum("GL2")
     assert rd.rank == 2 and rd.n_simple == 1
     par = ParabolicType(rd, [])
-    assert cones.cone_member(rd, cones.pos_G(), (1, -1))
-    assert not cones.cone_member(rd, cones.pos_G(), (1, 0))
+    # pos_G is spanned by the one positive coroot (1, -1); the lineality (1, 1) of its dual cone is signed both ways
+    assert cones.in_cone([(1, -1)], (1, -1))
+    assert not cones.in_cone([(1, -1)], (1, 0))
+    assert cones.in_pos_U(par, (1, -1)) and not cones.in_pos_U(par, (1, 0)) and not cones.in_pos_U(par, (-1, 1))
 
 
 def test_dominant_representative():
