@@ -80,8 +80,8 @@ class GradedSeries:
 
     # -- basics ---------------------------------------------------------
     @staticmethod
-    def unit(rd, par, height, basis: str = E_BASIS) -> "GradedSeries":
-        return GradedSeries(rd, par, height, {(0,) * rd.rank: ONE}, basis)
+    def unit(rd, par, height) -> "GradedSeries":
+        return GradedSeries(rd, par, height, {(0,) * rd.rank: ONE})
 
     def coeff(self, lam) -> RatFunc:
         return self.coeffs.get(tuple(int(x) for x in lam), ZERO)

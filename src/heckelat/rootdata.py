@@ -18,6 +18,7 @@ used. Matrices stay the elements' keys and their action on coweights.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -49,6 +50,34 @@ def index_subsets(n: int):
         yield [i for i in range(n) if mask >> i & 1]
 
 
+def weyl_order(heights: list[int]) -> int:
+    """|W| from the heights of the positive roots: the product of (h + 1) / h over them (Macdonald 1972)."""
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
+
+
+def _orbit_coordinates(cartan, simples) -> dict[Vec, Vec]:
+    """{vector: int coordinates on the simples} over the Weyl orbit of the simples.
+
+    The orbit is closed in coordinates under the simple reflections
+    s_i(c) = c - (cartan c)_i e_i: the Cartan matrix for coroots, its
+    transpose for roots.
+    """
+    n = len(cartan)
+    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    stack = list(seen)
+    while stack:
+        c = stack.pop()
+        for i in range(n):
+            k = dot(cartan[i], c)
+            if k:
+                image = c[:i] + (c[i] - k,) + c[i + 1 :]
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    basis = tuple(zip(*simples))
+    return {mat_vec(basis, c): c for c in seen}
+
+
 def _as_vec(v) -> Vec:
     return tuple(int(x) for x in v)
 
@@ -78,11 +107,15 @@ class RootDatum:
             for i in range(self.n_simple)
         )
         self._check_cartan()
+        self._build_roots()
+        # |W| from the root heights alone, a witness for the matrix enumeration that does not read it
+        order = weyl_order([sum(self.root_coords[chi]) for chi in self.positive_roots])
+        if order > WEYL_CAP:
+            raise WeylEnumerationError(f"|W| = {order} exceeds cap {WEYL_CAP}")
         self._simple_reflections = tuple(self._reflection(i) for i in range(self.n_simple))
         self.weyl_elements: tuple[Matrix, ...] = tuple(self._weyl_bfs(range(self.n_simple)))
-        expected = self.expected_weyl_order()
-        if len(self.weyl_elements) != expected:
-            raise RootDatumError(f"|W| = {len(self.weyl_elements)} does not match classification ({expected})")
+        if len(self.weyl_elements) != order:
+            raise RootDatumError(f"|W| = {len(self.weyl_elements)} enumerated, {order} from the root heights")
         self._subgroup_cache: dict[frozenset, frozenset] = {frozenset(range(self.n_simple)): frozenset(self.weyl_elements)}
         self._levi_adjugates: dict[tuple[int, ...], tuple[int, Matrix]] = {}
         self._w_inverse = {w: self._invert(w) for w in self.weyl_elements}
@@ -91,7 +124,6 @@ class RootDatum:
         self._root_images: dict[Matrix, dict[Covec, Covec]] = {}
         # cones.dual_generators: the dual cone's generators per vector tuple, for as long as the datum lives
         self.cone_rays: dict[tuple, tuple[Covec, ...]] = {}
-        self._build_roots()
         self.w0 = self.longest_element(range(self.n_simple))
         self.two_rho_check: Covec = tuple(sum(col) for col in zip(*self.positive_roots)) if self.positive_roots else (0,) * self.rank
 
@@ -173,8 +205,8 @@ class RootDatum:
             frontier = new
 
     def _build_roots(self) -> None:
-        self.coroot_coords: dict[Vec, Vec] = self._orbit_coordinates(self.cartan, self.simple_coroots)
-        self.root_coords: dict[Covec, Vec] = self._orbit_coordinates(tuple(zip(*self.cartan)), self.simple_roots)
+        self.coroot_coords: dict[Vec, Vec] = _orbit_coordinates(self.cartan, self.simple_coroots)
+        self.root_coords: dict[Covec, Vec] = _orbit_coordinates(tuple(zip(*self.cartan)), self.simple_roots)
         self.coroots: frozenset[Vec] = frozenset(self.coroot_coords)
         self.roots: frozenset[Covec] = frozenset(self.root_coords)
         self.positive_coroots: tuple[Vec, ...] = tuple(v for v in sorted(self.coroots) if min(self.coroot_coords[v]) >= 0)
@@ -184,54 +216,11 @@ class RootDatum:
         if 2 * npos != len(self.coroots) or 2 * len(self.positive_roots) != len(self.roots) or len(self.positive_roots) != npos:
             raise RootDatumError("root system is not split into positive/negative halves")
 
-    def _orbit_coordinates(self, cartan, simples) -> dict[Vec, Vec]:
-        """{vector: int coordinates on the simples} over the Weyl orbit of the simples.
-
-        The orbit is closed in coordinates under the simple reflections
-        s_i(c) = c - (cartan c)_i e_i: the Cartan matrix for coroots, its
-        transpose for roots.
-        """
-        n = self.n_simple
-        seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-        stack = list(seen)
-        while stack:
-            c = stack.pop()
-            for i in range(n):
-                k = dot(cartan[i], c)
-                if k:
-                    image = c[:i] + (c[i] - k,) + c[i + 1 :]
-                    if image not in seen:
-                        seen.add(image)
-                        stack.append(image)
-        basis = tuple(zip(*simples))
-        return {mat_vec(basis, c): c for c in seen}
-
     def _invert(self, w: Matrix) -> Matrix:
         d = linalg.det(w)  # +-1 on a lattice automorphism, so w^-1 = d adj(w)
         return tuple(tuple(d * x for x in row) for row in linalg.adjugate(w))
 
     # -- queries -----------------------------------------------------------
-    def expected_weyl_order(self) -> int:
-        """Order of W predicted by the classification of the Cartan matrix."""
-        n = self.n_simple
-        comp_seen = [False] * n
-        total = 1
-        for start in range(n):
-            if comp_seen[start]:
-                continue
-            comp = []
-            stack = [start]
-            comp_seen[start] = True
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(n):
-                    if not comp_seen[j] and self.cartan[i][j] != 0:
-                        comp_seen[j] = True
-                        stack.append(j)
-            total *= _component_weyl_order(self.cartan, sorted(comp))
-        return total
-
     def act_on_weight(self, w: Matrix, chi) -> Covec:
         """(w . chi)(lam) = chi(w^{-1} lam); chi as a covector row, against the columns of w^{-1} cached per w."""
         cols = self._inverse_columns.get(w)
@@ -247,7 +236,7 @@ class RootDatum:
         return image
 
     def w_inverse(self, w: Matrix) -> Matrix:
-        return self._w_inverse.get(w) or self._invert(w)
+        return self._w_inverse[w]
 
     def subgroup(self, indices) -> frozenset:
         """The parabolic subgroup W_J generated by the listed simple reflections (cached)."""
@@ -307,53 +296,6 @@ class RootDatum:
             "simple_coroots": [list(v) for v in self.simple_coroots],
             "simple_roots": [list(v) for v in self.simple_roots],
         }
-
-
-def _component_weyl_order(cartan, comp: list[int]) -> int:
-    import math
-
-    n = len(comp)
-    prods = sorted(
-        cartan[i][j] * cartan[j][i] for ii, i in enumerate(comp) for j in comp[ii + 1 :] if cartan[i][j] != 0
-    )
-    degrees = [sum(1 for j in comp if j != i and cartan[i][j] != 0) for i in comp]
-    if n == 1:
-        return 2
-    if 3 in prods:
-        return 12  # G2
-    if 2 in prods:
-        if n == 2:
-            return 8  # B2 = C2
-        if n == 4 and prods.count(2) == 1 and max(degrees) == 2:
-            return 1152  # F4
-        return 2**n * math.factorial(n)  # B_n / C_n
-    # simply laced
-    if max(degrees) <= 2:
-        return math.factorial(n + 1)  # A_n
-    # one branch node: D or E by arm lengths
-    branch = comp[degrees.index(3)]
-    arms = []
-    for j in comp:
-        if j != branch and cartan[branch][j] != 0:
-            length = 1
-            prev, cur = branch, j
-            while True:
-                nxt = [k for k in comp if k not in (prev,) and k != cur and cartan[cur][k] != 0]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return 2 ** (n - 1) * math.factorial(n)  # D_n
-    if arms == [1, 2, 2]:
-        return 51840  # E6
-    if arms == [1, 2, 3]:
-        return 2903040  # E7
-    if arms == [1, 2, 4]:
-        return 696729600  # E8
-    raise RootDatumError("unrecognized simply-laced diagram")
 
 
 class ParabolicType:

@@ -188,6 +188,18 @@ def test_computation_error_exits_1(tmp_path):
     assert code == 1
 
 
+B4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
+
+
+@pytest.mark.parametrize("argv", [["gk"], ["cone-check", "--parabolic", "1,2"]], ids=["gk", "cone-check"])
+@pytest.mark.parametrize("cartan", [B4_CARTAN, [list(col) for col in zip(*B4_CARTAN)]], ids=["B4", "C4"])
+def test_rank_four_classical_data_from_inline_json_exit_0(capsys, argv, cartan):
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    datum = json.dumps({"name": "rank-4", "rank": 4, "cartan": cartan, "simple_coroots": identity, "simple_roots": cartan})
+    assert cli.main([*argv, "--datum", datum]) == 0
+    assert "fail" not in capsys.readouterr().out
+
+
 def test_intertwine_rejects_a_fractional_coordinate(capsys):
     assert cli.main(["intertwine", "--datum", "A1", "--input", "[[[0.5],1]]"]) == 2
     assert "coordinate must be an integer" in capsys.readouterr().err

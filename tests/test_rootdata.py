@@ -10,6 +10,7 @@ from heckelat.rootdata import (
     PRESET_NAMES,
     ParabolicType,
     RootDatumError,
+    WeylEnumerationError,
     dominance_leq,
     index_subsets,
     load_root_datum,
@@ -126,24 +127,6 @@ def test_load_rejects_bad_pairing():
         load_root_datum(config)
 
 
-@pytest.mark.parametrize(
-    "cartan",
-    [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]], [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]],
-    ids=["affine", "hyperbolic", "non-symmetrizable"],
-)
-def test_load_rejects_non_finite_type(cartan):
-    n = len(cartan)
-    config = {
-        "name": "non-finite",
-        "rank": n,
-        "cartan": cartan,
-        "simple_coroots": [[int(i == j) for j in range(n)] for i in range(n)],
-        "simple_roots": cartan,
-    }
-    with pytest.raises(RootDatumError):
-        load_root_datum(config)
-
-
 def _star(*arms):
     """Cartan matrix of a simply-laced tree: a branch node 0 with a path of each given length."""
     n = 1 + sum(arms)
@@ -157,39 +140,114 @@ def _star(*arms):
     return cartan
 
 
+def _inline(name, cartan, simples=None):
+    """Inline JSON of a datum whose simple coroots and roots are both `simples`, by default the standard basis and the Cartan rows."""
+    n = len(cartan)
+    coroots = simples or [[int(i == j) for j in range(n)] for i in range(n)]
+    config = {"name": name, "rank": len(coroots[0]), "cartan": cartan, "simple_coroots": coroots, "simple_roots": simples or cartan}
+    return json.dumps(config)
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]], [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], _star(1, 1, 1, 1), _star(2, 2, 2)],
+    ids=["affine", "hyperbolic", "non-symmetrizable", "affine-D4", "affine-E6"],
+)
+def test_load_rejects_non_finite_type(cartan):
+    with pytest.raises(RootDatumError):
+        load_root_datum(_inline("non-finite", cartan))
+
+
+def _block(*cartans):
+    """Block-diagonal Cartan matrix of a product of root systems."""
+    n = sum(len(c) for c in cartans)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for c in cartans:
+        for i, row in enumerate(c):
+            out[at + i][at : at + len(row)] = row
+        at += len(c)
+    return out
+
+
+def _path(n, last=-1, first=-1):
+    """Cartan matrix of a path of n nodes, c[n-1][n-2] = last and c[n-2][n-1] = first: A_n, B_n (last = -2) or C_n (first = -2)."""
+    out = [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    out[n - 1][n - 2], out[n - 2][n - 1] = last, first
+    return out
+
+
+B4_CARTAN = _path(4, last=-2)
+C4_CARTAN = _path(4, first=-2)
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+G2_CARTAN = [[2, -1], [-3, 2]]
 
 
 @pytest.mark.parametrize("cartan, order", [
     (F4_CARTAN, 1152),
+    (B4_CARTAN, 384),
+    (C4_CARTAN, 384),
     (_star(1, 1, 1), 192),
     (_star(1, 1, 2), 1920),
     (_star(3, 1, 1), 23040),
     (_star(1, 2, 2), 51840),
     (_star(1, 2, 3), 2903040),
     (_star(4, 2, 1), 696729600),
-], ids=["F4", "D4", "D5", "D6", "E6", "E7", "E8"])
+], ids=["F4", "B4", "C4", "D4", "D5", "D6", "E6", "E7", "E8"])
 def test_component_weyl_order_classifies_each_diagram(cartan, order):
-    assert rootdata._component_weyl_order(cartan, list(range(len(cartan)))) == order
-
-
-def test_component_weyl_order_rejects_an_unrecognized_diagram():
-    with pytest.raises(RootDatumError, match="unrecognized"):
-        rootdata._component_weyl_order(_star(2, 2, 2), list(range(7)))
+    # the order of each connected diagram from its root heights: the root orbit is closed in
+    # coordinates on the simple roots, so no Weyl group is enumerated
+    identity = [[int(i == j) for j in range(len(cartan))] for i in range(len(cartan))]
+    coords = rootdata._orbit_coordinates(tuple(zip(*cartan)), identity).values()
+    assert rootdata.weyl_order([sum(c) for c in coords if min(c) >= 0]) == order
 
 
 def test_d4_from_inline_json_passes_the_weyl_order_check():
-    cartan = _star(1, 1, 1)
-    config = {
-        "name": "D4",
-        "rank": 4,
-        "cartan": cartan,
-        "simple_coroots": [[int(i == j) for j in range(4)] for i in range(4)],
-        "simple_roots": cartan,
-    }
-    rd = load_root_datum(json.dumps(config))
-    assert len(rd.weyl_elements) == rd.expected_weyl_order() == 192
+    rd = load_root_datum(_inline("D4", _star(1, 1, 1)))
+    heights = [sum(rd.root_coords[chi]) for chi in rd.positive_roots]
+    assert len(rd.weyl_elements) == rootdata.weyl_order(heights) == 192
     assert len(rd.positive_coroots) == 12
+
+
+RANK_AT_MOST_FOUR = [
+    ("A4", _path(4), None, 120),
+    ("B3", _path(3, last=-2), None, 48),
+    ("B4", B4_CARTAN, None, 384),
+    ("C4", C4_CARTAN, None, 384),
+    ("D4", _star(1, 1, 1), None, 192),
+    ("F4", F4_CARTAN, None, 1152),
+    ("A1xA1", _block([[2]], [[2]]), None, 4),
+    ("A2xA1", _block(_path(2), [[2]]), None, 12),
+    ("B2xG2", _block(_path(2, last=-2), G2_CARTAN), None, 96),
+    ("GL3", _path(2), [[1, -1, 0], [0, 1, -1]], 6),
+]
+
+
+@pytest.mark.parametrize("name, cartan, simples, order", RANK_AT_MOST_FOUR, ids=[row[0] for row in RANK_AT_MOST_FOUR])
+def test_every_finite_type_of_rank_at_most_four_loads_with_its_weyl_order(name, cartan, simples, order):
+    rd = load_root_datum(_inline(name, cartan, simples))
+    assert len(set(rd.weyl_elements)) == len(rd.weyl_elements) == order
+
+
+@pytest.mark.parametrize("name, cartan", [("E7", _star(1, 2, 3)), ("E8", _star(4, 2, 1))], ids=["E7", "E8"])
+def test_weyl_group_over_the_cap_is_refused_before_enumerating(monkeypatch, name, cartan):
+    def no_enumeration(self, indices):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", no_enumeration)
+    with pytest.raises(WeylEnumerationError, match="exceeds cap"):
+        load_root_datum(_inline(name, cartan))
+
+
+def test_an_enumeration_that_drops_an_element_fails_the_order_check(monkeypatch):
+    bfs = rootdata.RootDatum._weyl_bfs
+
+    def drops_the_last(self, indices):
+        return list(bfs(self, indices))[:-1]
+
+    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", drops_the_last)
+    with pytest.raises(RootDatumError, match="from the root heights"):
+        load_root_datum("B2")
 
 
 def test_load_rejects_inconsistent_declared_cartan():
@@ -288,11 +346,14 @@ def test_dominant_representative():
 
 
 def test_weyl_cap_signals_error(monkeypatch):
-    from heckelat import rootdata
-    from heckelat.rootdata import RootDatum, WeylEnumerationError
+    from heckelat.rootdata import RootDatum
 
     monkeypatch.setattr(rootdata, "WEYL_CAP", 3)
-    with pytest.raises(WeylEnumerationError):
+    with pytest.raises(WeylEnumerationError, match="exceeds cap"):
+        RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
+    # the cap inside the enumeration still holds when the order from the heights is wrong
+    monkeypatch.setattr(rootdata, "weyl_order", lambda heights: 1)
+    with pytest.raises(WeylEnumerationError, match="exceeded cap"):
         RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
     monkeypatch.undo()
     rd = load_root_datum("B2")
