@@ -195,34 +195,40 @@ def _geom_series(ratio_power: int, scale, order: int, qv) -> list:
     return out
 
 
+def _series_power(f: list, k, order: int) -> list:
+    """f^k to the given order, for a series f with constant term 1, by J.C.P. Miller's recurrence.
+
+    g_0 = 1 and n g_n = sum_{j=1..n} ((k+1) j - n) f_j g_{n-j} (Knuth, TAOCP vol. 2,
+    4.7). The cost is O(order^2) whatever k is, and k may be any scalar: an
+    integer, a Fraction or an element of Q(q).
+    """
+    g = [_one_like(f[0])]
+    for n in range(1, order + 1):
+        acc = _zero_like(f[0])
+        for j in range(1, n + 1):
+            if f[j] != 0:
+                acc = acc + ((k + 1) * j - n) * f[j] * g[n - j]
+        g.append(acc * Fraction(1, n))
+    return g
+
+
 def gk_degree_series_euler(order: int, qv, inverse: bool = False) -> list:
     """Degree-m coefficients of the product of local factors over closed points, by necklace counts.
 
     The forward series multiplies (1 - t^deg)/(1 - (q t)^deg) per closed point;
-    `inverse` swaps numerator and denominator. This is the independent oracle for
-    the closed forms mu_hat and nu_hat.
+    `inverse` swaps numerator and denominator. The factor of degree m is raised
+    to the point count a_m by Miller's recurrence (`_series_power`), so the cost
+    does not depend on a_m, and the product is an identity of power series over
+    Q[q]: it holds at the formal q and at every rational q, integral or not. This
+    is the independent oracle for the closed forms mu_hat and nu_hat.
     """
     out = [_one_like(qv)] + [_zero_like(qv) for _ in range(order)]
     for m in range(1, order + 1):
-        a_m = count_closed_points(m, qv)
         num = [_one_like(qv)] + [_zero_like(qv)] * order
         num[m] = -(qv**m) if inverse else -_one_like(qv)
         den = _geom_series(m, (qv**m if not inverse else _one_like(qv)), order, qv)
         factor = _series_mul(num, den, order)
-        # raise the local factor to the number of points of this degree
-        power = [_one_like(qv)] + [_zero_like(qv)] * order
-        k = a_m
-        base = factor
-        # a_m is a polynomial value in qv; exponentiation only makes sense for numeric counts
-        if isinstance(k, Fraction):
-            steps = int(k)
-        elif isinstance(k, int):
-            steps = k
-        else:
-            raise GlobalError("euler expansion needs a numeric point count; pass a numeric qv")
-        for _ in range(steps):
-            power = _series_mul(power, base, order)
-        out = _series_mul(out, power, order)
+        out = _series_mul(out, _series_power(factor, count_closed_points(m, qv), order), order)
     return out
 
 

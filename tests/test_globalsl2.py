@@ -43,15 +43,61 @@ def test_subbundle_special_values():
 
 
 def test_degree_series_against_euler_product():
-    for q in (2, 3):
-        qv = Fraction(q)
-        assert [gs.mu_hat(m, qv) for m in range(6)] == gs.gk_degree_series_euler(5, qv)
-        assert [gs.nu_hat(m, qv) for m in range(6)] == gs.gk_degree_series_euler(5, qv, inverse=True)
+    # order 8 is the benchmark's; the Euler product is an identity over Q[q], so it
+    # holds at the formal q and at non-integral q as well as at prime powers
+    for qv in (Q, *(Fraction(q) for q in ("2", "3", "5", "7", "4", "1/2", "3/2"))):
+        assert [gs.mu_hat(m, qv) for m in range(9)] == gs.gk_degree_series_euler(8, qv), qv
+        assert [gs.nu_hat(m, qv) for m in range(9)] == gs.gk_degree_series_euler(8, qv, inverse=True), qv
     # frozen coefficients: forward 1, q^2-1, q^4-q^2, ...; inverse 1, 1-q^2, ...
     assert [gs.mu_hat(m, Q) for m in range(3)] == [ONE, Q**2 - 1, Q**4 - Q**2]
     assert [gs.nu_hat(m, Q) for m in range(3)] == [ONE, 1 - Q**2, 1 - Q**2]
     assert gs.nu_hat(1, Q) == 1 - Q**2
     assert gs.mu_hat(2, Q) == Q**4 - Q**2
+
+
+def _power_by_products(f, k, order):
+    """f^k as k products by _series_mul: the reference for _series_power."""
+    out = [f[0] ** 0] + [f[0] - f[0]] * order
+    for _ in range(k):
+        out = gs._series_mul(out, f, order)
+    return out
+
+
+def _fraction_series(rng, order):
+    """A seeded series with constant term 1 and Fraction coefficients."""
+    return [Fraction(1)] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order)]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_series_power_matches_repeated_products(k):
+    rng = random.Random(2500 + k)
+    order = 7
+    series = [
+        [1] + [rng.randint(-5, 5) for _ in range(order)],
+        _fraction_series(rng, order),
+        _fraction_series(rng, order),
+        [1, 0, 0, 3, 0, -2, 0, 0],  # zero coefficients between the nonzero ones
+        [Fraction(1), 0, Fraction(-1, 2), 0, 0, 0, Fraction(5, 3), 0],
+        [ONE, Q, ZERO, ZERO, 1 - Q**2, ZERO, ZERO, Q**3],
+    ]
+    for f in series:
+        assert gs._series_power(f, k, order) == _power_by_products(f, k, order), (f, k)
+
+
+def test_series_power_at_fractional_and_formal_exponents():
+    rng = random.Random(2507)
+    order = 6
+    f = _fraction_series(rng, order)
+    root = gs._series_power(f, Fraction(1, 2), order)
+    assert gs._series_mul(root, root, order) == f
+    cube = gs._series_power(f, Fraction(3), order)
+    assert gs._series_power(cube, Fraction(2, 3), order) == _power_by_products(f, 2, order)
+    # a formal exponent: (1 - t)^q (1 - t)^{-q} = 1, and (1 + t)^q at q = 4 is the fourth power
+    line = [ONE, -ONE] + [ZERO] * (order - 1)
+    up, down = gs._series_power(line, Q, order), gs._series_power(line, -Q, order)
+    assert gs._series_mul(up, down, order) == [ONE] + [ZERO] * order
+    binomial = gs._series_power([ONE, ONE] + [ZERO] * (order - 1), Q, order)
+    assert [c.eval(Fraction(4)) for c in binomial] == [1, 4, 6, 4, 1, 0, 0]
 
 
 def test_closed_point_counts():

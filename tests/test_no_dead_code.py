@@ -29,6 +29,7 @@ WITNESSES = {
     "_mu_sl3_full": ("tests/test_padic.py", "test_sl3_fast_equals_full_enumeration"),
     "aut_count_bruteforce": ("tests/test_globalsl2.py", "test_aut_counts_against_bruteforce"),
     "subbundle_count_bruteforce": ("tests/test_globalsl2.py", "test_subbundle_counts_against_bruteforce"),
+    "gk_degree_series_euler": ("tests/test_globalsl2.py", "test_degree_series_against_euler_product"),
 }
 
 
