@@ -64,23 +64,6 @@ def aut_count_bruteforce(n: int, q: int) -> int:
     return count
 
 
-def subbundle_count(n: int, d: int, qv):
-    """Number of degree-d line subbundles of O(n) + O(-n) (closed form; see the brute-force oracle)."""
-    if d > n:
-        return _zero_like(qv)
-    if n == 0:
-        if d == 0:
-            return qv + 1
-        return (qv**2 - 1) * qv ** (-2 * d - 1)
-    if d == n:
-        return _one_like(qv)
-    if -n < d < n:
-        return _zero_like(qv)
-    if d == -n:
-        return qv ** (2 * n + 1)
-    return (qv**2 - 1) * qv ** (-2 * d - 1)
-
-
 def _poly_gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
     a, b = [x % q for x in a], [x % q for x in b]
 
@@ -304,14 +287,16 @@ class GFunction(TFunction):
 # operators
 #
 # Away from one or two diagonal terms every kernel below is a constant or a
-# geometric sequence along its window, so each operator value is those diagonal
-# terms plus a running sum over the window, filled on demand by _running_sum.
-# Each running sum reads its first weight from the kernel once and steps every
-# later weight by the kernel's ratio, q^{-2} or q^2; the diagonal terms use
-# their closed forms, and coefficients equal to 1 are not multiplied in. Both
-# pairings further below step their weights the same way and divide by (q-1)
-# once, after the sum. The ratios and closed forms each of them relies on are
-# tested against the kernels themselves.
+# geometric sequence along its window. So each operator is one running sum of
+# q^{+-(2d+1)}-weighted values, filled on demand by _running_sum, and each value
+# is that sum read at two adjacent points, q^2 S(k) - S(k - 1) or
+# S(d) + c S(d + 1): the difference of the two reads is the diagonal term, so no
+# value computes a power of q or a separate diagonal product. Each running sum
+# starts from a monomial weight and steps it by q^{-2} or q^2; mu_hat(1) and
+# nu_hat(1) are read from the kernels, once per operator. Both pairings
+# further below step their weights the same way and divide by (q-1) once, after
+# the sum. The difference forms and the kernel identities behind them are tested
+# against the kernels and against per-term sums over the whole window.
 
 
 def _running_sum(first, ratio, fn, start, step, zero):
@@ -339,21 +324,20 @@ def _running_sum(first, ratio, fn, start, step, zero):
 def eis_B(phi: TFunction, qv) -> GFunction:
     """Eisenstein sum over line subbundles: (Eis phi)(n) = sum_d sigma(n, d) phi(d).
 
-    sigma(n, d) vanishes for d > n and for -n < d < n and equals sigma(0, d) for
-    d < -n, so (Eis phi)(n) is the terms at d = n and d = -n plus a prefix sum
-    of sigma(0, d) phi(d) from the lower bound of phi through -n - 1. The
-    diagonal coefficients are sigma(0, 0) = q + 1, and sigma(n, n) = 1 and
-    sigma(n, -n) = q^{2n+1} for n > 0. The prefix sum ends at -1 or below,
-    where sigma(0, d + 1) = q^{-2} sigma(0, d); when phi.lower >= 0 it is empty.
+    sigma(n, d) vanishes for d > n and for -n < d < n, sigma(n, n) = 1 for n > 0,
+    and sigma(n, d) = (q^2 - 1) q^{-2d-1} for d < -n; sigma(n, -n) = q^2 q^{2n-1}
+    for n > 0 and sigma(0, 0) = q + 1. With the prefix sum
+    U(k) = sum_{lower <= d <= k} q^{-2d-1} phi(d), whose weight steps by q^{-2}
+    from each degree to the one above it, this is
+    (Eis phi)(n) = q^2 U(-n) - U(-n - 1) + phi(n) for every n >= 0.
     """
     if phi.lower is None:
         raise GlobalError("Eisenstein sum needs a support bound below (plus-type window)")
-    below = _running_sum(subbundle_count(0, phi.lower, qv), qv**-2, phi.value, phi.lower, 1, _zero_like(qv))
+    q2 = qv**2
+    below = _running_sum(qv ** (-2 * phi.lower - 1), qv**-2, phi.value, phi.lower, 1, _zero_like(qv))
 
     def fn(n):
-        if n == 0:
-            return below(-1) + (qv + 1) * phi.value(0)
-        return below(-n - 1) + phi.value(n) + qv ** (2 * n + 1) * phi.value(-n)
+        return q2 * below(-n) - below(-n - 1) + phi.value(n)
 
     upper = None
     if phi.upper is not None:
@@ -399,18 +383,20 @@ def ct_B(f: GFunction, qv) -> TFunction:
     """Constant term: integrate over unipotent classes; column-finite in the degree.
 
     For d < 0 the column is c(0, d) f(0) + c(-d, d) f(-d) plus the middle terms
-    1 <= n <= -d - 1, where c(n, d) = c(n, -n - 1) does not depend on d: a
-    prefix sum over n, with c(n + 1, -n - 2) = q^{-2} c(n, -n - 1). c(0, d) does
-    not depend on d < 0 either, so c(0, -1) f(0) is computed once, and
-    c(-d, d) = q^{2d+1}.
+    1 <= n <= -d - 1, where c(n, d) = (q^2 - 1) q^{-2n-1} and
+    c(-d, d) = q^2 q^{2d-1}. c(0, d) does not depend on d < 0, so c(0, -1) f(0)
+    is computed once. With the prefix sum V(k) = sum_{1 <= n <= k} q^{-2n-1} f(n),
+    whose weight steps by q^{-2} from each n to the next, this is
+    CT f(d) = c(0, -1) f(0) + q^2 V(-d) - V(-d - 1).
     """
-    middle = _running_sum(ct_kernel(1, -2, qv), qv**-2, f.value, 1, 1, _zero_like(qv))
+    q2 = qv**2
+    middle = _running_sum(qv**-3, qv**-2, f.value, 1, 1, _zero_like(qv))
     c0_f0 = ct_kernel(0, -1, qv) * f.value(0)
 
     def fn(d):
         if d >= 0:
             return f.value(d)
-        return c0_f0 + middle(-d - 1) + qv ** (2 * d + 1) * f.value(-d)
+        return c0_f0 + q2 * middle(-d) - middle(-d - 1)
 
     return TFunction(fn, upper=f.upper, lower=None, qv=qv)
 
@@ -425,16 +411,18 @@ def global_R(psi: TFunction, qv) -> TFunction:
 
     R(psi)(d) = q^{2d+1} sum_m mu_hat(m) psi(d + m), on windows bounded above.
     Since mu_hat(0) = 1 and mu_hat(m) = q^{2m-2} mu_hat(1) for m >= 1, this is
-    q^{2d+1} psi(d) + mu_hat(1) sum_{e > d} q^{2e-1} psi(e): a suffix sum whose
-    weight steps by q^{-2} from each degree to the one below it.
+    q^{2d+1} psi(d) + mu_hat(1) sum_{e > d} q^{2e-1} psi(e). With the suffix sum
+    T(d) = sum_{e >= d} q^{2e-1} psi(e), whose weight steps by q^{-2} from each
+    degree to the one below it, R(psi)(d) = q^2 T(d) + (mu_hat(1) - q^2) T(d + 1).
     """
     if psi.upper is None:
         raise GlobalError("forward intertwiner needs a support bound above")
-    mu1 = mu_hat(1, qv)
+    q2 = qv**2
+    c = mu_hat(1, qv) - q2
     above = _running_sum(qv ** (2 * psi.upper - 1), qv**-2, psi.value, psi.upper, -1, _zero_like(qv))
 
     def fn(d):
-        return qv ** (2 * d + 1) * psi.value(d) + mu1 * above(d + 1)
+        return q2 * above(d) + c * above(d + 1)
 
     return TFunction(fn, upper=psi.upper, lower=None, qv=qv)
 
@@ -444,16 +432,17 @@ def global_R_inverse(phi: TFunction, qv) -> TFunction:
 
     R^{-1}(phi)(d) = sum_m q^{-2(d+m)-1} nu_hat(m) phi(d + m), on windows bounded above.
     Since nu_hat(0) = 1 and nu_hat(m) = nu_hat(1) for m >= 1, this is
-    q^{-2d-1} phi(d) + nu_hat(1) sum_{e > d} q^{-2e-1} phi(e): a suffix sum whose
-    weight steps by q^2 from each degree to the one below it.
+    q^{-2d-1} phi(d) + nu_hat(1) sum_{e > d} q^{-2e-1} phi(e). With the suffix sum
+    S(d) = sum_{e >= d} q^{-2e-1} phi(e), whose weight steps by q^2 from each
+    degree to the one below it, R^{-1}(phi)(d) = S(d) + (nu_hat(1) - 1) S(d + 1).
     """
     if phi.upper is None:
         raise GlobalError("inverse intertwiner needs a support bound above")
-    nu1 = nu_hat(1, qv)
+    c = nu_hat(1, qv) - 1
     above = _running_sum(qv ** (-2 * phi.upper - 1), qv**2, phi.value, phi.upper, -1, _zero_like(qv))
 
     def fn(d):
-        return qv ** (-2 * d - 1) * phi.value(d) + nu1 * above(d + 1)
+        return above(d) + c * above(d + 1)
 
     return TFunction(fn, upper=phi.upper, lower=None, qv=qv)
 
@@ -537,8 +526,8 @@ def op_L_inverse(g: GFunction, qv) -> GFunction:
     for d in range(cert.lower - PROBE, cert.lower):
         if ct.value(d) != 0:
             raise CertificationError(f"constant term does not vanish at {d} despite the certificate")
-    bounded_ct = TFunction(ct.value, upper=None, lower=cert.lower, qv=qv)
-    eis = eis_B(bounded_ct, qv)
+    ct.lower = cert.lower  # the checked certificate becomes the constant term's bound, on the same memo
+    eis = eis_B(ct, qv)
 
     def fn(n):
         return g.value(n) - eis.value(n)

@@ -236,6 +236,10 @@ MUTANTS = [
         acceptance.check_global_adjunction, (5,), globalsl2, "negate",
         _source_mutant(globalsl2.negate, "phi.value(-d)", "phi.value(d)"), id="9a-negate-keeps-the-degree",
     ),
+    pytest.param(  # Eis phi(n) becomes phi(n) + q^{2n-1} phi(-n): the terms below -n cancel
+        acceptance.check_global_adjunction, (5,), globalsl2, "eis_B",
+        _source_mutant(globalsl2.eis_B, "q2 * below(-n)", "below(-n)"), id="9a-eis-drops-the-q-squared",
+    ),
     pytest.param(  # the n = 0 term is f1(0) f2(0) over (q-1) in place of q(q+1), before the sum's own division by (q-1)
         acceptance.check_global_adjunction, (5,), globalsl2, "naive_pairing",
         _source_mutant(globalsl2.naive_pairing, "/ (qv * (qv + 1))", "/ (qv - 1)"),
@@ -244,6 +248,10 @@ MUTANTS = [
     pytest.param(  # the weights q^{-2e-1} of the suffix sum step by q per degree downward, not q^2
         acceptance.check_global_roundtrip, (), globalsl2, "global_R_inverse",
         _source_mutant(globalsl2.global_R_inverse, "qv**2,", "qv,"), id="9b-r-inverse-ratio-q",
+    ),
+    pytest.param(  # S(d) + nu_hat(1) S(d + 1) weights the suffix e > d by nu_hat(1) + 1
+        acceptance.check_global_roundtrip, (), globalsl2, "global_R_inverse",
+        _source_mutant(globalsl2.global_R_inverse, "nu_hat(1, qv) - 1", "nu_hat(1, qv)"), id="9b-r-inverse-keeps-nu-hat-1",
     ),
     pytest.param(
         acceptance.check_global_roundtrip, (), globalsl2, "nu_hat",

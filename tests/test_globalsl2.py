@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from heckelat import globalsl2 as gs
+from heckelat import hecke, qfield
 from heckelat.qfield import ONE, Q, ZERO
+from heckelat.rootdata import ParabolicType, load_root_datum
 
 
 QVS = (Q, Fraction(2), Fraction(3), Fraction(3, 2))
@@ -26,20 +28,40 @@ def test_aut_counts_against_bruteforce():
     assert gs.aut_count(2, Q) == (Q - 1) * Q**5
 
 
+def subbundle_count(n, d, qv):
+    """sigma(n, d), the number of degree-d line subbundles of O(n) + O(-n): the closed form, as a per-term reference.
+
+    eis_B uses it only through the difference form, so it lives here, checked
+    against the brute-force count of subbundle_count_bruteforce.
+    """
+    if d > n or -n < d < n:
+        return 0 * qv
+    if n == 0 and d == 0:
+        return qv + 1
+    if d == n:
+        return qv**0
+    if d == -n:
+        return qv ** (2 * n + 1)
+    return (qv**2 - 1) * qv ** (-2 * d - 1)
+
+
 def test_subbundle_counts_against_bruteforce():
+    # the closed form and the Eisenstein sum of each indicator delta_d both count the subbundles
     for q in (2, 3):
-        for n in range(0, 3):
-            for d in range(-3, n + 2):
-                closed = gs.subbundle_count(n, d, Q).eval(Fraction(q))
-                assert closed == gs.subbundle_count_bruteforce(n, d, q), (q, n, d)
+        for d in range(-3, 4):
+            eis = gs.eis_B(gs.TFunction.from_dict({d: 1}, Fraction(q)), Fraction(q))
+            for n in range(0, 3):
+                brute = gs.subbundle_count_bruteforce(n, d, q)
+                assert eis.value(n) == brute, (q, n, d)
+                assert subbundle_count(n, d, Q).eval(Fraction(q)) == brute, (q, n, d)
 
 
 def test_subbundle_special_values():
-    assert gs.subbundle_count(0, 0, Q) == Q + 1
-    assert gs.subbundle_count(2, 3, Q) == ZERO
-    assert gs.subbundle_count(5, 5, Q) == ONE
-    assert gs.subbundle_count(1, 0, Q) == ZERO
-    assert gs.subbundle_count(1, -1, Q) == Q**3
+    assert subbundle_count(0, 0, Q) == Q + 1
+    assert subbundle_count(2, 3, Q) == ZERO
+    assert subbundle_count(5, 5, Q) == ONE
+    assert subbundle_count(1, 0, Q) == ZERO
+    assert subbundle_count(1, -1, Q) == Q**3
 
 
 def test_degree_series_against_euler_product():
@@ -350,7 +372,7 @@ def test_ct_kernel_total_measure():
 
 def ref_eis(phi, qv):
     def fn(n):
-        return sum((gs.subbundle_count(n, d, qv) * phi.value(d) for d in range(phi.lower, n + 1)), 0 * qv)
+        return sum((subbundle_count(n, d, qv) * phi.value(d) for d in range(phi.lower, n + 1)), 0 * qv)
 
     upper = None if phi.upper is None else max(abs(phi.upper), abs(phi.lower))
     return gs.GFunction(fn, upper=upper, qv=qv)
@@ -457,13 +479,13 @@ def test_forward_kernel_is_geometric_with_ratio_q_squared_after_its_first_term(q
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_subbundle_counts_below_minus_n_do_not_depend_on_n(qv):
     for n in range(1, 6):
-        assert all(gs.subbundle_count(n, d, qv) == gs.subbundle_count(0, d, qv) for d in range(-n - 8, -n))
+        assert all(subbundle_count(n, d, qv) == subbundle_count(0, d, qv) for d in range(-n - 8, -n))
 
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_subbundle_counts_vanish_strictly_between_minus_n_and_n(qv):
     for n in range(1, 6):
-        assert all(gs.subbundle_count(n, d, qv) == 0 for d in range(-n + 1, n))
+        assert all(subbundle_count(n, d, qv) == 0 for d in range(-n + 1, n))
 
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
@@ -478,7 +500,7 @@ def test_middle_constant_term_kernel_does_not_depend_on_the_degree(qv):
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_subbundle_counts_below_zero_step_by_q_squared_downward(qv):
-    assert all(gs.subbundle_count(0, d - 1, qv) == qv**2 * gs.subbundle_count(0, d, qv) for d in range(-9, 0))
+    assert all(subbundle_count(0, d - 1, qv) == qv**2 * subbundle_count(0, d, qv) for d in range(-9, 0))
 
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
@@ -488,10 +510,10 @@ def test_middle_constant_term_kernel_steps_by_q_to_the_minus_two(qv):
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_diagonal_subbundle_counts_and_constant_term_kernel(qv):
-    assert gs.subbundle_count(0, 0, qv) == qv + 1
+    assert subbundle_count(0, 0, qv) == qv + 1
     for n in range(1, 8):
-        assert gs.subbundle_count(n, n, qv) == 1
-        assert gs.subbundle_count(n, -n, qv) == qv ** (2 * n + 1)
+        assert subbundle_count(n, n, qv) == 1
+        assert subbundle_count(n, -n, qv) == qv ** (2 * n + 1)
     assert all(gs.ct_kernel(-d, d, qv) == qv ** (2 * d + 1) for d in range(-8, 0))
 
 
@@ -535,22 +557,84 @@ def test_pairings_match_per_term_weight_sums(qv):
         assert gs.t_pairing(phi1, phi2, qv) == ref_t_pairing(phi1, phi2, qv)
 
 
-def test_operators_read_each_kernel_a_fixed_number_of_times(monkeypatch):
-    qv = Fraction(2)
-    calls = {"subbundle_count": 0, "ct_kernel": 0}
-    for name in calls:
-        def counted(*args, _kernel=getattr(gs, name), _name=name):
-            calls[_name] += 1
-            return _kernel(*args)
+def test_reading_more_values_takes_no_more_powers(monkeypatch):
+    # every power of q an operator needs is taken when it is built, none per value
+    powers = 0
+    power = qfield.RatFunc.__pow__
 
-        monkeypatch.setattr(gs, name, counted)
+    def counted(self, k):
+        nonlocal powers
+        powers += 1
+        return power(self, k)
 
-    def kernel_calls(width):
-        calls.update(dict.fromkeys(calls, 0))
-        eis = gs.eis_B(gs.TFunction.from_dict({d: 1 for d in range(-width, 1)}, qv), qv)
-        ct = gs.ct_B(gs.GFunction.from_dict({n: 1 for n in range(0, width + 1)}, qv), qv)
-        for k in range(0, width + 1):
-            eis.value(k), ct.value(-k)
-        return dict(calls)
+    monkeypatch.setattr(qfield.RatFunc, "__pow__", counted)
 
-    assert kernel_calls(40) == kernel_calls(5) == {"subbundle_count": 1, "ct_kernel": 2}
+    def powers_for(width):
+        nonlocal powers
+        powers = 0
+        phi = gs.TFunction.from_dict({d: 1 for d in range(-width, 1)}, Q)
+        f = gs.GFunction.from_dict({n: 1 for n in range(0, width + 1)}, Q)
+        eis, ct, fwd, inv = gs.eis_B(phi, Q), gs.ct_B(f, Q), gs.global_R(phi, Q), gs.global_R_inverse(phi, Q)
+        for k in range(0, width):
+            eis.value(k), ct.value(-k), fwd.value(-k), inv.value(-k)
+        return powers
+
+    assert powers_for(40) == powers_for(5) > 0
+
+
+@pytest.mark.parametrize("qv", QVS, ids=str)
+def test_difference_form_coefficients(qv):
+    # each operator value is its running sum read at two adjacent points, q^2 S(k) - S(k - 1)
+    # or S(d) + c S(d + 1); these are the kernel values that difference leaves behind
+    assert all(subbundle_count(0, d, qv) == (qv**2 - 1) * qv ** (-2 * d - 1) for d in range(-9, 0))
+    assert all(subbundle_count(n, -n, qv) == qv**2 * qv ** (2 * n - 1) for n in range(1, 8))
+    assert subbundle_count(0, 0, qv) == qv**2 * qv**-1 + 1
+    assert all(gs.ct_kernel(-d, d, qv) == qv**2 * qv ** (2 * d - 1) for d in range(-8, 0))
+    assert all(gs.ct_kernel(n, d, qv) == (qv**2 - 1) * qv ** (-2 * n - 1) for d in range(-9, 0) for n in range(1, -d))
+    assert gs.mu_hat(1, qv) - qv**2 == -1
+    assert gs.nu_hat(1, qv) - 1 == -(qv**2)
+
+
+# The paper's local-global link: the Euler factor at a closed point of degree m is
+# the local Gindikin-Karpelevich series of SL2 at the residue field size q^m, read on
+# the degree axis. hecke's local series is tied to the p-adic oracle by criterion 1,
+# and the Euler-product oracle builds its factors by hand; these tests join the two.
+
+EULER_ORDER = 8
+
+
+def _local_factor_in_degrees(m, q, inverse):
+    """hecke's local series of A1's Borel (gk_mu, or nu when inverse) at q^m, with e^{k a} sent to (q t)^{m k}."""
+    a1 = load_root_datum("A1")
+    local = (hecke.nu if inverse else hecke.gk_mu)(a1, ParabolicType(a1, []), 2 * EULER_ORDER)
+    out = [Fraction(0)] * (EULER_ORDER + 1)
+    for (k,), c in local.coeffs.items():
+        if m * k <= EULER_ORDER:
+            out[m * k] = c.eval(q**m) * q ** (m * k)
+    return out
+
+
+def _euler_factor(m, q, inverse):
+    """The degree-m factor of gk_degree_series_euler: (1 - t^m)/(1 - (q t)^m), or its reciprocal."""
+    num = [Fraction(1)] + [Fraction(0)] * EULER_ORDER
+    num[m] = -(q**m) if inverse else Fraction(-1)
+    den = gs._geom_series(m, Fraction(1) if inverse else q**m, EULER_ORDER, q)
+    return gs._series_mul(num, den, EULER_ORDER)
+
+
+@pytest.mark.parametrize("q", (Fraction(2), Fraction(3), Fraction(1, 2)), ids=str)
+@pytest.mark.parametrize("inverse", (False, True), ids=("forward", "inverse"))
+def test_euler_factors_are_local_gk_series(q, inverse):
+    for m in range(1, 5):
+        assert _local_factor_in_degrees(m, q, inverse) == _euler_factor(m, q, inverse), m
+
+
+@pytest.mark.parametrize("q", (Fraction(2), Fraction(3), Fraction(1, 2)), ids=str)
+@pytest.mark.parametrize("inverse", (False, True), ids=("forward", "inverse"))
+def test_product_of_local_gk_series_over_closed_points_is_the_global_kernel(q, inverse):
+    product = [Fraction(1)] + [Fraction(0)] * EULER_ORDER
+    for m in range(1, EULER_ORDER + 1):
+        local = gs._series_power(_local_factor_in_degrees(m, q, inverse), gs.count_closed_points(m, q), EULER_ORDER)
+        product = gs._series_mul(product, local, EULER_ORDER)
+    kernel = gs.nu_hat if inverse else gs.mu_hat
+    assert product == [kernel(k, q) for k in range(EULER_ORDER + 1)]
