@@ -193,22 +193,29 @@ def rank_one_product(rd: RootDatum, par: ParabolicType, height: int, factors) ->
     g(p) = f(p) - t f(p - a) + s g(p - a), a running sum pushed up each a-string from its
     lowest point in the support of f to the height bound. The points of f are taken in
     height order, so a string is walked once, from that lowest point. A factor of height
-    <= 0 raises: its strings would never reach the bound.
+    <= 0 raises: its strings would never reach the bound. A term with a zero operand (t or
+    s zero, f(p - a) or g(p - a) missing) is skipped, not computed as a zero product.
     """
     terms = {(0,) * rd.rank: ONE}
     for a, t, s in factors:
         ha = par.height(a)
         if ha <= 0:
             raise HeckeError(f"factor at {a} has height {ha}; a rank-one factor needs positive height")
+        # None stands for a zero term: no product or sum is taken with it
+        nt, s = None if t.is_zero() else -t, None if s.is_zero() else s
         out: dict[Vec, RatFunc] = {}
         for hp, p in sorted((par.height(p), p) for p in terms):
             if p in out:
                 continue
-            f_prev = g = ZERO
+            f_prev = g = None
             while hp <= height:
-                f = terms.get(p, ZERO)
-                out[p] = g = f - t * f_prev + s * g
-                f_prev = f
+                f = v = terms.get(p)
+                if nt is not None and f_prev is not None:
+                    v = nt * f_prev if v is None else v + nt * f_prev
+                if s is not None and g is not None:
+                    v = s * g if v is None else v + s * g
+                out[p] = ZERO if v is None else v
+                f_prev, g = f, v
                 p, hp = tuple(x + y for x, y in zip(p, a)), hp + ha
         terms = out
     return GradedSeries(rd, par, height, terms)

@@ -10,6 +10,11 @@ the Cartan matrix, and the one Levi solve (`levi_solve`, with det C_J and the
 int adjugate of each Cartan principal submatrix C_J cached) behind the
 Langlands retraction and the dominance order.
 
+Loading a datum enumerates no Weyl group: |W| comes from the root heights, and
+w0, like every w0_J, by descent in l(w0) steps. The matrices of W are
+enumerated the first time `weyl_elements` is read. Every breadth-first
+enumeration, of W or of a W_J, records the inverse of each element it reaches.
+
 A Weyl element acts on the roots by lookup: `root_image(w)` is w's permutation
 of the root set, built from the cached columns of w^-1 the first time w is
 used. Matrices stay the elements' keys and their action on coweights.
@@ -17,6 +22,7 @@ used. Matrices stay the elements' keys and their action on coweights.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -85,10 +91,11 @@ def _as_vec(v) -> Vec:
 class RootDatum:
     """Root datum on Lambda = Z^rank with explicit simple coroots (vectors) and simple roots (covectors).
 
-    The coroot/root systems, the Weyl group as integer matrices, 2*rho and
-    2*rho-check are computed eagerly and frozen. Per-element and per-J data
-    (w^-1 columns, root permutations, Levi adjugates, subgroups, cone rays)
-    are cached on first use.
+    The coroot/root systems, |W| (from the root heights), w0 and 2*rho-check
+    are computed at load and frozen. The Weyl group as integer matrices is
+    enumerated on the first read of `weyl_elements`. Per-element and per-J
+    data (w^-1 and its columns, root permutations, longest elements, Levi
+    adjugates, subgroups, cone rays) are cached on first use.
     """
 
     def __init__(self, name: str, rank: int, simple_coroots, simple_roots):
@@ -109,16 +116,16 @@ class RootDatum:
         self._check_cartan()
         self._build_roots()
         # |W| from the root heights alone, a witness for the matrix enumeration that does not read it
-        order = weyl_order([sum(self.root_coords[chi]) for chi in self.positive_roots])
-        if order > WEYL_CAP:
-            raise WeylEnumerationError(f"|W| = {order} exceeds cap {WEYL_CAP}")
+        self._weyl_order = weyl_order([sum(self.root_coords[chi]) for chi in self.positive_roots])
+        if self._weyl_order > WEYL_CAP:
+            raise WeylEnumerationError(f"|W| = {self._weyl_order} exceeds cap {WEYL_CAP}")
         self._simple_reflections = tuple(self._reflection(i) for i in range(self.n_simple))
-        self.weyl_elements: tuple[Matrix, ...] = tuple(self._weyl_bfs(range(self.n_simple)))
-        if len(self.weyl_elements) != order:
-            raise RootDatumError(f"|W| = {len(self.weyl_elements)} enumerated, {order} from the root heights")
-        self._subgroup_cache: dict[frozenset, frozenset] = {frozenset(range(self.n_simple)): frozenset(self.weyl_elements)}
+        ident = linalg.identity(self.rank)
+        # filled by every breadth-first enumeration, for each element it reaches
+        self._w_inverse: dict[Matrix, Matrix] = {ident: ident}
+        self._subgroup_cache: dict[frozenset, frozenset] = {}
+        self._longest: dict[frozenset, Matrix] = {}
         self._levi_adjugates: dict[tuple[int, ...], tuple[int, Matrix]] = {}
-        self._w_inverse = {w: self._invert(w) for w in self.weyl_elements}
         # filled on first use of each Weyl element: the columns of w^-1, and w's permutation of the roots
         self._inverse_columns: dict[Matrix, Matrix] = {}
         self._root_images: dict[Matrix, dict[Covec, Covec]] = {}
@@ -182,10 +189,12 @@ class RootDatum:
     def _weyl_bfs(self, indices):
         """Elements of the subgroup generated by the listed simple reflections, breadth first by length.
 
-        Elements of equal length come out sorted. More than WEYL_CAP elements
-        raise WeylEnumerationError.
+        Elements of equal length come out sorted. Each element s w reached from w
+        has its inverse w^-1 s recorded in `_w_inverse`. More than WEYL_CAP
+        elements raise WeylEnumerationError.
         """
         gens = [self._simple_reflections[i] for i in sorted(indices)]
+        inverse = self._w_inverse
         ident = linalg.identity(self.rank)
         seen = {ident}
         frontier = [ident]
@@ -194,10 +203,12 @@ class RootDatum:
             new = []
             for w in frontier:
                 for s in gens:
-                    ws = mat_mul(s, w)
-                    if ws not in seen:
-                        seen.add(ws)
-                        new.append(ws)
+                    sw = mat_mul(s, w)
+                    if sw not in seen:
+                        seen.add(sw)
+                        new.append(sw)
+                        if sw not in inverse:
+                            inverse[sw] = mat_mul(inverse[w], s)
                         if len(seen) > WEYL_CAP:
                             raise WeylEnumerationError(f"Weyl enumeration exceeded cap {WEYL_CAP}")
             new.sort()
@@ -216,10 +227,6 @@ class RootDatum:
         if 2 * npos != len(self.coroots) or 2 * len(self.positive_roots) != len(self.roots) or len(self.positive_roots) != npos:
             raise RootDatumError("root system is not split into positive/negative halves")
 
-    def _invert(self, w: Matrix) -> Matrix:
-        d = linalg.det(w)  # +-1 on a lattice automorphism, so w^-1 = d adj(w)
-        return tuple(tuple(d * x for x in row) for row in linalg.adjugate(w))
-
     # -- queries -----------------------------------------------------------
     def act_on_weight(self, w: Matrix, chi) -> Covec:
         """(w . chi)(lam) = chi(w^{-1} lam); chi as a covector row, against the columns of w^{-1} cached per w."""
@@ -235,23 +242,47 @@ class RootDatum:
             image = self._root_images[w] = {chi: self.act_on_weight(w, chi) for chi in self.roots}
         return image
 
+    @functools.cached_property
+    def weyl_elements(self) -> tuple[Matrix, ...]:
+        """W as integer matrices, breadth first by length: enumerated on the first read and checked against |W| from the root heights."""
+        elements = tuple(self._weyl_bfs(range(self.n_simple)))
+        if len(elements) != self._weyl_order:
+            raise RootDatumError(f"|W| = {len(elements)} enumerated, {self._weyl_order} from the root heights")
+        return elements
+
     def w_inverse(self, w: Matrix) -> Matrix:
+        """w^-1 as recorded by the enumeration that reached w; W is enumerated only for an element none has reached."""
+        if w not in self._w_inverse:
+            self.weyl_elements
         return self._w_inverse[w]
 
     def subgroup(self, indices) -> frozenset:
-        """The parabolic subgroup W_J generated by the listed simple reflections (cached)."""
+        """The parabolic subgroup W_J generated by the listed simple reflections (cached); for J = all of Delta it is `weyl_elements`."""
         key = frozenset(indices)
         if key not in self._subgroup_cache:
-            self._subgroup_cache[key] = frozenset(self._weyl_bfs(key))
+            elements = self.weyl_elements if len(key) == self.n_simple else self._weyl_bfs(key)
+            self._subgroup_cache[key] = frozenset(elements)
         return self._subgroup_cache[key]
 
     def longest_element(self, indices) -> Matrix:
-        """The longest element of W_J: the one element of W_J sending every positive coroot of the Levi to a negative coroot."""
-        pos = [a for a in self.positive_coroots if self.in_span_of_simples(a, indices)]
-        for w in self.subgroup(indices):
-            if all(min(self.coroot_coords[mat_vec(w, a)]) < 0 for a in pos):
-                return w
-        raise RootDatumError(f"no longest element in W_J for J = {sorted(indices)}")
+        """The longest element w0_J of W_J by descent, memoised per J (Bjorner-Brenti, ch. 2).
+
+        From the identity, w := w s_j while some j in J has w(alpha-check_j) > 0.
+        Each step lengthens w by one, so the walk stops after l(w0_J) steps, at
+        the one element of W_J that sends every alpha-check_j, j in J, negative.
+        """
+        key = frozenset(indices)
+        if key not in self._longest:
+            idx = sorted(key)
+            w = linalg.identity(self.rank)
+            while (j := self._ascent(w, idx)) is not None:
+                w = mat_mul(w, self._simple_reflections[j])
+            self._longest[key] = w
+        return self._longest[key]
+
+    def _ascent(self, w: Matrix, idx) -> int | None:
+        """The first j in idx with w(alpha-check_j) a positive coroot, that is l(w s_j) > l(w); None if there is none."""
+        return next((j for j in idx if min(self.coroot_coords[mat_vec(w, self.simple_coroots[j])]) >= 0), None)
 
     def in_span_of_simples(self, v: Vec, indices) -> bool:
         """The coroot v is a combination of the simple coroots listed in indices."""
@@ -328,8 +359,14 @@ class ParabolicType:
             raise RootDatumError("w0_M does not square to the identity")
 
     def is_levi_invariant(self, values: dict) -> bool:
-        """The map {lattice point: nonzero value} is constant along W_M-orbits (a missing point holds zero)."""
-        return all(values.get(mat_vec(w, lam)) == v for w in self.weyl_levi for lam, v in values.items())
+        """The map {lattice point: nonzero value} is constant along W_M-orbits (a missing point holds zero).
+
+        Only the simple reflections s_j, j in J, are tested: each one that keeps
+        the finite map maps its support onto itself, so the group they generate
+        keeps it too.
+        """
+        gens = [self.rd._simple_reflections[j] for j in self.indices]
+        return all(values.get(mat_vec(s, lam)) == v for s in gens for lam, v in values.items())
 
     def height(self, lam):
         """Grading <2rho_P, lam> used for all truncations: an int on the lattice."""

@@ -200,6 +200,15 @@ MUTANTS = [
         acceptance.check_weyl_identities, (("B2",),), RootDatum, "root_image", _root_image_wrong_at_s0(),
         id="8-root-image-wrong-at-s0",
     ),
+    pytest.param(  # the descent stops one reflection early, at w0_J s_j: w0_levi and rd.w0 are both one short
+        acceptance.check_weyl_identities, (("A2",),), RootDatum, "longest_element",
+        _source_mutant(
+            RootDatum.longest_element,
+            "while (j := self._ascent(w, idx)) is not None:",
+            "while (j := self._ascent(w, idx)) is not None and self._ascent(mat_mul(w, self._simple_reflections[j]), idx) is not None:",
+        ),
+        id="8-longest-element-descent-one-short",
+    ),
     pytest.param(
         acceptance.check_character_identities, (), charring, "sym_series",
         _source_mutant(charring.sym_series, "for w in piece.weights]", "for w in piece.weights[1:]]"),

@@ -110,6 +110,20 @@ def test_satake_check_inverts_only_the_lambda_series_of_each_piece(monkeypatch):
     assert len(calls) == 2
 
 
+def test_gk_on_a_borel_enumerates_no_weyl_group(monkeypatch):
+    calls = []
+    bfs = rootdata.RootDatum._weyl_bfs
+
+    def counted(self, indices):
+        calls.append((self.n_simple, sorted(indices)))
+        return bfs(self, indices)
+
+    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", counted)
+    out, _ = run(["gk", "--datum", "B3", "--height", "6"])
+    assert out.startswith("coweight,coefficient\n")
+    assert calls == [(3, [])]  # W_M of the Borel, the identity alone
+
+
 @pytest.mark.parametrize("command", ["gk", "nu"])
 def test_series_at_a_pole_of_q_is_a_usage_error_with_no_output(capsys, command):
     argv = [command, "--datum", "A1", "--height", "3", "--basis", "e", "--q", "0"]

@@ -45,6 +45,14 @@ def subbundle_count(n, d, qv):
     return (qv**2 - 1) * qv ** (-2 * d - 1)
 
 
+def eis_count(n, d, qv):
+    """sigma(n, d) as the program computes it: Eis of the indicator delta_d, read at degree n."""
+    return gs.eis_B(gs.TFunction.from_dict({d: 1}, qv), qv).value(n)
+
+
+SUBBUNDLE_SPECIAL_VALUES = {(0, 0): Q + 1, (2, 3): ZERO, (5, 5): ONE, (1, 0): ZERO, (1, -1): Q**3}
+
+
 def test_subbundle_counts_against_bruteforce():
     # the closed form and the Eisenstein sum of each indicator delta_d both count the subbundles
     for q in (2, 3):
@@ -54,14 +62,25 @@ def test_subbundle_counts_against_bruteforce():
                 brute = gs.subbundle_count_bruteforce(n, d, q)
                 assert eis.value(n) == brute, (q, n, d)
                 assert subbundle_count(n, d, Q).eval(Fraction(q)) == brute, (q, n, d)
+    # the special values and the shape of sigma(n, d), each row against the brute-force count;
+    # below d = 0 the brute force walks q^(2 - 2d) pairs, so q = 3 stops at d = -3
+    for q, low in ((2, -5), (3, -3)):
+
+        def count(n, d):
+            brute = gs.subbundle_count_bruteforce(n, d, q)
+            assert subbundle_count(n, d, Q).eval(Fraction(q)) == eis_count(n, d, Fraction(q)) == brute, (q, n, d)
+            return brute
+
+        for (n, d), value in SUBBUNDLE_SPECIAL_VALUES.items():
+            assert count(n, d) == value.eval(Fraction(q)), (q, n, d)
+        for n in range(1, 6):
+            assert all(count(n, d) == 0 for d in range(-n + 1, n)), (q, n)  # zero strictly between -n and n
+            assert all(count(n, d) == count(0, d) for d in range(low, -n)), (q, n)  # below -n, free of n
+        assert all(count(0, d - 1) == q**2 * count(0, d) for d in range(low + 1, 0)), q  # q^2 per degree down
 
 
 def test_subbundle_special_values():
-    assert subbundle_count(0, 0, Q) == Q + 1
-    assert subbundle_count(2, 3, Q) == ZERO
-    assert subbundle_count(5, 5, Q) == ONE
-    assert subbundle_count(1, 0, Q) == ZERO
-    assert subbundle_count(1, -1, Q) == Q**3
+    assert {nd: eis_count(*nd, Q) for nd in SUBBUNDLE_SPECIAL_VALUES} == SUBBUNDLE_SPECIAL_VALUES
 
 
 def test_degree_series_against_euler_product():
@@ -479,13 +498,13 @@ def test_forward_kernel_is_geometric_with_ratio_q_squared_after_its_first_term(q
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_subbundle_counts_below_minus_n_do_not_depend_on_n(qv):
     for n in range(1, 6):
-        assert all(subbundle_count(n, d, qv) == subbundle_count(0, d, qv) for d in range(-n - 8, -n))
+        assert all(eis_count(n, d, qv) == eis_count(0, d, qv) for d in range(-n - 8, -n))
 
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_subbundle_counts_vanish_strictly_between_minus_n_and_n(qv):
     for n in range(1, 6):
-        assert all(subbundle_count(n, d, qv) == 0 for d in range(-n + 1, n))
+        assert all(eis_count(n, d, qv) == 0 for d in range(-n + 1, n))
 
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
@@ -500,7 +519,7 @@ def test_middle_constant_term_kernel_does_not_depend_on_the_degree(qv):
 
 @pytest.mark.parametrize("qv", QVS, ids=str)
 def test_subbundle_counts_below_zero_step_by_q_squared_downward(qv):
-    assert all(subbundle_count(0, d - 1, qv) == qv**2 * subbundle_count(0, d, qv) for d in range(-9, 0))
+    assert all(eis_count(0, d - 1, qv) == qv**2 * eis_count(0, d, qv) for d in range(-9, 0))
 
 
 @pytest.mark.parametrize("qv", QVS, ids=str)

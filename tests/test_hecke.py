@@ -258,6 +258,27 @@ def test_local_series_equal_their_references(name):
             assert skewed.invert() == _invert_reference(skewed), (name, J, height)
 
 
+def test_gk_and_nu_take_no_product_or_sum_with_a_zero(monkeypatch):
+    zero_operands = []
+    for name in ("__mul__", "__add__", "__sub__"):
+        original = getattr(RatFunc, name)
+
+        def counted(self, other, original=original, name=name):
+            if self.is_zero() or as_ratfunc(other).is_zero():
+                zero_operands.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(RatFunc, name, counted)
+    for datum in PRESET_NAMES:
+        rd = load_root_datum(datum)
+        for J in index_subsets(rd.n_simple):
+            par = ParabolicType(rd, J)
+            for height in (4, 8):
+                hk.gk_mu(rd, par, height)
+                hk.nu(rd, par, height)
+    assert zero_operands == []
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
 def test_invert_equals_its_reference_on_character_series(name):
     rd = load_root_datum(name)

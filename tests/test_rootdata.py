@@ -229,6 +229,107 @@ def test_every_finite_type_of_rank_at_most_four_loads_with_its_weyl_order(name, 
     assert len(set(rd.weyl_elements)) == len(rd.weyl_elements) == order
 
 
+def _counting_bfs(monkeypatch):
+    """Wrap RootDatum._weyl_bfs; the returned list gets the sorted index set of every call."""
+    calls = []
+    bfs = rootdata.RootDatum._weyl_bfs
+
+    def counted(self, indices):
+        calls.append(sorted(indices))
+        return bfs(self, indices)
+
+    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", counted)
+    return calls
+
+
+def test_e6_loads_and_finds_w0_without_enumerating_w(monkeypatch):
+    calls = _counting_bfs(monkeypatch)
+    rd = load_root_datum(_inline("E6", _star(1, 2, 2)))
+    assert len(rd.positive_coroots) == 36
+    negative = {tuple(-x for x in a) for a in rd.positive_coroots}
+    assert all(linalg.mat_vec(rd.w0, a) in negative for a in rd.positive_coroots)
+    assert calls == [] and "weyl_elements" not in vars(rd)
+
+
+def test_weyl_group_is_enumerated_on_the_first_read_only(monkeypatch):
+    calls = _counting_bfs(monkeypatch)
+    rd = load_root_datum("B3")
+    pars = [ParabolicType(rd, J) for J in index_subsets(rd.n_simple) if len(J) < rd.n_simple]
+    assert calls == [sorted(par.indices) for par in pars]  # one enumeration per proper W_J, none of W
+    ident = linalg.identity(rd.rank)
+    for par in pars:  # each inverse was recorded by the enumeration of W_J that reached the element
+        assert all(linalg.mat_mul(w, rd.w_inverse(w)) == ident for w in par.weyl_levi)
+    assert "weyl_elements" not in vars(rd)
+    full = ParabolicType(rd, range(rd.n_simple))
+    assert full.weyl_levi == frozenset(rd.weyl_elements) and len(rd.weyl_elements) == 48
+    assert calls[-1] == [0, 1, 2] and len(calls) == len(pars) + 1
+
+
+INVERSE_DATA = [(name, name) for name in PRESET_NAMES] + [
+    ("B4", _inline("B4", B4_CARTAN)),
+    ("C4", _inline("C4", C4_CARTAN)),
+    ("D5", _inline("D5", _star(1, 1, 2))),
+]
+
+
+@pytest.mark.parametrize("config", [row[1] for row in INVERSE_DATA], ids=[row[0] for row in INVERSE_DATA])
+def test_recorded_inverses_invert(config):
+    rd = load_root_datum(config)
+    ident = linalg.identity(rd.rank)
+    for w in rd.weyl_elements:
+        inverse = rd.w_inverse(w)
+        assert linalg.mat_mul(w, inverse) == ident == linalg.mat_mul(inverse, w), w
+
+
+def _longest_by_scan(rd, J):
+    """w0_J as first defined: the one element of W_J sending every positive Levi coroot to a negative coroot."""
+    levi = [a for a in rd.positive_coroots if rd.in_span_of_simples(a, J)]
+    found = [w for w in rd.subgroup(J) if all(min(rd.coroot_coords[linalg.mat_vec(w, a)]) < 0 for a in levi)]
+    assert len(found) == 1, J
+    return found[0]
+
+
+LONGEST_DATA = [(name, name) for name in PRESET_NAMES] + [("D5", _inline("D5", _star(1, 1, 2)))]
+
+
+@pytest.mark.parametrize("config", [row[1] for row in LONGEST_DATA], ids=[row[0] for row in LONGEST_DATA])
+def test_longest_element_by_descent_is_the_scan_definition(config):
+    rd = load_root_datum(config)
+    for J in index_subsets(rd.n_simple):
+        w0 = _longest_by_scan(rd, J)
+        assert rd.longest_element(J) == w0, J
+        assert ParabolicType(rd, J).w0_levi is rd.longest_element(reversed(J))  # memoised per J, not per order
+    assert rd.w0 == _longest_by_scan(rd, range(rd.n_simple))
+
+
+def _invariant_by_walk(par, values):
+    """W_M-invariance as first tested: every element of W_M keeps the map."""
+    return all(values.get(linalg.mat_vec(w, lam)) == v for w in par.weyl_levi for lam, v in values.items())
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_levi_invariance_on_the_generators_agrees_with_the_walk_over_w_m(name):
+    rd = load_root_datum(name)
+    rng = random.Random(7)
+    s0 = rd._simple_reflections[0]
+    answers = set()
+    for J in index_subsets(rd.n_simple):
+        par = ParabolicType(rd, J)
+        points = [tuple(rng.randint(-3, 3) for _ in range(rd.rank)) for _ in range(4)]
+        invariant = {linalg.mat_vec(w, lam): k + 1 for k, lam in enumerate(points) for w in par.weyl_levi}
+        moved = next((lam for lam in invariant if any(linalg.mat_vec(w, lam) != lam for w in par.weyl_levi)), None)
+        maps = [invariant]
+        if moved is not None:  # a point off the fixed locus of W_M: change its value, or drop it
+            maps += [{**invariant, moved: 0}, {lam: v for lam, v in invariant.items() if lam != moved}]
+        lam = points[0]
+        maps.append({lam: 1, linalg.mat_vec(s0, lam): 1})  # invariant under s_0 alone
+        for values in maps:
+            got = par.is_levi_invariant(values)
+            assert got == _invariant_by_walk(par, values), (J, values)
+            answers.add(got)
+    assert answers == {True, False}
+
+
 @pytest.mark.parametrize("name, cartan", [("E7", _star(1, 2, 3)), ("E8", _star(4, 2, 1))], ids=["E7", "E8"])
 def test_weyl_group_over_the_cap_is_refused_before_enumerating(monkeypatch, name, cartan):
     def no_enumeration(self, indices):
@@ -246,8 +347,9 @@ def test_an_enumeration_that_drops_an_element_fails_the_order_check(monkeypatch)
         return list(bfs(self, indices))[:-1]
 
     monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", drops_the_last)
+    rd = load_root_datum("B2")  # W is not enumerated at load, so the check runs on the first read
     with pytest.raises(RootDatumError, match="from the root heights"):
-        load_root_datum("B2")
+        rd.weyl_elements
 
 
 def test_load_rejects_inconsistent_declared_cartan():
@@ -351,10 +453,12 @@ def test_weyl_cap_signals_error(monkeypatch):
     monkeypatch.setattr(rootdata, "WEYL_CAP", 3)
     with pytest.raises(WeylEnumerationError, match="exceeds cap"):
         RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
-    # the cap inside the enumeration still holds when the order from the heights is wrong
+    # the cap inside the enumeration still holds when the order from the heights is wrong: W is
+    # enumerated on the first read of weyl_elements, not at load
     monkeypatch.setattr(rootdata, "weyl_order", lambda heights: 1)
+    rd = RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
     with pytest.raises(WeylEnumerationError, match="exceeded cap"):
-        RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
+        rd.weyl_elements
     monkeypatch.undo()
     rd = load_root_datum("B2")
     assert len(rd.weyl_elements) == 8
