@@ -7,12 +7,12 @@ certificates, the retraction property and criterion 4 use. The Langlands
 retraction solves in ints once the coweight's denominators are cleared:
 Fraction appears only in the simplex's coefficients and the retraction's input
 and output. The double description (`rays_from_inequalities`) runs in integers
-too: constraints, lineality basis and extreme rays are primitive int vectors,
-and each candidate ray is the generalised cross product (signed maximal
-minors, `linalg.det`) of d - 1 constraints restricted to a pointed section of
-dimension d. A feasible candidate is tight on d - 1 independent constraints,
-so it spans a one-dimensional face of the pointed section and is extreme; no
-extremality filter is needed. The certificates keep coroots, roots and rays as
+too: constraints, lineality basis and extreme rays are primitive int vectors.
+It is Motzkin's incremental method on a pointed section of the cone: it starts
+from the simplicial cone of d independent constraints (rays from the signed
+adjugate) and adds one constraint at a time, joining only adjacent pairs of
+rays, by the combinatorial test on tight-constraint bit masks, so every ray it
+keeps is extreme. The certificates keep coroots, roots and rays as
 int vectors, so their Weyl actions and pairings stay in Z, and they read the
 double description through `dual_generators`, one generating set per datum and
 vector tuple.
@@ -22,13 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
 from .linalg import dot, fvec, primitive_vector, vneg
 from .rootdata import ParabolicType, RootDatum, index_subsets, pair
-
-RANK_CAP = 4  # exact double description is only run for ranks up to this bound
 
 
 class ConeError(ValueError):
@@ -107,11 +104,14 @@ def rays_from_inequalities(constraints, dim: int):
 
     The cone is L + C, with L the lineality space (the common kernel of the
     constraints) and C its section by the span of the coordinate vectors that
-    are not pivots of L. C is pointed, so a vector of C that is tight on d - 1
-    linearly independent constraints of the section (d = dim C) spans a
-    one-dimensional face: it is an extreme ray, and every extreme ray arises
-    this way. Each (d - 1)-subset gives its candidate as the generalised cross
-    product of its rows, which is zero exactly when the rows are dependent.
+    are not pivots of L. C is pointed of dimension d = dim C, and its extreme
+    rays come from Motzkin's double description, one constraint at a time
+    (Fukuda and Prodon 1996). The first d independent constraints cut out a
+    simplicial cone whose rays are the columns of sign(det) adjugate. Each
+    further constraint c keeps the rays with <c, r> >= 0 and joins each pair
+    of rays on opposite sides, s+ r- - s- r+, when the pair is adjacent: the
+    two share at least d - 2 tight constraints and no third ray is tight on
+    all of them. A ray carries its tight constraints as an int bit mask.
     """
     cons = _distinct_directions(constraints)
     if not cons:
@@ -123,17 +123,29 @@ def rays_from_inequalities(constraints, dim: int):
     if d == 0:
         return lin, []
     cons = _distinct_directions([tuple(c[j] for j in section) for c in cons])
-    rays = set()
-    for rows in combinations(cons, d - 1):
-        v = _cross(rows, d)
-        if not any(v):
+    basis = linalg.pivot_columns(tuple(zip(*cons)))
+    simplex = [cons[i] for i in basis]
+    sign = 1 if linalg.det(simplex) > 0 else -1
+    adj = linalg.adjugate(simplex)
+    in_simplex = sum(1 << i for i in basis)
+    # column k of sign(det) adjugate is tight on every constraint of the simplex but the k-th
+    rays = [(primitive_vector([sign * row[k] for row in adj]), in_simplex & ~(1 << i)) for k, i in enumerate(basis)]
+    for i, c in enumerate(cons):
+        if in_simplex >> i & 1:
             continue
-        if all(dot(c, v) >= 0 for c in cons):
-            rays.add(primitive_vector(v))
-        elif all(dot(c, v) <= 0 for c in cons):
-            rays.add(primitive_vector(vneg(v)))
+        scored = [(dot(c, r), r, z) for r, z in rays]
+        masks = [z for _, _, z in scored]
+        rays = [(r, z | 1 << i if s == 0 else z) for s, r, z in scored if s >= 0]
+        pos = [(s, r, z) for s, r, z in scored if s > 0]
+        neg = [(s, r, z) for s, r, z in scored if s < 0]
+        for sp, rp, zp in pos:
+            for sn, rn, zn in neg:
+                common = zp & zn
+                if common.bit_count() < d - 2 or sum(z & common == common for z in masks) > 2:
+                    continue
+                rays.append((primitive_vector([sp * x - sn * y for x, y in zip(rn, rp)]), common | 1 << i))
     out = []
-    for v in rays:
+    for v, _ in rays:
         ray = [0] * dim
         for j, x in zip(section, v):
             ray[j] = x
@@ -167,11 +179,6 @@ def _distinct_directions(vectors) -> list[tuple[int, ...]]:
                 seen.add(key)
                 out.append(key)
     return out
-
-
-def _cross(rows, d: int) -> tuple[int, ...]:
-    """Generalised cross product of d - 1 int vectors of length d: the signed maximal minors."""
-    return tuple((-1) ** k * linalg.det([r[:k] + r[k + 1 :] for r in rows]) for k in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +240,6 @@ def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
 
 def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that pos_U equals the intersection of w(pos_G) over w in W_M."""
-    if rd.rank > RANK_CAP:
-        raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
     pos_u = par.pos_coroots_unipotent
     # the generators of pos_G's dual cone are the inequalities cutting out pos_G
     dual_pos_g = dual_generators(rd, rd.positive_coroots)
@@ -264,8 +269,6 @@ def check_pos_U_consequent(rd: RootDatum, par: ParabolicType) -> bool:
 
 def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that W_M . (dominant weights) is exactly the dual cone of pos_U."""
-    if rd.rank > RANK_CAP:
-        raise ConeError(f"rank {rd.rank} exceeds the double-description cap {RANK_CAP}")
     gens_u = par.pos_coroots_unipotent
     chamber = dual_generators(rd, rd.simple_coroots)
     w_levi = sorted(par.weyl_levi)

@@ -174,7 +174,7 @@ def clear_denominators(vectors) -> tuple[int, list[tuple[int, ...]]]:
 
 def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive constant to a primitive integer vector (sign preserved)."""
-    _, (ints,) = clear_denominators([v])
+    ints = v if all(type(x) is int for x in v) else clear_denominators([v])[1][0]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no direction")

@@ -182,10 +182,10 @@ MUTANTS = [
         acceptance.check_retraction, (("A2",), 20), cones, "langlands_retraction",
         lambda rd, lam: (cones.fvec(lam), frozenset()), id="4-retraction-returns-lam",
     ),
-    pytest.param(
-        acceptance.check_cone_certificates, (("B2",),), cones, "rays_from_inequalities",
-        _source_mutant(cones.rays_from_inequalities, "if all(dot(c, v) >= 0 for c in cons):", "if all(dot(c, v) > 0 for c in cons):"),
-        id="5-extreme-ray-test-strict",
+    pytest.param(  # pairs sharing exactly d - 2 tight constraints are never joined, so extreme rays go missing
+        acceptance.check_cone_certificates, (("A3",),), cones, "rays_from_inequalities",
+        _source_mutant(cones.rays_from_inequalities, "common.bit_count() < d - 2", "common.bit_count() < d - 1"),
+        id="5-adjacency-needs-one-more-tight-constraint",
     ),
     pytest.param(
         acceptance.check_cone_certificates, (("GL2",),), cones, "dual_generators",
