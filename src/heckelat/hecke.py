@@ -6,7 +6,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import cones
-from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow
+from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow, sum_of_products
 from .rootdata import ParabolicType, RootDatum, Vec
 
 
@@ -133,25 +133,30 @@ class GradedSeries:
         """Graded Neumann inversion in push form; requires an invertible constant term.
 
         inv(0) = 1/c0 and inv(lam) = -(sum over nonzero mu of c(mu) inv(lam - mu))/c0. Heights add, so the
-        points are settled one height bucket at a time: a settled inv(p) at height t is pushed, as
-        c(mu) inv(p), to p + mu in bucket t + height(mu) for every mu with t + height(mu) <= height. The
-        constructor's cone check puts every nonzero support point at height >= 1, so each push lands in a
-        later bucket, and no point outside the result is visited.
+        points are settled one height bucket at a time: a settled inv(p) at height t is pushed, as the pair
+        (c(mu), inv(p)), to p + mu in bucket t + height(mu) for every mu with t + height(mu) <= height. A
+        point is settled by one qfield.sum_of_products over its pairs, negated and divided by c0 only when
+        c0 is not 1. The constructor's cone check puts every nonzero support point at height >= 1, so each
+        push lands in a later bucket, and no point outside the result is visited.
         """
         c0 = self.constant_term()
         if c0.is_zero():
             raise HeckeError("series has zero constant term; not a unit")
+        inv_c0 = None if c0.is_one() else ONE / c0
         zero = (0,) * self.rd.rank
         h = self.height
         steps = sorted((self.par.height(mu), mu, c) for mu, c in self.coeffs.items() if mu != zero)
-        buckets: list[dict[Vec, RatFunc]] = [{} for _ in range(h + 1)]
-        buckets[0][zero] = -ONE  # so that the rule below settles inv(0) = 1/c0
+        # bucket t maps each point of height t to its (c(mu), inv(p)) pairs; bucket 0 holds the origin alone
+        buckets: list[dict[Vec, list]] = [{} for _ in range(h + 1)]
+        buckets[0][zero] = []
         inv = {}
         for t, bucket in enumerate(buckets):
-            for p, acc in bucket.items():
-                value = -acc / c0
+            for p, pairs in bucket.items():
+                value = -sum_of_products(pairs) if t else ONE
                 if value.is_zero():
                     continue
+                if inv_c0 is not None:
+                    value = value * inv_c0
                 inv[p] = value
                 for hmu, mu, cmu in steps:
                     if t + hmu > h:
@@ -159,30 +164,39 @@ class GradedSeries:
                     target = buckets[t + hmu]
                     key = tuple(x + y for x, y in zip(p, mu))
                     prev = target.get(key)
-                    target[key] = cmu * value if prev is None else prev + cmu * value
+                    if prev is None:
+                        target[key] = [(cmu, value)]
+                    else:
+                        prev.append((cmu, value))
         return GradedSeries(self.rd, self.par, self.height, inv, self.basis)
 
 
 def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
-    """Cone-graded Cauchy product; truncation height is the minimum of the two."""
+    """Cone-graded Cauchy product; truncation height is the minimum of the two.
+
+    The (ca, cb) pairs are grouped by output point, and each coefficient is one qfield.sum_of_products
+    over its pairs. The second series is walked in height order, so its walk stops at the height bound.
+    """
     if s1.par.indices != s2.par.indices or s1.rd is not s2.rd and s1.rd.config() != s2.rd.config():
         raise HeckeError("mismatched parabolic types")
     if s1.basis != s2.basis:
         raise HeckeError("mismatched bases; convert first")
     h = min(s1.height, s2.height)
     height = s1.par.height
-    terms2 = [(b, cb, height(b)) for b, cb in s2.coeffs.items()]
-    out: dict[Vec, RatFunc] = {}
+    terms2 = sorted((height(b), b, cb) for b, cb in s2.coeffs.items())
+    groups: dict[Vec, list] = {}
     for a, ca in s1.coeffs.items():
-        ha = height(a)
-        if ha > h:
-            continue
-        for b, cb, hb in terms2:
-            if ha + hb > h:
-                continue
+        room = h - height(a)
+        for hb, b, cb in terms2:
+            if hb > room:
+                break
             key = tuple(x + y for x, y in zip(a, b))
-            prev = out.get(key)
-            out[key] = ca * cb if prev is None else prev + ca * cb
+            pairs = groups.get(key)
+            if pairs is None:
+                groups[key] = [(ca, cb)]
+            else:
+                pairs.append((ca, cb))
+    out = {key: sum_of_products(pairs) for key, pairs in groups.items()}
     return GradedSeries(s1.rd, s1.par, h, out, s1.basis)
 
 
@@ -190,31 +204,35 @@ def rank_one_product(rd: RootDatum, par: ParabolicType, height: int, factors) ->
     """The product of the rank-one factors (1 - t e^a)/(1 - s e^a), one for each (a, t, s) in factors.
 
     Each factor is a one-term recurrence along a: g = f (1 - t e^a)/(1 - s e^a) has
-    g(p) = f(p) - t f(p - a) + s g(p - a), a running sum pushed up each a-string from its
-    lowest point in the support of f to the height bound. The points of f are taken in
-    height order, so a string is walked once, from that lowest point. A factor of height
-    <= 0 raises: its strings would never reach the bound. A term with a zero operand (t or
-    s zero, f(p - a) or g(p - a) missing) is skipped, not computed as a zero product.
+    g(p) = f(p) - t f(p - a) + s g(p - a), one qfield.sum_of_products per point (which skips
+    the terms with a zero operand), pushed up each a-string from its lowest point in the
+    support of f. The points of f are taken in height order. A walk stops at the height
+    bound, or at the first point where f(p) and g(p) are both zero: from there the string
+    continues as if it started afresh, so its next support point starts a walk of its own,
+    and no zero is stored. A support point whose value cancels to zero is remembered as
+    walked. A factor of height <= 0 raises: its strings would never reach the bound.
     """
     terms = {(0,) * rd.rank: ONE}
     for a, t, s in factors:
         ha = par.height(a)
         if ha <= 0:
             raise HeckeError(f"factor at {a} has height {ha}; a rank-one factor needs positive height")
-        # None stands for a zero term: no product or sum is taken with it
-        nt, s = None if t.is_zero() else -t, None if s.is_zero() else s
+        nt = -t
         out: dict[Vec, RatFunc] = {}
+        cancelled = set()
         for hp, p in sorted((par.height(p), p) for p in terms):
-            if p in out:
+            if p in out or p in cancelled:
                 continue
-            f_prev = g = None
+            f_prev = g = ZERO
             while hp <= height:
-                f = v = terms.get(p)
-                if nt is not None and f_prev is not None:
-                    v = nt * f_prev if v is None else v + nt * f_prev
-                if s is not None and g is not None:
-                    v = s * g if v is None else v + s * g
-                out[p] = ZERO if v is None else v
+                f = terms.get(p, ZERO)
+                v = sum_of_products(((ONE, f), (nt, f_prev), (s, g)))
+                if not v.is_zero():
+                    out[p] = v
+                elif f.is_zero():
+                    break  # f(p) = g(p) = 0: the string's next support point starts a walk of its own
+                else:
+                    cancelled.add(p)
                 f_prev, g = f, v
                 p, hp = tuple(x + y for x, y in zip(p, a)), hp + ha
         terms = out

@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import cones
 from .cones import SupportShape
 from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, twist_scale
-from .qfield import RatFunc, ZERO, as_ratfunc, q_pow
+from .qfield import RatFunc, ZERO, as_ratfunc, q_pow, sum_of_products
 from .rootdata import ParabolicType, RootDatum, Vec
 
 
@@ -40,12 +40,14 @@ class SphericalFunction:
         return max(map(self.par.height, self.values), default=0)
 
 
-def _apply_kernel(rd, par, series, phi, out_points, twist):
-    """Twisted shift convolution out(lam) = twist(lam, theta) sum kernel(theta) phi(lam + theta).
+def _apply_kernel(rd, par, series, phi, out_points, out_twist=None, in_twist=None):
+    """Twisted shift convolution out(lam) = out_twist(lam) sum kernel(theta) in_twist(lam + theta) phi(lam + theta).
 
-    With fewer requested outputs than input points, each output pulls phi(lam + theta) over the
-    kernel (|out| x |kernel| reads); otherwise every kernel term is pushed from every input point
-    (|kernel| x |phi|), keeping those that land on a requested output.
+    A twist is a function of (scale, point) with scale = twist_scale(par); None is the twist 1. The in twist
+    multiplies each input value once, and the out twist each output once, so every output is one
+    qfield.sum_of_products over its (kernel, input) pairs. With fewer requested outputs than input points,
+    each output pulls phi(lam + theta) over the kernel (|out| x |kernel| reads); otherwise every kernel term
+    is pushed from every input point (|kernel| x |phi|), keeping those that land on a requested output.
     """
     if series.par.indices != par.indices:
         raise IntertwineError("series parabolic does not match")
@@ -65,39 +67,46 @@ def _apply_kernel(rd, par, series, phi, out_points, twist):
                 f"(needs height {max(max_h - par.height(lam) for lam in bad)})"
             )
     out_set = set(out_points)
-    out: dict[Vec, RatFunc] = {}
-    if len(out_set) < len(phi.values):
+    values = phi.values if in_twist is None else {p: in_twist(scale, p) * v for p, v in phi.values.items()}
+    groups: dict[Vec, list] = {}
+    if len(out_set) < len(values):
         for lam in out_set:
+            pairs = []
             for theta, k in kernel.items():
-                v = phi.values.get(tuple(a + b for a, b in zip(lam, theta)))
+                v = values.get(tuple(a + b for a, b in zip(lam, theta)))
                 if v is not None:
-                    term = twist(scale, lam, theta) * k * v
-                    prev = out.get(lam)
-                    out[lam] = term if prev is None else prev + term
+                    pairs.append((k, v))
+            groups[lam] = pairs
     else:
         for theta, k in kernel.items():
-            for p, v in phi.values.items():
+            for p, v in values.items():
                 lam = tuple(a - b for a, b in zip(p, theta))
                 if lam in out_set:
-                    term = twist(scale, lam, theta) * k * v
-                    prev = out.get(lam)
-                    out[lam] = term if prev is None else prev + term
-    out = {k2: v2 for k2, v2 in out.items() if not v2.is_zero()}
+                    pairs = groups.get(lam)
+                    if pairs is None:
+                        groups[lam] = [(k, v)]
+                    else:
+                        pairs.append((k, v))
+    out: dict[Vec, RatFunc] = {}
+    for lam, pairs in groups.items():
+        total = sum_of_products(pairs)
+        if not total.is_zero():
+            out[lam] = total if out_twist is None else out_twist(scale, lam) * total
     window = SupportShape.make(phi.window.base, cones.neg_pos_U(par.indices))
     return SphericalFunction(rd, par, out, window, check_window=False)
 
 
 def apply_R_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, phi: SphericalFunction, out_points=None) -> SphericalFunction:
     """The K-invariant intertwining operator: modulus-inverse prefactor times shift convolution with the series."""
-    def twist(scale, lam, theta):
+    def out_twist(scale, lam):
         return q_pow(scale * par.height(lam))
 
-    return _apply_kernel(rd, par, series, phi, out_points, twist)
+    return _apply_kernel(rd, par, series, phi, out_points, out_twist=out_twist)
 
 
 def apply_R_inverse_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, phi: SphericalFunction, out_points=None) -> SphericalFunction:
     """The inverse operator: modulus evaluated at the input point inside the sum, kernel the inverse series."""
-    def twist(scale, lam, theta):
-        return q_pow(-scale * (par.height(lam) + par.height(theta)))
+    def in_twist(scale, p):
+        return q_pow(-scale * par.height(p))
 
-    return _apply_kernel(rd, par, series, phi, out_points, twist)
+    return _apply_kernel(rd, par, series, phi, out_points, in_twist=in_twist)

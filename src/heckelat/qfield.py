@@ -15,9 +15,12 @@ and the operators take fast paths for them: a sum or difference is one pass
 over the two numerators shifted to the smaller valuation, which moves only
 when the lowest terms cancel; a product with a one-term factor c q^w adds w to
 the valuation and scales the other numerator by c; (q^w)^k is q^(kw). Other
-Laurent products multiply the numerators. None of these needs a gcd or an
-exact division; a polynomial gcd (primitive pseudo-remainder sequence in
-Z[q]) runs only where a non-constant d appears.
+Laurent products multiply the numerators. The fourth fast path is
+`sum_of_products`, which the series code uses for every coefficient: a sum of
+Laurent products is accumulated in one int list spanning all the products,
+and one element is built at the end, normalised as a Laurent sum is. None of
+these needs a gcd or an exact division; a polynomial gcd (primitive
+pseudo-remainder sequence in Z[q]) runs only where a non-constant d appears.
 `num` and `den` give the element as one coprime pair in Z[q], q^v moved to the
 side it belongs to; that is the pair the printer reads. `Fraction` appears only
 at the boundary: `from_fraction`, `eval`, `q_pow` and the hash of a constant.
@@ -220,13 +223,13 @@ class RatFunc:
         if not n1 or not n2:
             return ZERO
         v = self._v + other._v
+        if d1 == (1,) and d2 == (1,):
+            return _laurent_product(v, n1, n2)
         # a one-term Laurent factor c q^w only shifts the valuation and scales the other numerator
         if d1 == (1,) and len(n1) == 1:
             return _rf(v, *_normalize(_scale(n2, n1[0]), d2))
         if d2 == (1,) and len(n2) == 1:
             return _rf(v, *_normalize(_scale(n1, n2[0]), d1))
-        if d1 == (1,) and d2 == (1,):
-            return _rf(v, _pmul(n1, n2), (1,))
         # cross-reduce against a non-constant denominator before multiplying
         if len(d2) > 1 and len(n1) > 1:
             g = _pgcd(n1, d2)
@@ -393,14 +396,66 @@ def _laurent_sum(v1: int, n1: Coeffs, v2: int, n2: Coeffs, sign: int) -> RatFunc
     if end > len(out):
         out.extend([0] * (end - len(out)))
     out[k:end] = map(op, out[k:end], rest)
+    return _laurent_terms(v, out)
+
+
+def _laurent_terms(v: int, out: list[int]) -> RatFunc:
+    """q^v times the polynomial with coefficient list out (consumed) in normal form: trailing zeros are
+    stripped, and v moves past lowest terms that cancelled."""
     n = _strip(out)
     if not n:
         return ZERO
     if n[0]:
         return _rf(v, n, (1,))
-    # the lowest terms cancelled, which needs v1 == v2
     j = _valuation(n)
     return _rf(v + j, n[j:], (1,))
+
+
+def sum_of_products(pairs) -> RatFunc:
+    """The sum of a * b over the (a, b) pairs of RatFunc, built as one element.
+
+    When every operand is a Laurent polynomial (d = (1,)), each product is added
+    into one int coefficient list from the lowest valuation to the highest end
+    over all pairs, and one element is built from it at the end. Pairs with a
+    zero operand are skipped. Any other operand takes the general route: the
+    products and the running sum of the field operations.
+    """
+    live = [(a, b) for a, b in pairs if a._n and b._n]
+    if not live:
+        return ZERO
+    lo = hi = None
+    for a, b in live:
+        if a._d != (1,) or b._d != (1,):
+            total = ZERO
+            for a, b in live:
+                total = _sum(total, a * b, 1)
+            return total
+        v = a._v + b._v
+        end = v + len(a._n) + len(b._n) - 1
+        if lo is None:
+            lo, hi = v, end
+        elif v < lo:
+            lo = v
+        if end > hi:
+            hi = end
+    if len(live) == 1:
+        return _laurent_product(lo, a._n, b._n)
+    acc = [0] * (hi - lo)
+    for a, b in live:
+        n2 = b._n
+        for i, x in enumerate(a._n, a._v + b._v - lo):
+            for j, y in enumerate(n2, i):
+                acc[j] += x * y
+    return _laurent_terms(lo, acc)
+
+
+def _laurent_product(v: int, n1: Coeffs, n2: Coeffs) -> RatFunc:
+    """q^v n1 n2 for nonzero n1, n2 not divisible by q: a one-term factor only scales the other numerator."""
+    if len(n1) == 1:
+        return _rf(v, _scale(n2, n1[0]), (1,))
+    if len(n2) == 1:
+        return _rf(v, _scale(n1, n2[0]), (1,))
+    return _rf(v, _pmul(n1, n2), (1,))
 
 
 def _coprime_terms(v: int, n: Coeffs, d: Coeffs) -> RatFunc:

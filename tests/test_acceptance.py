@@ -82,10 +82,15 @@ def _flip_sign_at(indices):
 
 
 def _inverse_twist_one_power_off(rd, par, series, phi, out_points=None):
-    def twist(scale, lam, theta):
-        return q_pow(1 - scale * (par.height(lam) + par.height(theta)))
+    """R^-1 with the twist q^(1 - scale height(lam + theta)) in place of q^(-scale height(lam + theta))."""
 
-    return intertwine._apply_kernel(rd, par, series, phi, out_points, twist)
+    def out_twist(scale, lam):
+        return q_pow(1)
+
+    def in_twist(scale, p):
+        return q_pow(-scale * par.height(p))
+
+    return intertwine._apply_kernel(rd, par, series, phi, out_points, out_twist, in_twist)
 
 
 def _to_basis_untwisted(series, basis, scale=1):
@@ -156,7 +161,7 @@ MUTANTS = [
     ),
     pytest.param(
         acceptance.check_inversion, (("A1", "A2"),), hecke.GradedSeries, "invert",
-        _source_mutant(hecke.GradedSeries.invert, "value = -acc / c0", "value = acc / c0"),
+        _source_mutant(hecke.GradedSeries.invert, "value = -sum_of_products(pairs)", "value = sum_of_products(pairs)"),
         id="2-invert-drops-the-minus-sign",
     ),
     pytest.param(  # nu's factor list leaves out its first coroot, so it is no longer mu.invert()
@@ -164,10 +169,10 @@ MUTANTS = [
         _source_mutant(hecke.nu, "for a in par.pos_coroots_unipotent]", "for a in par.pos_coroots_unipotent[1:]]"),
         id="2-rank-one-product-skips-a-coroot",
     ),
-    pytest.param(  # a sum whose lowest terms cancel keeps its old valuation, so q^v n shifts to q^(v-j) n
-        acceptance.check_inversion, (("A1", "A2"),), qfield, "_laurent_sum",
-        _source_mutant(qfield._laurent_sum, "return _rf(v + j, n[j:], (1,))", "return _rf(v, n[j:], (1,))"),
-        id="2-laurent-sum-keeps-the-valuation",
+    pytest.param(  # every fused product in hecke lands one degree low, the lowest one wrapping round to the top
+        acceptance.check_inversion, (("A1", "A2"),), hecke, "sum_of_products",
+        _source_mutant(qfield.sum_of_products, "a._v + b._v - lo", "a._v + b._v - lo - 1"),
+        id="2-fused-product-offset-one-low",
     ),
     pytest.param(  # the origin pairs to 0 with every dual generator, so no series keeps its constant term
         acceptance.check_inversion, (("A1", "A2"),), cones, "in_pos_U",
@@ -223,9 +228,14 @@ MUTANTS = [
         acceptance.check_local_roundtrip, (5,), intertwine, "apply_R_inverse_K", _inverse_twist_one_power_off,
         id="7-inverse-twist-one-power-off",
     ),
+    pytest.param(  # a Laurent sum whose lowest terms cancel keeps its old valuation, so q^v n shifts to q^(v-j) n
+        acceptance.check_local_roundtrip, (5,), qfield, "_laurent_terms",
+        _source_mutant(qfield._laurent_terms, "return _rf(v + j, n[j:], (1,))", "return _rf(v, n[j:], (1,))"),
+        id="7-laurent-sum-keeps-the-valuation",
+    ),
     pytest.param(  # the same value, but not in normal form: q^v (0, ..., 0, n_j, ...) no longer equals q^(v+j) n
-        acceptance.check_local_roundtrip, (5,), qfield, "_laurent_sum",
-        _source_mutant(qfield._laurent_sum, "return _rf(v + j, n[j:], (1,))", "return _rf(v, n, (1,))"),
+        acceptance.check_local_roundtrip, (5,), qfield, "_laurent_terms",
+        _source_mutant(qfield._laurent_terms, "return _rf(v + j, n[j:], (1,))", "return _rf(v, n, (1,))"),
         id="7-laurent-sum-keeps-a-leading-zero",
     ),
     pytest.param(

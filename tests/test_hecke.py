@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from heckelat import charring
@@ -338,3 +340,99 @@ def test_character_series_equal_their_references(name):
                     where = (name, J, piece.level, t, height)
                     assert charring.lambda_series(rd, par, t, piece, height) == _lambda_reference(rd, par, t, piece, height), where
                     assert charring.sym_series(rd, par, t, piece, height) == _sym_reference(rd, par, t, piece, height), where
+
+
+# -- fused coefficient sums ---------------------------------------------------------------------
+
+
+def test_a2_borel_convolve_and_invert_take_no_field_product_or_sum(monkeypatch):
+    rd = load_root_datum("A2")
+    par = ParabolicType(rd, [])
+    mu = hk.gk_mu(rd, par, 8)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        original = getattr(RatFunc, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(RatFunc, name, counted)
+    nu = mu.invert()
+    assert hk.convolve(mu, nu) == hk.GradedSeries.unit(rd, par, 8)
+    assert calls == []
+
+
+def _cauchy_reference(s1, s2):
+    """The cone-graded Cauchy product, one field product and one field sum per pair of support points."""
+    h = min(s1.height, s2.height)
+    out = {}
+    for a, ca in s1.coeffs.items():
+        for b, cb in s2.coeffs.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            if s1.par.height(key) <= h:
+                out[key] = out.get(key, ZERO) + ca * cb
+    return hk.GradedSeries(s1.rd, s1.par, h, out, s1.basis)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+def test_convolve_and_invert_with_non_laurent_coefficients_match_the_cauchy_product(name):
+    rd = load_root_datum(name)
+    par = ParabolicType(rd, [])
+    mu = hk.gk_mu(rd, par, 6)
+    unit = hk.GradedSeries.unit(rd, par, 6)
+    half = {lam: c * RatFunc((1,), (2,)) if any(lam) else c for lam, c in mu.coeffs.items()}
+    over_q_plus_1 = {lam: c / (1 + Q) if par.height(lam) == 2 else c for lam, c in mu.coeffs.items()}
+    for coeffs in (half, over_q_plus_1, _skewed(mu).coeffs):
+        s = hk.GradedSeries(rd, par, 6, coeffs)
+        assert any(c._d != (1,) for c in s.coeffs.values())  # not every coefficient is a Laurent polynomial
+        inv = s.invert()
+        assert inv == _invert_reference(s)
+        assert hk.convolve(s, mu) == _cauchy_reference(s, mu) and hk.convolve(mu, s) == _cauchy_reference(mu, s)
+        assert hk.convolve(s, inv) == _cauchy_reference(s, inv) == unit
+
+
+def test_lambda_series_hands_no_zero_coefficient_to_the_series(monkeypatch):
+    rd = load_root_datum("A3")
+    par = ParabolicType(rd, [])
+    handed = []
+    original = hk.GradedSeries.__init__
+
+    def recording(self, rd, par, height, coeffs, basis=hk.E_BASIS):
+        handed.extend(coeffs.values())
+        original(self, rd, par, height, coeffs, basis)
+
+    monkeypatch.setattr(hk.GradedSeries, "__init__", recording)
+    for piece in charring.u_P_graded_pieces(rd, par):
+        for t in (ONE, -ONE, q_pow(piece.level), q_pow(-1)):
+            s = charring.lambda_series(rd, par, t, piece, 8)
+            assert s == _lambda_reference(rd, par, t, piece, 8)
+    assert handed and not [c for c in handed if as_ratfunc(c).is_zero()]
+
+
+def _rank_one_reference(rd, par, height, factors):
+    """The product of the factors as a convolution of explicit series (1 - t e^a) and 1 + s e^a + s^2 e^2a + ..."""
+    zero = (0,) * rd.rank
+    out = hk.GradedSeries.unit(rd, par, height)
+    for a, t, s in factors:
+        geometric, n = {}, 0
+        while n * par.height(a) <= height:
+            geometric[tuple(n * x for x in a)] = s**n
+            n += 1
+        out = hk.convolve(out, hk.GradedSeries(rd, par, height, {zero: ONE, a: -t}))
+        out = hk.convolve(out, hk.GradedSeries(rd, par, height, geometric))
+    return out
+
+
+def test_rank_one_product_matches_the_convolution_of_its_factors():
+    rng = random.Random(20292)
+    rd = load_root_datum("A2")
+    par = ParabolicType(rd, [])
+    a = par.pos_coroots_unipotent[0]
+    # 1 + e^a times 1 - e^a: the coefficient at a cancels at a support point of the first factor
+    assert hk.rank_one_product(rd, par, 8, [(a, -ONE, ZERO), (a, ONE, ZERO)]).coeffs == {(0, 0): ONE, tuple(2 * x for x in a): -ONE}
+    values = [ZERO, ONE, -ONE, q_pow(-1), Q, RatFunc((1,), (2,))]
+    for _ in range(60):
+        factors = [(rng.choice(par.pos_coroots_unipotent), rng.choice(values), rng.choice(values)) for _ in range(rng.randint(1, 4))]
+        height = rng.randint(0, 8)
+        assert hk.rank_one_product(rd, par, height, factors) == _rank_one_reference(rd, par, height, factors), factors

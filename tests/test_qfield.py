@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
-from heckelat.qfield import ONE, Q, QFieldError, RatFunc, ZERO, _content, _padd, _pdiv_exact, _pgcd, _pmul, _pneg, as_ratfunc, q_pow
+from heckelat.qfield import (
+    ONE, Q, QFieldError, RatFunc, ZERO, _content, _padd, _pdiv_exact, _pgcd, _pmul, _pneg, as_ratfunc, q_pow, sum_of_products,
+)
 
 
 def test_basic_identities():
@@ -299,6 +301,53 @@ def test_monomial_powers_match_repeated_multiplication():
             _assert_same_value(got, expected)
             assert got == q_pow(k * v)
     assert (-Q) ** 3 == -(Q**3) and (3 * Q) ** -2 == RatFunc((1,), (0, 0, 9))
+
+
+def _pairwise_sum_of_products(pairs):
+    total = ZERO
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+def test_sum_of_products_matches_the_pairwise_route():
+    rng = random.Random(20291)
+    # (q - 1)/q is a Laurent element written as a quotient; 1/(1 - q) and 1/2 are not Laurent
+    others = [(Q - 1) / Q, ONE / (1 - Q), as_ratfunc(Fraction(1, 2))]
+    assert sum_of_products([]) == ZERO and sum_of_products([(ZERO, Q), (Q, ZERO)]) == ZERO
+
+    def one_term():
+        return _laurent((rng.choice([1, -1, 3]),), rng.randint(-5, 2))
+
+    def factor():
+        return one_term() if rng.random() < 0.5 else _rand_laurent_poly(rng)
+
+    lowest_moved = 0
+    for _ in range(300):
+        pairs = [(factor(), factor()) for _ in range(rng.randint(1, 5))]
+        a, b = pairs[0]
+        x, j, w = _general_product(a, b), rng.randint(1, 3), rng.randint(-2, 2)
+        v = x._v
+        # q^w * low cancels the lowest j coefficients of a * b
+        low = _laurent([-c for c in x._n[:j]] + list(_rand_poly(rng, 3)), v - w)
+        cases = [
+            pairs,
+            pairs + [(ZERO, factor()), (factor(), ZERO)],
+            pairs + [(-a, b)],  # the first product cancels
+            [(a, b), (a, -b)],  # cancels to zero
+            [(a, b), (q_pow(w), low)],
+            [(a, b), (low, q_pow(w)), (one_term(), ZERO)],
+            pairs + [(rng.choice(others), factor())],
+            [(rng.choice(others), rng.choice(others)), (factor(), rng.choice(others))] + pairs,
+        ]
+        for case in cases:
+            got, want = sum_of_products(case), _pairwise_sum_of_products(case)
+            _assert_canonical(got)
+            _assert_same_value(got, want)
+        moved = sum_of_products(cases[4])
+        assert moved.is_zero() or moved._v > v
+        lowest_moved += not moved.is_zero()
+    assert lowest_moved > 250
 
 
 def test_constants_hash_as_the_numbers_they_equal():
