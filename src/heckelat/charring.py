@@ -72,7 +72,7 @@ def decompose_into_irreducibles(rd: RootDatum, par: ParabolicType, f) -> tuple[l
     two_rho = tuple(sum(a[i] for a in par.pos_coroots_levi) for i in range(rd.rank))
     # w(2rho) - 2rho is twice an integer combination of coroots, so halving is exact
     delta = {
-        tuple((x - y) // 2 for x, y in zip(linalg.mat_vec(w, two_rho), two_rho)): linalg.det(w) for w in par.weyl_levi
+        tuple((x - y) // 2 for x, y in zip(linalg.mat_vec(w, two_rho), two_rho)): linalg.det(w) for w in rd.subgroup(par.indices)
     }
     prod: dict[Vec, int] = {}
     for mu, c in work.items():

@@ -15,7 +15,7 @@ rays, by the combinatorial test on tight-constraint bit masks, so every ray it
 keeps is extreme. The certificates keep coroots, roots and rays as
 int vectors, so their Weyl actions and pairings stay in Z, and they read the
 double description through `dual_generators`, one generating set per datum and
-vector tuple.
+vector tuple. W_M enters only as orbits under its simple reflections.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import dot, fvec, primitive_vector, vneg
-from .rootdata import ParabolicType, RootDatum, index_subsets, pair
+from .rootdata import ParabolicType, RootDatum, index_subsets, orbit, pair
 
 
 class ConeError(ValueError):
@@ -238,12 +238,16 @@ def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
 # cone certificates
 
 
+def _levi_orbit(rd: RootDatum, par: ParabolicType, items) -> set:
+    """The W_M-orbit of the tuples of weights: closed under s_j . chi = chi - <chi, alpha-check_j> alpha_j, j in J."""
+    return orbit(items, [(rd.simple_coroots[j], rd.simple_roots[j]) for j in sorted(par.indices)])
+
+
 def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that pos_U equals the intersection of w(pos_G) over w in W_M."""
     pos_u = par.pos_coroots_unipotent
-    # the generators of pos_G's dual cone are the inequalities cutting out pos_G
-    dual_pos_g = dual_generators(rd, rd.positive_coroots)
-    all_cons = [rd.act_on_weight(w, c) for w in sorted(par.weyl_levi) for c in dual_pos_g]
+    # the generators of pos_G's dual cone cut out pos_G, and their W_M-orbit cuts out the intersection of its translates
+    all_cons = [c for (c,) in sorted(_levi_orbit(rd, par, [(c,) for c in dual_generators(rd, rd.positive_coroots)]))]
     # inclusion pos_U subseteq intersection: every generator satisfies every constraint
     for g in pos_u:
         if any(dot(c, g) < 0 for c in all_cons):
@@ -270,31 +274,17 @@ def check_pos_U_consequent(rd: RootDatum, par: ParabolicType) -> bool:
 def check_dual_cone(rd: RootDatum, par: ParabolicType) -> bool:
     """Certificate that W_M . (dominant weights) is exactly the dual cone of pos_U."""
     gens_u = par.pos_coroots_unipotent
-    chamber = dual_generators(rd, rd.simple_coroots)
-    w_levi = sorted(par.weyl_levi)
     # (i) every W_M-translate of the dominant cone pairs >= 0 with pos_U
-    for w in w_levi:
-        for v in chamber:
-            wv = rd.act_on_weight(w, v)
-            if any(dot(wv, g) < 0 for g in gens_u):
-                return False
+    for (wv,) in _levi_orbit(rd, par, [(v,) for v in dual_generators(rd, rd.simple_coroots)]):
+        if any(dot(wv, g) < 0 for g in gens_u):
+            return False
     # (ii) every generator of the dual cone lies in some W_M-translate of the dominant cone
     for v in dual_generators(rd, gens_u):
-        if not any(
-            all(pair(rd.act_on_weight(w, v), a) >= 0 for a in rd.simple_coroots)
-            for w in w_levi
-        ):
+        if not any(all(pair(wv, a) >= 0 for a in rd.simple_coroots) for (wv,) in _levi_orbit(rd, par, [(v,)])):
             return False
-    # (iii) wall-gluing: chamber walls not internal to W_M lie on the boundary of the dual cone
-    for i in range(rd.n_simple):
-        if i in par.indices:
-            continue  # glued to the neighboring chamber w s_i inside W_M
-        wall = dual_generators(rd, rd.simple_coroots + (vneg(rd.simple_coroots[i]),))
-        for w in w_levi:
-            translated = [rd.act_on_weight(w, v) for v in wall]
-            if not any(all(dot(tv, g) == 0 for tv in translated) for g in gens_u):
-                return False
-    return True
+    # (iii) wall-gluing: the chamber walls off J lie on the boundary of the dual cone (a wall i in J is glued to w s_i's chamber)
+    walls = [tuple(dual_generators(rd, rd.simple_coroots + (vneg(a),))) for i, a in enumerate(rd.simple_coroots) if i not in par.indices]
+    return all(any(all(dot(tv, g) == 0 for tv in translated) for g in gens_u) for translated in _levi_orbit(rd, par, walls))
 
 
 # ---------------------------------------------------------------------------

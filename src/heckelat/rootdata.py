@@ -12,12 +12,13 @@ Langlands retraction and the dominance order.
 
 Loading a datum enumerates no Weyl group: |W| comes from the root heights, and
 w0, like every w0_J, by descent in l(w0) steps. The matrices of W are
-enumerated the first time `weyl_elements` is read. Every breadth-first
-enumeration, of W or of a W_J, records the inverse of each element it reaches.
+enumerated the first time `weyl_elements` is read, and those of a W_J only by
+`subgroup`; each enumeration records the inverse of every element it reaches.
+A W_J-orbit enumerates nothing: `orbit` closes it under the simple reflections.
 
 A Weyl element acts on the roots by lookup: `root_image(w)` is w's permutation
-of the root set, built from the cached columns of w^-1 the first time w is
-used. Matrices stay the elements' keys and their action on coweights.
+of the root set, built from the columns of w^-1 the first time w is used.
+Matrices stay the elements' keys and their action on coweights.
 """
 
 from __future__ import annotations
@@ -61,6 +62,20 @@ def weyl_order(heights: list[int]) -> int:
     return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
+def orbit(items, reflections) -> set:
+    """The closure of tuples of int vectors under x -> x - <x, a> b, one reflection per pair (a, b), on each vector of a tuple."""
+    seen = set(items)
+    stack = list(seen)
+    while stack:
+        item = stack.pop()
+        for a, b in reflections:
+            image = tuple(tuple(x - k * y for x, y in zip(v, b)) if (k := dot(v, a)) else v for v in item)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return seen
+
+
 def _orbit_coordinates(cartan, simples) -> dict[Vec, Vec]:
     """{vector: int coordinates on the simples} over the Weyl orbit of the simples.
 
@@ -94,8 +109,8 @@ class RootDatum:
     The coroot/root systems, |W| (from the root heights), w0 and 2*rho-check
     are computed at load and frozen. The Weyl group as integer matrices is
     enumerated on the first read of `weyl_elements`. Per-element and per-J
-    data (w^-1 and its columns, root permutations, longest elements, Levi
-    adjugates, subgroups, cone rays) are cached on first use.
+    data (w^-1, root permutations, longest elements, Levi adjugates,
+    subgroups, cone rays) are cached on first use.
     """
 
     def __init__(self, name: str, rank: int, simple_coroots, simple_roots):
@@ -126,8 +141,7 @@ class RootDatum:
         self._subgroup_cache: dict[frozenset, frozenset] = {}
         self._longest: dict[frozenset, Matrix] = {}
         self._levi_adjugates: dict[tuple[int, ...], tuple[int, Matrix]] = {}
-        # filled on first use of each Weyl element: the columns of w^-1, and w's permutation of the roots
-        self._inverse_columns: dict[Matrix, Matrix] = {}
+        # filled on first use of each Weyl element: w's permutation of the roots
         self._root_images: dict[Matrix, dict[Covec, Covec]] = {}
         # cones.dual_generators: the dual cone's generators per vector tuple, for as long as the datum lives
         self.cone_rays: dict[tuple, tuple[Covec, ...]] = {}
@@ -228,18 +242,12 @@ class RootDatum:
             raise RootDatumError("root system is not split into positive/negative halves")
 
     # -- queries -----------------------------------------------------------
-    def act_on_weight(self, w: Matrix, chi) -> Covec:
-        """(w . chi)(lam) = chi(w^{-1} lam); chi as a covector row, against the columns of w^{-1} cached per w."""
-        cols = self._inverse_columns.get(w)
-        if cols is None:
-            cols = self._inverse_columns[w] = tuple(zip(*self.w_inverse(w)))
-        return tuple(dot(chi, col) for col in cols)
-
     def root_image(self, w: Matrix) -> dict[Covec, Covec]:
         """w's permutation of the roots, {chi: w . chi}, built on the first call for w and cached."""
         image = self._root_images.get(w)
         if image is None:
-            image = self._root_images[w] = {chi: self.act_on_weight(w, chi) for chi in self.roots}
+            cols = tuple(zip(*self.w_inverse(w)))  # (w . chi)(lam) = chi(w^-1 lam): chi against the columns of w^-1
+            image = self._root_images[w] = {chi: tuple(dot(chi, col) for col in cols) for chi in self.roots}
         return image
 
     @functools.cached_property
@@ -352,10 +360,8 @@ class ParabolicType:
         for j in idx:
             if self.height(rd.simple_coroots[j]) != 0:
                 raise RootDatumError("2rho_P does not annihilate the Levi coroots")
-        self.weyl_levi: frozenset[Matrix] = rd.subgroup(self.indices)
         self.w0_levi: Matrix = rd.longest_element(self.indices)
-        w2 = mat_mul(self.w0_levi, self.w0_levi)
-        if w2 != linalg.identity(rd.rank):
+        if mat_mul(self.w0_levi, self.w0_levi) != linalg.identity(rd.rank):
             raise RootDatumError("w0_M does not square to the identity")
 
     def is_levi_invariant(self, values: dict) -> bool:

@@ -1,11 +1,14 @@
-"""Exhaustive verification of the Weyl-group and parabolic-sign identities behind the global operator calculus."""
+"""Exhaustive verification of the Weyl-group and parabolic-sign identities behind the global operator calculus.
+
+A double coset W_{M'} w W_M is the orbit of w's columns and rows under simple reflections: no matrix is multiplied.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .linalg import mat_mul
-from .rootdata import Matrix, ParabolicType, RootDatum, index_subsets
+from .rootdata import Matrix, ParabolicType, RootDatum, index_subsets, orbit
 
 RANK_CAP = 4
 
@@ -42,9 +45,10 @@ def w_bullet_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list
 
 
 def double_coset(rd: RootDatum, par: ParabolicType, par2: ParabolicType, w: Matrix) -> frozenset:
-    """The double coset W_{M'} w W_M, enumerated directly."""
-    right = [mat_mul(w, b) for b in par.weyl_levi]
-    return frozenset(mat_mul(a, wb) for a in par2.weyl_levi for wb in right)
+    """The double coset W_{M'} w W_M: s_j x reflects each column of x and x s_i each row, so it is w's column orbit under J', then row orbits under J."""
+    left = orbit([tuple(zip(*w))], [(rd.simple_roots[j], rd.simple_coroots[j]) for j in sorted(par2.indices)])
+    right = [(rd.simple_coroots[i], rd.simple_roots[i]) for i in sorted(par.indices)]
+    return frozenset(orbit([tuple(zip(*cols)) for cols in left], right))
 
 
 def check_w_bullet_transversal(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelat import acceptance, charring, cli, cones, globalsl2, hecke, intertwine, padic, qfield, weylids
+from heckelat import acceptance, charring, cli, cones, globalsl2, hecke, intertwine, padic, qfield, rootdata, weylids
 from heckelat.qfield import q_pow
 from heckelat.rootdata import ParabolicType, RootDatum, load_root_datum
 
@@ -197,9 +197,19 @@ MUTANTS = [
         _source_mutant(cones.dual_generators, "*lin, *map(vneg, lin))", "*lin)"),
         id="5-lineality-one-sign",
     ),
+    pytest.param(  # each weight gains only its images under one simple reflection, so no orbit is closed
+        acceptance.check_cone_certificates, (("A2",),), cones, "orbit",
+        _source_mutant(rootdata.orbit, "stack.append(image)", "pass"),
+        id="5-orbit-stops-after-one-reflection",
+    ),
     pytest.param(
         acceptance.check_weyl_identities, (("A2",),), weylids, "parabolic_sign", _flip_sign_at([0]),
         id="8-parabolic-sign-flipped-at-J0",
+    ),
+    pytest.param(  # the coset is w W_M alone: the right closure of w, without the column orbit under W_{M'}
+        acceptance.check_weyl_identities, (("A2",),), weylids, "double_coset",
+        _source_mutant(weylids.double_coset, "for cols in left]", "for cols in [tuple(zip(*w))]]"),
+        id="8-double-coset-drops-the-left-factor",
     ),
     pytest.param(
         acceptance.check_weyl_identities, (("B2",),), RootDatum, "root_image", _root_image_wrong_at_s0(),

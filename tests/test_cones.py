@@ -237,11 +237,36 @@ def _inline_datum(name, cartan):
     return load_root_datum(json.dumps({"name": name, "rank": n, "cartan": cartan, "simple_coroots": identity, "simple_roots": cartan}))
 
 
+def _translates(rd, J, items):
+    """{w . item : w in W_J}, element by element: w . chi is chi against the columns of a Fraction w^-1, not the datum's int one."""
+    out = set()
+    for w in rd.subgroup(J):
+        cols = tuple(zip(*linalg.inverse(w)))
+        out |= {tuple(linalg.mat_vec(cols, chi) for chi in item) for item in items}
+    return out
+
+
 def _certificate_constraints(rd, par):
     """The constraint systems the certificates hand to the double description, besides the chamber's."""
     dual_pos_g = cones.dual_generators(rd, rd.positive_coroots)
-    translated = [rd.act_on_weight(w, c) for w in sorted(par.weyl_levi) for c in dual_pos_g]
+    translated = [c for (c,) in sorted(_translates(rd, par.indices, [(c,) for c in dual_pos_g]))]
     return [par.pos_coroots_unipotent, translated]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_certificate_orbits_are_the_translates_by_every_element_of_w_m(name):
+    """The orbits the certificates close under the simple reflections of M are the sets of translates by each element of W_M."""
+    rd = load_root_datum(name)
+    walls = [tuple(cones.dual_generators(rd, rd.simple_coroots + (linalg.vneg(a),))) for a in rd.simple_coroots]
+    for J in index_subsets(rd.n_simple):
+        par = ParabolicType(rd, J)
+        for vectors in (rd.positive_coroots, rd.simple_coroots, par.pos_coroots_unipotent):
+            items = [(c,) for c in cones.dual_generators(rd, vectors)]
+            assert cones._levi_orbit(rd, par, items) == _translates(rd, J, items), (name, J, vectors)
+            for item in items:  # step (ii) of check_dual_cone closes each generator's orbit on its own
+                assert cones._levi_orbit(rd, par, [item]) == _translates(rd, J, [item]), (name, J, item)
+        for wall in walls:
+            assert cones._levi_orbit(rd, par, [wall]) == _translates(rd, J, [wall]), (name, J, wall)
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, "B4"])
@@ -511,12 +536,14 @@ def test_support_shape_contains():
 
 
 def test_cone_certificates_pass_above_rank_four():
-    """Every parabolic of A5 and D5, and of E6 those with |J| <= 3: the certificates need no rank cap."""
-    for name, cartan, largest in [("A5", _path(5), 5), ("D5", _star(1, 1, 2), 5), ("E6", _star(1, 2, 2), 3)]:
+    """Every parabolic of A5, D5 and E6: the certificates need no rank cap, and neither they nor the parabolics enumerate a Weyl group."""
+    for name, cartan in [("A5", _path(5)), ("D5", _star(1, 1, 2)), ("E6", _star(1, 2, 2))]:
         rd = _inline_datum(name, cartan)
-        for J in index_subsets(rd.n_simple):
-            if len(J) <= largest:
-                par = ParabolicType(rd, J)
-                assert cones.check_pos_U_intersection(rd, par), (name, J)
-                assert cones.check_dual_cone(rd, par), (name, J)
-                assert cones.check_pos_U_consequent(rd, par), (name, J)
+        pars = [ParabolicType(rd, J) for J in index_subsets(rd.n_simple)]
+        assert "weyl_elements" not in vars(rd) and not rd._subgroup_cache, name
+        for par in pars:
+            J = sorted(par.indices)
+            assert cones.check_pos_U_intersection(rd, par), (name, J)
+            assert cones.check_dual_cone(rd, par), (name, J)
+            assert cones.check_pos_U_consequent(rd, par), (name, J)
+        assert "weyl_elements" not in vars(rd) and not rd._subgroup_cache, name

@@ -14,6 +14,20 @@ def make_phi(rd, par, values):
     return iw.SphericalFunction(rd, par, values, window)
 
 
+def test_a_support_point_outside_the_declared_window_is_refused():
+    rd = load_root_datum("A2")
+    par = ParabolicType(rd, [0])
+    window = cones.SupportShape.make([(0, 0)], cones.neg_pos_U(par.indices))
+    inside = iw.SphericalFunction(rd, par, {(0, 0): ONE, (-1, -1): Q, (0, -1): ONE}, window)
+    assert set(inside.values) == {(0, 0), (-1, -1), (0, -1)}
+    # (-1, 0) is minus a Levi coroot, and (1, 1) lies above the base point: neither is in -pos_U
+    for outside in ((-1, 0), (1, 1)):
+        with pytest.raises(iw.IntertwineError, match="outside the declared window"):
+            iw.SphericalFunction(rd, par, {(0, 0): ONE, outside: Q}, window)
+        iw.SphericalFunction(rd, par, {outside: Q}, window, check_window=False)
+        iw.SphericalFunction(rd, par, {outside: ZERO}, window)  # a zero value is no support point
+
+
 def test_zero_maps_to_zero():
     rd = load_root_datum("A1")
     par = ParabolicType(rd, [])

@@ -49,10 +49,9 @@ def test_lattice_data_and_products_stay_integral(name):
     rational = tuple(Fraction(k, 3) for k in lam)
     chi = rd.simple_roots[0]
     for w in rd.weyl_elements:
-        assert _all_int([linalg.mat_vec(w, lam), rd.act_on_weight(w, chi)])
+        assert _all_int([linalg.mat_vec(w, lam), rd.root_image(w)[chi]])
         moved = linalg.mat_vec(w, rational)
         assert all(type(x) is Fraction for x in moved)
-        assert all(type(x) is Fraction for x in rd.act_on_weight(w, rational))
     assert type(pair(chi, lam)) is int and type(pair(chi, rational)) is Fraction
     for par in pars:
         assert type(par.height(lam)) is int
@@ -73,7 +72,7 @@ def test_coordinate_tables(name):
             assert linalg.solve(cols, v) == coords
     orbit = {linalg.mat_vec(w, a) for w in rd.weyl_elements for a in rd.simple_coroots}
     assert set(rd.coroot_coords) == orbit
-    assert set(rd.root_coords) == {rd.act_on_weight(w, chi) for w in rd.weyl_elements for chi in rd.simple_roots}
+    assert set(rd.root_coords) == {rd.root_image(w)[chi] for w in rd.weyl_elements for chi in rd.simple_roots}
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -97,7 +96,7 @@ def test_root_image_permutes_the_roots(name):
 
 def test_root_images_are_built_on_first_use():
     rd = load_root_datum("B3")
-    assert not rd._root_images and not rd._inverse_columns
+    assert not rd._root_images
     rd.root_image(rd.w0)
     assert list(rd._root_images) == [rd.w0]
 
@@ -254,15 +253,18 @@ def test_e6_loads_and_finds_w0_without_enumerating_w(monkeypatch):
 def test_weyl_group_is_enumerated_on_the_first_read_only(monkeypatch):
     calls = _counting_bfs(monkeypatch)
     rd = load_root_datum("B3")
-    pars = [ParabolicType(rd, J) for J in index_subsets(rd.n_simple) if len(J) < rd.n_simple]
-    assert calls == [sorted(par.indices) for par in pars]  # one enumeration per proper W_J, none of W
+    for J in index_subsets(rd.n_simple):  # a parabolic holds no W_M: building every one enumerates nothing
+        ParabolicType(rd, J)
+    assert calls == [] and not rd._subgroup_cache
+    proper = [J for J in index_subsets(rd.n_simple) if len(J) < rd.n_simple]
+    subgroups = [rd.subgroup(J) for J in proper]
+    assert calls == proper  # one enumeration per proper W_J, none of W
     ident = linalg.identity(rd.rank)
-    for par in pars:  # each inverse was recorded by the enumeration of W_J that reached the element
-        assert all(linalg.mat_mul(w, rd.w_inverse(w)) == ident for w in par.weyl_levi)
+    for elements in subgroups:  # each inverse was recorded by the enumeration of W_J that reached the element
+        assert all(linalg.mat_mul(w, rd.w_inverse(w)) == ident for w in elements)
     assert "weyl_elements" not in vars(rd)
-    full = ParabolicType(rd, range(rd.n_simple))
-    assert full.weyl_levi == frozenset(rd.weyl_elements) and len(rd.weyl_elements) == 48
-    assert calls[-1] == [0, 1, 2] and len(calls) == len(pars) + 1
+    assert rd.subgroup(range(rd.n_simple)) == frozenset(rd.weyl_elements) and len(rd.weyl_elements) == 48
+    assert calls[-1] == [0, 1, 2] and len(calls) == len(proper) + 1
 
 
 INVERSE_DATA = [(name, name) for name in PRESET_NAMES] + [
@@ -304,7 +306,7 @@ def test_longest_element_by_descent_is_the_scan_definition(config):
 
 def _invariant_by_walk(par, values):
     """W_M-invariance as first tested: every element of W_M keeps the map."""
-    return all(values.get(linalg.mat_vec(w, lam)) == v for w in par.weyl_levi for lam, v in values.items())
+    return all(values.get(linalg.mat_vec(w, lam)) == v for w in par.rd.subgroup(par.indices) for lam, v in values.items())
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -316,8 +318,8 @@ def test_levi_invariance_on_the_generators_agrees_with_the_walk_over_w_m(name):
     for J in index_subsets(rd.n_simple):
         par = ParabolicType(rd, J)
         points = [tuple(rng.randint(-3, 3) for _ in range(rd.rank)) for _ in range(4)]
-        invariant = {linalg.mat_vec(w, lam): k + 1 for k, lam in enumerate(points) for w in par.weyl_levi}
-        moved = next((lam for lam in invariant if any(linalg.mat_vec(w, lam) != lam for w in par.weyl_levi)), None)
+        invariant = {linalg.mat_vec(w, lam): k + 1 for k, lam in enumerate(points) for w in rd.subgroup(J)}
+        moved = next((lam for lam in invariant if any(linalg.mat_vec(w, lam) != lam for w in rd.subgroup(J))), None)
         maps = [invariant]
         if moved is not None:  # a point off the fixed locus of W_M: change its value, or drop it
             maps += [{**invariant, moved: 0}, {lam: v for lam, v in invariant.items() if lam != moved}]

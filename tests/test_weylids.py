@@ -1,8 +1,8 @@
 import pytest
 
 from heckelat import weylids as wi
-from heckelat.linalg import mat_vec
-from heckelat.rootdata import ParabolicType, index_subsets, load_root_datum
+from heckelat.linalg import mat_mul, mat_vec
+from heckelat.rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum
 
 
 def ident(rank):
@@ -54,6 +54,18 @@ def test_w_bullet_transversal_b2():
     bullets = wi.w_bullet_set(rd, p1, p2)
     assert len(bullets) == len({wi.double_coset(rd, p1, p2, w) for w in rd.weyl_elements})
     assert wi.check_w_bullet_transversal(rd, p1, p2)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_double_coset_closure_is_the_set_of_all_products(name):
+    # the double coset as first enumerated: a w b for every a in W_{M'} and b in W_M, as matrix products
+    rd = load_root_datum(name)
+    for J in index_subsets(rd.n_simple):
+        for J2 in index_subsets(rd.n_simple):
+            par, par2 = ParabolicType(rd, J), ParabolicType(rd, J2)
+            for w in wi.w_bullet_set(rd, par, par2):
+                products = {mat_mul(a, mat_mul(w, b)) for a in rd.subgroup(J2) for b in rd.subgroup(J)}
+                assert wi.double_coset(rd, par, par2, w) == products, (name, J, J2, w)
 
 
 def test_transversal_fails_when_a_bullet_is_dropped(monkeypatch):
