@@ -240,7 +240,7 @@ def bounded_above(rd: RootDatum, shape: SupportShape) -> bool:
 
 def _levi_orbit(rd: RootDatum, par: ParabolicType, items) -> set:
     """The W_M-orbit of the tuples of weights: closed under s_j . chi = chi - <chi, alpha-check_j> alpha_j, j in J."""
-    return orbit(items, [(rd.simple_coroots[j], rd.simple_roots[j]) for j in sorted(par.indices)])
+    return orbit(items, [rd.weight_reflections[j] for j in sorted(par.indices)])
 
 
 def check_pos_U_intersection(rd: RootDatum, par: ParabolicType) -> bool:

@@ -11,13 +11,16 @@ int adjugate of each Cartan principal submatrix C_J cached) behind the
 Langlands retraction and the dominance order.
 
 Loading a datum enumerates no Weyl group: |W| comes from the root heights, and
-w0, like every w0_J, by descent in l(w0) steps. The matrices of W are
-enumerated the first time `weyl_elements` is read, and those of a W_J only by
-`subgroup`; each enumeration records the inverse of every element it reaches.
-A W_J-orbit enumerates nothing: `orbit` closes it under the simple reflections.
+w0, like every w0_J, by descent in l(w0) steps. No reflection is a matrix: a
+simple reflection is a pair (a, b) acting by x -> x - <x, a> b, on coweights
+and on the rows of a Weyl matrix. `orbit` is the one enumerator: the matrices
+of a W_J are the orbit of the identity's rows (w s_j reflects each row of w),
+enumerated only by `subgroup`, and those of W the first time `weyl_elements`
+is read. A W_J-orbit of vectors is closed the same way and enumerates nothing.
 
-A Weyl element acts on the roots by lookup: `root_image(w)` is w's permutation
-of the root set, built from the columns of w^-1 the first time w is used.
+A Weyl element acts on the roots by lookup: `root_image(w)` and
+`root_preimage(w)` are the permutations of the root set by w and by w^-1, both
+built from the columns of w the first time w is used; no inverse is stored.
 Matrices stay the elements' keys and their action on coweights.
 """
 
@@ -76,6 +79,13 @@ def orbit(items, reflections) -> set:
     return seen
 
 
+def reflect(v, s) -> tuple:
+    """v - <v, a> b for the pair s = (a, b): a simple reflection of the coweight or weight v, keeping v's type."""
+    a, b = s
+    k = dot(v, a)
+    return tuple(x - k * y for x, y in zip(v, b)) if k else tuple(v)
+
+
 def _orbit_coordinates(cartan, simples) -> dict[Vec, Vec]:
     """{vector: int coordinates on the simples} over the Weyl orbit of the simples.
 
@@ -109,8 +119,8 @@ class RootDatum:
     The coroot/root systems, |W| (from the root heights), w0 and 2*rho-check
     are computed at load and frozen. The Weyl group as integer matrices is
     enumerated on the first read of `weyl_elements`. Per-element and per-J
-    data (w^-1, root permutations, longest elements, Levi adjugates,
-    subgroups, cone rays) are cached on first use.
+    data (root permutations, longest elements, Levi adjugates, subgroups,
+    cone rays) are cached on first use.
     """
 
     def __init__(self, name: str, rank: int, simple_coroots, simple_roots):
@@ -134,15 +144,14 @@ class RootDatum:
         self._weyl_order = weyl_order([sum(self.root_coords[chi]) for chi in self.positive_roots])
         if self._weyl_order > WEYL_CAP:
             raise WeylEnumerationError(f"|W| = {self._weyl_order} exceeds cap {WEYL_CAP}")
-        self._simple_reflections = tuple(self._reflection(i) for i in range(self.n_simple))
-        ident = linalg.identity(self.rank)
-        # filled by every breadth-first enumeration, for each element it reaches
-        self._w_inverse: dict[Matrix, Matrix] = {ident: ident}
+        # s_i as pairs for `reflect` and `orbit`: on coweights, and on weights such as the rows of a Weyl matrix
+        self.coweight_reflections: tuple[tuple[Covec, Vec], ...] = tuple(zip(self.simple_roots, self.simple_coroots))
+        self.weight_reflections: tuple[tuple[Vec, Covec], ...] = tuple(zip(self.simple_coroots, self.simple_roots))
         self._subgroup_cache: dict[frozenset, frozenset] = {}
         self._longest: dict[frozenset, Matrix] = {}
         self._levi_adjugates: dict[tuple[int, ...], tuple[int, Matrix]] = {}
-        # filled on first use of each Weyl element: w's permutation of the roots
-        self._root_images: dict[Matrix, dict[Covec, Covec]] = {}
+        # filled on first use of each Weyl element: its permutations of the roots, by w and by w^-1
+        self._root_images: dict[Matrix, tuple[dict[Covec, Covec], dict[Covec, Covec]]] = {}
         # cones.dual_generators: the dual cone's generators per vector tuple, for as long as the datum lives
         self.cone_rays: dict[tuple, tuple[Covec, ...]] = {}
         self.w0 = self.longest_element(range(self.n_simple))
@@ -190,45 +199,6 @@ class RootDatum:
                             raise RootDatumError("Cartan matrix is not symmetrizable")
         return d
 
-    def _reflection(self, i: int) -> Matrix:
-        # s_i(lam) = lam - <alpha-check_i, lam> alpha_i
-        rows = []
-        for r in range(self.rank):
-            row = [int(r == cidx) for cidx in range(self.rank)]
-            for cidx in range(self.rank):
-                row[cidx] -= self.simple_coroots[i][r] * self.simple_roots[i][cidx]
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def _weyl_bfs(self, indices):
-        """Elements of the subgroup generated by the listed simple reflections, breadth first by length.
-
-        Elements of equal length come out sorted. Each element s w reached from w
-        has its inverse w^-1 s recorded in `_w_inverse`. More than WEYL_CAP
-        elements raise WeylEnumerationError.
-        """
-        gens = [self._simple_reflections[i] for i in sorted(indices)]
-        inverse = self._w_inverse
-        ident = linalg.identity(self.rank)
-        seen = {ident}
-        frontier = [ident]
-        yield ident
-        while frontier:
-            new = []
-            for w in frontier:
-                for s in gens:
-                    sw = mat_mul(s, w)
-                    if sw not in seen:
-                        seen.add(sw)
-                        new.append(sw)
-                        if sw not in inverse:
-                            inverse[sw] = mat_mul(inverse[w], s)
-                        if len(seen) > WEYL_CAP:
-                            raise WeylEnumerationError(f"Weyl enumeration exceeded cap {WEYL_CAP}")
-            new.sort()
-            yield from new
-            frontier = new
-
     def _build_roots(self) -> None:
         self.coroot_coords: dict[Vec, Vec] = _orbit_coordinates(self.cartan, self.simple_coroots)
         self.root_coords: dict[Covec, Vec] = _orbit_coordinates(tuple(zip(*self.cartan)), self.simple_roots)
@@ -242,49 +212,63 @@ class RootDatum:
             raise RootDatumError("root system is not split into positive/negative halves")
 
     # -- queries -----------------------------------------------------------
+    def _root_permutations(self, w: Matrix) -> tuple[dict[Covec, Covec], dict[Covec, Covec]]:
+        """({chi: w . chi}, {chi: w^-1 . chi}), built on the first call for w and cached.
+
+        (w^-1 . chi)(lam) = chi(w lam), so w^-1 . chi is chi against the columns
+        of w, and w's permutation is the inverse of that one.
+        """
+        perms = self._root_images.get(w)
+        if perms is None:
+            cols = tuple(zip(*w))
+            preimage = {chi: tuple(dot(chi, col) for col in cols) for chi in self.roots}
+            perms = self._root_images[w] = ({psi: chi for chi, psi in preimage.items()}, preimage)
+        return perms
+
     def root_image(self, w: Matrix) -> dict[Covec, Covec]:
-        """w's permutation of the roots, {chi: w . chi}, built on the first call for w and cached."""
-        image = self._root_images.get(w)
-        if image is None:
-            cols = tuple(zip(*self.w_inverse(w)))  # (w . chi)(lam) = chi(w^-1 lam): chi against the columns of w^-1
-            image = self._root_images[w] = {chi: tuple(dot(chi, col) for col in cols) for chi in self.roots}
-        return image
+        """w's permutation of the roots, {chi: w . chi}."""
+        return self._root_permutations(w)[0]
+
+    def root_preimage(self, w: Matrix) -> dict[Covec, Covec]:
+        """w^-1's permutation of the roots, {chi: w^-1 . chi}: the inverse of `root_image(w)`."""
+        return self._root_permutations(w)[1]
 
     @functools.cached_property
     def weyl_elements(self) -> tuple[Matrix, ...]:
-        """W as integer matrices, breadth first by length: enumerated on the first read and checked against |W| from the root heights."""
-        elements = tuple(self._weyl_bfs(range(self.n_simple)))
-        if len(elements) != self._weyl_order:
-            raise RootDatumError(f"|W| = {len(elements)} enumerated, {self._weyl_order} from the root heights")
-        return elements
-
-    def w_inverse(self, w: Matrix) -> Matrix:
-        """w^-1 as recorded by the enumeration that reached w; W is enumerated only for an element none has reached."""
-        if w not in self._w_inverse:
-            self.weyl_elements
-        return self._w_inverse[w]
+        """W as integer matrices in sorted order: the `subgroup` of every simple reflection, enumerated on the first read."""
+        return tuple(sorted(self.subgroup(range(self.n_simple))))
 
     def subgroup(self, indices) -> frozenset:
-        """The parabolic subgroup W_J generated by the listed simple reflections (cached); for J = all of Delta it is `weyl_elements`."""
+        """The parabolic subgroup W_J generated by the listed simple reflections (cached).
+
+        W_J is the orbit of the identity's rows under s_j, j in J. More than
+        WEYL_CAP elements raise WeylEnumerationError, and W itself (J = all of
+        Delta) is checked against |W| from the root heights.
+        """
         key = frozenset(indices)
         if key not in self._subgroup_cache:
-            elements = self.weyl_elements if len(key) == self.n_simple else self._weyl_bfs(key)
-            self._subgroup_cache[key] = frozenset(elements)
+            elements = frozenset(orbit([linalg.identity(self.rank)], [self.weight_reflections[j] for j in sorted(key)]))
+            if len(elements) > WEYL_CAP:
+                raise WeylEnumerationError(f"Weyl enumeration exceeded cap {WEYL_CAP}")
+            if len(key) == self.n_simple and len(elements) != self._weyl_order:
+                raise RootDatumError(f"|W| = {len(elements)} enumerated, {self._weyl_order} from the root heights")
+            self._subgroup_cache[key] = elements
         return self._subgroup_cache[key]
 
     def longest_element(self, indices) -> Matrix:
         """The longest element w0_J of W_J by descent, memoised per J (Bjorner-Brenti, ch. 2).
 
-        From the identity, w := w s_j while some j in J has w(alpha-check_j) > 0.
-        Each step lengthens w by one, so the walk stops after l(w0_J) steps, at
-        the one element of W_J that sends every alpha-check_j, j in J, negative.
+        From the identity, w := w s_j while some j in J has w(alpha-check_j) > 0;
+        w s_j reflects each row of w. Each step lengthens w by one, so the walk
+        stops after l(w0_J) steps, at the one element of W_J that sends every
+        alpha-check_j, j in J, negative.
         """
         key = frozenset(indices)
         if key not in self._longest:
             idx = sorted(key)
             w = linalg.identity(self.rank)
             while (j := self._ascent(w, idx)) is not None:
-                w = mat_mul(w, self._simple_reflections[j])
+                w = tuple(reflect(row, self.weight_reflections[j]) for row in w)
             self._longest[key] = w
         return self._longest[key]
 
@@ -325,7 +309,7 @@ class RootDatum:
             neg = next((i for i in idx if pair(self.simple_roots[i], cur) < 0), None)
             if neg is None:
                 return cur
-            cur = mat_vec(self._simple_reflections[neg], cur)
+            cur = reflect(cur, self.coweight_reflections[neg])
 
     def config(self) -> dict:
         return {
@@ -371,8 +355,8 @@ class ParabolicType:
         the finite map maps its support onto itself, so the group they generate
         keeps it too.
         """
-        gens = [self.rd._simple_reflections[j] for j in self.indices]
-        return all(values.get(mat_vec(s, lam)) == v for s in gens for lam, v in values.items())
+        gens = [self.rd.coweight_reflections[j] for j in self.indices]
+        return all(values.get(reflect(lam, s)) == v for s in gens for lam, v in values.items())
 
     def height(self, lam):
         """Grading <2rho_P, lam> used for all truncations: an int on the lattice."""

@@ -37,7 +37,7 @@ def w_bullet_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list
         image = rd.root_image(w)
         if not all(_is_positive_root(rd, image[chi]) for chi in par.pos_roots_levi):
             continue
-        inv_image = rd.root_image(rd.w_inverse(w))
+        inv_image = rd.root_preimage(w)
         if not all(_is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
             continue
         out.append(w)
@@ -46,8 +46,8 @@ def w_bullet_set(rd: RootDatum, par: ParabolicType, par2: ParabolicType) -> list
 
 def double_coset(rd: RootDatum, par: ParabolicType, par2: ParabolicType, w: Matrix) -> frozenset:
     """The double coset W_{M'} w W_M: s_j x reflects each column of x and x s_i each row, so it is w's column orbit under J', then row orbits under J."""
-    left = orbit([tuple(zip(*w))], [(rd.simple_roots[j], rd.simple_coroots[j]) for j in sorted(par2.indices)])
-    right = [(rd.simple_coroots[i], rd.simple_roots[i]) for i in sorted(par.indices)]
+    left = orbit([tuple(zip(*w))], [rd.coweight_reflections[j] for j in sorted(par2.indices)])
+    right = [rd.weight_reflections[i] for i in sorted(par.indices)]
     return frozenset(orbit([tuple(zip(*cols)) for cols in left], right))
 
 
@@ -133,7 +133,7 @@ def verify_vanishing_B(rd: RootDatum) -> VanishingReport:
         pos_m2 = set(par2.pos_roots_levi)
         survivor = mat_mul(par2.w0_levi, rd.w0)
         for w in rd.weyl_elements:
-            inv_image = rd.root_image(rd.w_inverse(w))
+            inv_image = rd.root_preimage(w)
             if not all(_is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
                 continue
             report.cases += 1

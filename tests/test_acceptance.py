@@ -113,7 +113,7 @@ def _root_image_wrong_at_s0():
 
     def root_image(rd, w):
         image = original(rd, w)
-        if w == rd._simple_reflections[0]:
+        if w == rd.longest_element([0]):  # s_0 is the longest element of W_{0}
             return {**image, rd.simple_roots[0]: rd.simple_roots[0]}
         return image
 
@@ -220,7 +220,8 @@ MUTANTS = [
         _source_mutant(
             RootDatum.longest_element,
             "while (j := self._ascent(w, idx)) is not None:",
-            "while (j := self._ascent(w, idx)) is not None and self._ascent(mat_mul(w, self._simple_reflections[j]), idx) is not None:",
+            "while (j := self._ascent(w, idx)) is not None"
+            " and self._ascent(tuple(reflect(row, self.weight_reflections[j]) for row in w), idx) is not None:",
         ),
         id="8-longest-element-descent-one-short",
     ),
@@ -309,6 +310,8 @@ def test_mutant_fails_its_criterion(monkeypatch, check, args, module, attr, muta
     monkeypatch.setattr(module, attr, mutant)
     result = check(*args)
     assert not result.passed, result.line()
+    # a mutant that no longer runs against the code fails for that alone, not on its criterion
+    assert not result.detail.startswith(("AttributeError:", "NameError:")), result.line()
 
 
 def test_every_criterion_has_a_mutant():

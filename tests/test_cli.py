@@ -112,13 +112,13 @@ def test_satake_check_inverts_only_the_lambda_series_of_each_piece(monkeypatch):
 
 def test_gk_on_a_borel_enumerates_no_weyl_group(monkeypatch):
     calls = []
-    bfs = rootdata.RootDatum._weyl_bfs
+    orbit = rootdata.orbit  # the enumerator of W and of every W_J
 
-    def counted(self, indices):
-        calls.append((self.n_simple, sorted(indices)))
-        return bfs(self, indices)
+    def counted(items, reflections):
+        calls.append(reflections)
+        return orbit(items, reflections)
 
-    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", counted)
+    monkeypatch.setattr(rootdata, "orbit", counted)
     out, _ = run(["gk", "--datum", "B3", "--height", "6"])
     assert out.startswith("coweight,coefficient\n")
     assert calls == []

@@ -228,21 +228,21 @@ def test_every_finite_type_of_rank_at_most_four_loads_with_its_weyl_order(name, 
     assert len(set(rd.weyl_elements)) == len(rd.weyl_elements) == order
 
 
-def _counting_bfs(monkeypatch):
-    """Wrap RootDatum._weyl_bfs; the returned list gets the sorted index set of every call."""
+def _counting_enumerations(monkeypatch):
+    """Wrap rootdata.orbit, the enumerator of W and of every W_J; the returned list gets the reflections of every call."""
     calls = []
-    bfs = rootdata.RootDatum._weyl_bfs
+    orbit = rootdata.orbit
 
-    def counted(self, indices):
-        calls.append(sorted(indices))
-        return bfs(self, indices)
+    def counted(items, reflections):
+        calls.append(reflections)
+        return orbit(items, reflections)
 
-    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", counted)
+    monkeypatch.setattr(rootdata, "orbit", counted)
     return calls
 
 
 def test_e6_loads_and_finds_w0_without_enumerating_w(monkeypatch):
-    calls = _counting_bfs(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     rd = load_root_datum(_inline("E6", _star(1, 2, 2)))
     assert len(rd.positive_coroots) == 36
     negative = {tuple(-x for x in a) for a in rd.positive_coroots}
@@ -251,36 +251,70 @@ def test_e6_loads_and_finds_w0_without_enumerating_w(monkeypatch):
 
 
 def test_weyl_group_is_enumerated_on_the_first_read_only(monkeypatch):
-    calls = _counting_bfs(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     rd = load_root_datum("B3")
     for J in index_subsets(rd.n_simple):  # a parabolic holds no W_M: building every one enumerates nothing
         ParabolicType(rd, J)
     assert calls == [] and not rd._subgroup_cache
     proper = [J for J in index_subsets(rd.n_simple) if len(J) < rd.n_simple]
-    subgroups = [rd.subgroup(J) for J in proper]
-    assert calls == proper  # one enumeration per proper W_J, none of W
-    ident = linalg.identity(rd.rank)
-    for elements in subgroups:  # each inverse was recorded by the enumeration of W_J that reached the element
-        assert all(linalg.mat_mul(w, rd.w_inverse(w)) == ident for w in elements)
+    for J in proper + proper:
+        rd.subgroup(J)
+    # one enumeration per proper W_J, by its own reflections, and none of W
+    assert calls == [[rd.weight_reflections[j] for j in J] for J in proper]
     assert "weyl_elements" not in vars(rd)
     assert rd.subgroup(range(rd.n_simple)) == frozenset(rd.weyl_elements) and len(rd.weyl_elements) == 48
-    assert calls[-1] == [0, 1, 2] and len(calls) == len(proper) + 1
+    assert calls[-1] == list(rd.weight_reflections) and len(calls) == len(proper) + 1
 
 
-INVERSE_DATA = [(name, name) for name in PRESET_NAMES] + [
+REFERENCE_DATA = [(name, name) for name in PRESET_NAMES] + [
     ("B4", _inline("B4", B4_CARTAN)),
     ("C4", _inline("C4", C4_CARTAN)),
     ("D5", _inline("D5", _star(1, 1, 2))),
 ]
 
 
-@pytest.mark.parametrize("config", [row[1] for row in INVERSE_DATA], ids=[row[0] for row in INVERSE_DATA])
-def test_recorded_inverses_invert(config):
+def _reflection_matrix(rd, i):
+    """s_i as a matrix: s_i(lam) = lam - <alpha_i, lam> alpha-check_i."""
+    return tuple(
+        tuple(int(r == c) - rd.simple_coroots[i][r] * rd.simple_roots[i][c] for c in range(rd.rank)) for r in range(rd.rank)
+    )
+
+
+def _matrix_product_search(rd, indices):
+    """W_J as first enumerated: breadth first over the products s_j w of reflection matrices, j in J."""
+    gens = [_reflection_matrix(rd, j) for j in sorted(indices)]
+    seen = {linalg.identity(rd.rank)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in gens:
+                sw = linalg.mat_mul(s, w)
+                if sw not in seen:
+                    seen.add(sw)
+                    new.append(sw)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("config", [row[1] for row in REFERENCE_DATA], ids=[row[0] for row in REFERENCE_DATA])
+def test_weyl_subgroups_equal_the_matrix_product_search(config):
     rd = load_root_datum(config)
-    ident = linalg.identity(rd.rank)
+    for J in index_subsets(rd.n_simple):
+        assert rd.subgroup(J) == _matrix_product_search(rd, J), J
+    assert list(rd.weyl_elements) == sorted(_matrix_product_search(rd, range(rd.n_simple)))
+
+
+@pytest.mark.parametrize("config", [row[1] for row in REFERENCE_DATA], ids=[row[0] for row in REFERENCE_DATA])
+def test_recorded_inverses_invert(config):
+    # the permutations of the roots by w and by w^-1, recorded together per w, are mutually inverse
+    rd = load_root_datum(config)
     for w in rd.weyl_elements:
-        inverse = rd.w_inverse(w)
-        assert linalg.mat_mul(w, inverse) == ident == linalg.mat_mul(inverse, w), w
+        image, preimage = rd.root_image(w), rd.root_preimage(w)
+        assert all(preimage[image[chi]] == chi == image[preimage[chi]] for chi in rd.roots), w
+        inverse = linalg.inverse(w)  # a Fraction inverse; no inverse is stored by the datum
+        as_int = tuple(tuple(int(x) for x in row) for row in inverse)
+        assert as_int == inverse and preimage == rd.root_image(as_int), w
 
 
 def _longest_by_scan(rd, J):
@@ -313,7 +347,7 @@ def _invariant_by_walk(par, values):
 def test_levi_invariance_on_the_generators_agrees_with_the_walk_over_w_m(name):
     rd = load_root_datum(name)
     rng = random.Random(7)
-    s0 = rd._simple_reflections[0]
+    s0 = rd.longest_element([0])  # s_0 is the longest element of W_{0}
     answers = set()
     for J in index_subsets(rd.n_simple):
         par = ParabolicType(rd, J)
@@ -334,21 +368,21 @@ def test_levi_invariance_on_the_generators_agrees_with_the_walk_over_w_m(name):
 
 @pytest.mark.parametrize("name, cartan", [("E7", _star(1, 2, 3)), ("E8", _star(4, 2, 1))], ids=["E7", "E8"])
 def test_weyl_group_over_the_cap_is_refused_before_enumerating(monkeypatch, name, cartan):
-    def no_enumeration(self, indices):
+    def no_enumeration(items, reflections):
         raise AssertionError("the Weyl group was enumerated")
 
-    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", no_enumeration)
+    monkeypatch.setattr(rootdata, "orbit", no_enumeration)
     with pytest.raises(WeylEnumerationError, match="exceeds cap"):
         load_root_datum(_inline(name, cartan))
 
 
 def test_an_enumeration_that_drops_an_element_fails_the_order_check(monkeypatch):
-    bfs = rootdata.RootDatum._weyl_bfs
+    orbit = rootdata.orbit
 
-    def drops_the_last(self, indices):
-        return list(bfs(self, indices))[:-1]
+    def drops_one(items, reflections):
+        return set(sorted(orbit(items, reflections))[:-1])
 
-    monkeypatch.setattr(rootdata.RootDatum, "_weyl_bfs", drops_the_last)
+    monkeypatch.setattr(rootdata, "orbit", drops_one)
     rd = load_root_datum("B2")  # W is not enumerated at load, so the check runs on the first read
     with pytest.raises(RootDatumError, match="from the root heights"):
         rd.weyl_elements
@@ -455,7 +489,7 @@ def test_weyl_cap_signals_error(monkeypatch):
     monkeypatch.setattr(rootdata, "WEYL_CAP", 3)
     with pytest.raises(WeylEnumerationError, match="exceeds cap"):
         RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
-    # the cap inside the enumeration still holds when the order from the heights is wrong: W is
+    # the cap on the enumerated set still holds when the order from the heights is wrong: W is
     # enumerated on the first read of weyl_elements, not at load
     monkeypatch.setattr(rootdata, "weyl_order", lambda heights: 1)
     rd = RootDatum("B2-capped", 2, [[1, 0], [0, 1]], [[2, -1], [-2, 2]])
