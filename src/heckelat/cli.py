@@ -199,7 +199,7 @@ def cmd_intertwine(args, rd) -> int:
     data = _json(args.input, "--input")
     values = {_coweight(k, rd.rank, _integer): as_ratfunc(_rational(v, "value")) for k, v in data}
     window = cones.SupportShape.make(list(values) or [(0,) * rd.rank], cones.neg_pos_U(par.indices))
-    phi = iw.SphericalFunction(rd, par, values, window, check_window=False)
+    phi = iw.SphericalFunction(rd, par, values, window)
     steps = [(hecke.gk_mu, iw.apply_R_K), (hecke.nu, iw.apply_R_inverse_K)]
     if args.inverse:
         steps.reverse()

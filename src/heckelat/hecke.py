@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 
 from . import cones
@@ -60,23 +61,34 @@ class GradedSeries:
     def __init__(self, rd: RootDatum, par: ParabolicType, height: int, coeffs: dict, basis: str = E_BASIS):
         if basis not in (E_BASIS, INDICATOR_BASIS):
             raise HeckeError(f"unknown basis {basis!r}")
-        self.rd = rd
-        self.par = par
-        self.height = int(height)
-        self.basis = basis
+        height = int(height)
         clean: dict[Vec, RatFunc] = {}
         for k, v in coeffs.items():
             v = as_ratfunc(v)
             if v.is_zero():
                 continue
             key = tuple(int(x) for x in k)
-            if par.height(key) > self.height:
+            if par.height(key) > height:
                 continue
             if not in_support_cone(par, key):
                 raise HeckeError(f"support point {key} lies outside the support cone")
             clean[key] = v
+        self.rd, self.par, self.height, self.basis = rd, par, height, basis
         self.coeffs = MappingProxyType(clean)
         self._converted: dict[tuple[str, int], GradedSeries] = {}
+
+    @classmethod
+    def _build(cls, rd: RootDatum, par: ParabolicType, height: int, coeffs: dict, basis: str = E_BASIS) -> "GradedSeries":
+        """A series on coefficients the algebra derived: nonzero RatFunc values at int points of pos_U of height <= height.
+
+        Nothing is checked again. The algebra's inputs were checked where they entered, and pos_U is closed
+        under addition, so every point it builds from them lies in the cone.
+        """
+        self = cls.__new__(cls)
+        self.rd, self.par, self.height, self.basis = rd, par, height, basis
+        self.coeffs = MappingProxyType(coeffs)
+        self._converted = {}
+        return self
 
     # -- basics ---------------------------------------------------------
     @staticmethod
@@ -122,7 +134,7 @@ class GradedSeries:
                     "lie in Q(q); keep the e-basis or work with doubled exponents"
                 )
             out[lam] = (c if scale == 1 else c.double_exponents()) * q_pow(sign * e // 2)
-        converted = self._converted[basis, scale] = GradedSeries(self.rd, self.par, self.height, out, basis)
+        converted = self._converted[basis, scale] = GradedSeries._build(self.rd, self.par, self.height, out, basis)
         return converted
 
     # -- algebra ----------------------------------------------------------
@@ -136,8 +148,8 @@ class GradedSeries:
         points are settled one height bucket at a time: a settled inv(p) at height t is pushed, as the pair
         (c(mu), inv(p)), to p + mu in bucket t + height(mu) for every mu with t + height(mu) <= height. A
         point is settled by one qfield.sum_of_products over its pairs, negated and divided by c0 only when
-        c0 is not 1. The constructor's cone check puts every nonzero support point at height >= 1, so each
-        push lands in a later bucket, and no point outside the result is visited.
+        c0 is not 1. Every nonzero support point lies in pos_U, checked where the series entered, so it has height
+        >= 1: each push lands in a later bucket, and no point outside the result is visited.
         """
         c0 = self.constant_term()
         if c0.is_zero():
@@ -162,20 +174,21 @@ class GradedSeries:
                     if t + hmu > h:
                         break
                     target = buckets[t + hmu]
-                    key = tuple(x + y for x, y in zip(p, mu))
+                    key = tuple(map(add, p, mu))
                     prev = target.get(key)
                     if prev is None:
                         target[key] = [(cmu, value)]
                     else:
                         prev.append((cmu, value))
-        return GradedSeries(self.rd, self.par, self.height, inv, self.basis)
+        return GradedSeries._build(self.rd, self.par, self.height, inv, self.basis)
 
 
 def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
     """Cone-graded Cauchy product; truncation height is the minimum of the two.
 
     The (ca, cb) pairs are grouped by output point, and each coefficient is one qfield.sum_of_products
-    over its pairs. The second series is walked in height order, so its walk stops at the height bound.
+    over its pairs; a sum that cancels to zero is dropped. The second series is walked in height order, so
+    its walk stops at the height bound.
     """
     if s1.par.indices != s2.par.indices or s1.rd is not s2.rd and s1.rd.config() != s2.rd.config():
         raise HeckeError("mismatched parabolic types")
@@ -190,14 +203,18 @@ def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
         for hb, b, cb in terms2:
             if hb > room:
                 break
-            key = tuple(x + y for x, y in zip(a, b))
+            key = tuple(map(add, a, b))
             pairs = groups.get(key)
             if pairs is None:
                 groups[key] = [(ca, cb)]
             else:
                 pairs.append((ca, cb))
-    out = {key: sum_of_products(pairs) for key, pairs in groups.items()}
-    return GradedSeries(s1.rd, s1.par, h, out, s1.basis)
+    out = {}
+    for key, pairs in groups.items():
+        total = sum_of_products(pairs)
+        if not total.is_zero():
+            out[key] = total
+    return GradedSeries._build(s1.rd, s1.par, h, out, s1.basis)
 
 
 def rank_one_product(rd: RootDatum, par: ParabolicType, height: int, factors) -> GradedSeries:
@@ -210,13 +227,16 @@ def rank_one_product(rd: RootDatum, par: ParabolicType, height: int, factors) ->
     bound, or at the first point where f(p) and g(p) are both zero: from there the string
     continues as if it started afresh, so its next support point starts a walk of its own,
     and no zero is stored. A support point whose value cancels to zero is remembered as
-    walked. A factor of height <= 0 raises: its strings would never reach the bound.
+    walked. A factor outside pos_U raises, and so does one of height <= 0: its strings would never
+    reach the bound.
     """
     terms = {(0,) * rd.rank: ONE}
     for a, t, s in factors:
         ha = par.height(a)
         if ha <= 0:
             raise HeckeError(f"factor at {a} has height {ha}; a rank-one factor needs positive height")
+        if not in_support_cone(par, a):
+            raise HeckeError(f"factor at {a} lies outside the support cone")
         nt = -t
         out: dict[Vec, RatFunc] = {}
         cancelled = set()
@@ -234,9 +254,9 @@ def rank_one_product(rd: RootDatum, par: ParabolicType, height: int, factors) ->
                 else:
                     cancelled.add(p)
                 f_prev, g = f, v
-                p, hp = tuple(x + y for x, y in zip(p, a)), hp + ha
+                p, hp = tuple(map(add, p, a)), hp + ha
         terms = out
-    return GradedSeries(rd, par, height, terms)
+    return GradedSeries._build(rd, par, int(height), terms)
 
 
 def gk_mu(rd: RootDatum, par: ParabolicType, height: int) -> GradedSeries:
@@ -273,7 +293,7 @@ def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries) 
     """
     if not s.par.is_levi_invariant(s.coeffs):
         raise HeckeError("series is not W_M-invariant")
-    return GradedSeries(rd, par, s.height, s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs)
+    return GradedSeries._build(rd, par, s.height, s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs)
 
 
 def _lambda_product_side(rd, par, height: int, swap: bool) -> GradedSeries:

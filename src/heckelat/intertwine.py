@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from . import cones
 from .cones import SupportShape
 from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, twist_scale
@@ -14,9 +16,9 @@ class IntertwineError(ValueError):
 
 
 class SphericalFunction:
-    """Finitely supported function on lattice coweights inside a declared support window."""
+    """Finitely supported function on lattice coweights inside a declared support window; the constructor checks every point."""
 
-    def __init__(self, rd: RootDatum, par: ParabolicType, values: dict, window: SupportShape, check_window: bool = True):
+    def __init__(self, rd: RootDatum, par: ParabolicType, values: dict, window: SupportShape):
         self.rd = rd
         self.par = par
         self.values: dict[Vec, RatFunc] = {}
@@ -25,10 +27,20 @@ class SphericalFunction:
             if not v.is_zero():
                 self.values[tuple(int(x) for x in k)] = v
         self.window = window
-        if check_window:
-            for lam in self.values:
-                if not window.contains(par, lam):
-                    raise IntertwineError(f"support point {lam} lies outside the declared window")
+        for lam in self.values:
+            if not window.contains(par, lam):
+                raise IntertwineError(f"support point {lam} lies outside the declared window")
+
+    @classmethod
+    def _build(cls, rd: RootDatum, par: ParabolicType, values: dict, window: SupportShape) -> "SphericalFunction":
+        """A function on values the intertwiner derived: nonzero RatFunc values at int points of the window.
+
+        Nothing is checked again: each output is an input point, which lies in base - pos_U, minus a kernel
+        point in pos_U, so it lies in base - pos_U too.
+        """
+        self = cls.__new__(cls)
+        self.rd, self.par, self.values, self.window = rd, par, values, window
+        return self
 
     def value(self, lam) -> RatFunc:
         return self.values.get(tuple(int(x) for x in lam), ZERO)
@@ -57,7 +69,7 @@ def _apply_kernel(rd, par, series, phi, out_points, out_twist=None, in_twist=Non
     if out_points is None:
         # default to the certified part of the potential support; requested
         # points outside the certificate raise instead of truncating silently
-        potential = {tuple(a - b for a, b in zip(p, th)) for p in phi.values for th in kernel}
+        potential = {tuple(map(sub, p, th)) for p in phi.values for th in kernel}
         out_points = sorted(lam for lam in potential if max_h - par.height(lam) <= series.height)
     else:
         bad = [lam for lam in out_points if max_h - par.height(lam) > series.height]
@@ -73,14 +85,14 @@ def _apply_kernel(rd, par, series, phi, out_points, out_twist=None, in_twist=Non
         for lam in out_set:
             pairs = []
             for theta, k in kernel.items():
-                v = values.get(tuple(a + b for a, b in zip(lam, theta)))
+                v = values.get(tuple(map(add, lam, theta)))
                 if v is not None:
                     pairs.append((k, v))
             groups[lam] = pairs
     else:
         for theta, k in kernel.items():
             for p, v in values.items():
-                lam = tuple(a - b for a, b in zip(p, theta))
+                lam = tuple(map(sub, p, theta))
                 if lam in out_set:
                     pairs = groups.get(lam)
                     if pairs is None:
@@ -93,7 +105,7 @@ def _apply_kernel(rd, par, series, phi, out_points, out_twist=None, in_twist=Non
         if not total.is_zero():
             out[lam] = total if out_twist is None else out_twist(scale, lam) * total
     window = SupportShape.make(phi.window.base, cones.neg_pos_U(par.indices))
-    return SphericalFunction(rd, par, out, window, check_window=False)
+    return SphericalFunction._build(rd, par, out, window)
 
 
 def apply_R_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, phi: SphericalFunction, out_points=None) -> SphericalFunction:

@@ -30,6 +30,7 @@ import functools
 import json
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .linalg import dot, mat_mul, mat_vec
@@ -360,7 +361,7 @@ class ParabolicType:
 
     def height(self, lam):
         """Grading <2rho_P, lam> used for all truncations: an int on the lattice."""
-        return pair(self.two_rho_check_P, lam)
+        return sum(map(mul, self.two_rho_check_P, lam))
 
     def is_levi_dominant(self, lam) -> bool:
         return self.rd.is_dominant(lam, self.indices)

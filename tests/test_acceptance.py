@@ -148,6 +148,8 @@ def _source_mutant(fn, old, new):
     return namespace[fn.__name__]
 
 
+_CONVOLVE_KEY_SUBTRACTS = _source_mutant(hecke.convolve, "tuple(map(add, a, b))", "tuple(map(int.__sub__, a, b))")
+
 # (check, its arguments, module, attribute, replacement): each mutant must make its criterion FAIL
 MUTANTS = [
     pytest.param(
@@ -173,6 +175,10 @@ MUTANTS = [
         acceptance.check_inversion, (("A1", "A2"),), hecke, "sum_of_products",
         _source_mutant(qfield.sum_of_products, "a._v + b._v - lo", "a._v + b._v - lo - 1"),
         id="2-fused-product-offset-one-low",
+    ),
+    pytest.param(  # every product lands at a - b, outside the cone: only the identity mu * nu = 1 can see it
+        acceptance.check_inversion, (("A1", "A2"),), hecke, "convolve", _CONVOLVE_KEY_SUBTRACTS,
+        id="2-convolve-key-subtracts",
     ),
     pytest.param(  # the origin pairs to 0 with every dual generator, so no series keeps its constant term
         acceptance.check_inversion, (("A1", "A2"),), cones, "in_pos_U",
@@ -255,7 +261,7 @@ MUTANTS = [
     ),
     pytest.param(  # only the pull loop (fewer outputs than inputs) changes: it reads phi at lam - theta
         acceptance.check_local_roundtrip, (5,), intertwine, "_apply_kernel",
-        _source_mutant(intertwine._apply_kernel, "tuple(a + b for a, b in zip(lam, theta))", "tuple(a - b for a, b in zip(lam, theta))"),
+        _source_mutant(intertwine._apply_kernel, "tuple(map(add, lam, theta))", "tuple(map(sub, lam, theta))"),
         id="7-pull-reads-phi-at-lam-minus-theta",
     ),
     pytest.param(
@@ -312,6 +318,13 @@ def test_mutant_fails_its_criterion(monkeypatch, check, args, module, attr, muta
     assert not result.passed, result.line()
     # a mutant that no longer runs against the code fails for that alone, not on its criterion
     assert not result.detail.startswith(("AttributeError:", "NameError:")), result.line()
+
+
+def test_convolve_mutant_fails_on_the_identity_not_on_a_support_check(monkeypatch):
+    # convolve builds its result unchecked, so the witness must be mu * nu = 1 itself
+    monkeypatch.setattr(hecke, "convolve", _CONVOLVE_KEY_SUBTRACTS)
+    result = acceptance.check_inversion(("A1", "A2"))
+    assert not result.passed and result.detail.endswith("mu*nu != unit"), result.line()
 
 
 def test_every_criterion_has_a_mutant():

@@ -396,13 +396,13 @@ def test_lambda_series_hands_no_zero_coefficient_to_the_series(monkeypatch):
     rd = load_root_datum("A3")
     par = ParabolicType(rd, [])
     handed = []
-    original = hk.GradedSeries.__init__
+    original = hk.GradedSeries._build
 
-    def recording(self, rd, par, height, coeffs, basis=hk.E_BASIS):
+    def recording(rd, par, height, coeffs, basis=hk.E_BASIS):
         handed.extend(coeffs.values())
-        original(self, rd, par, height, coeffs, basis)
+        return original(rd, par, height, coeffs, basis)
 
-    monkeypatch.setattr(hk.GradedSeries, "__init__", recording)
+    monkeypatch.setattr(hk.GradedSeries, "_build", recording)
     for piece in charring.u_P_graded_pieces(rd, par):
         for t in (ONE, -ONE, q_pow(piece.level), q_pow(-1)):
             s = charring.lambda_series(rd, par, t, piece, 8)
@@ -436,3 +436,45 @@ def test_rank_one_product_matches_the_convolution_of_its_factors():
         factors = [(rng.choice(par.pos_coroots_unipotent), rng.choice(values), rng.choice(values)) for _ in range(rng.randint(1, 4))]
         height = rng.randint(0, 8)
         assert hk.rank_one_product(rd, par, height, factors) == _rank_one_reference(rd, par, height, factors), factors
+
+
+# -- results built without a second check ---------------------------------------------------------
+
+
+def _assert_checked_rebuild_agrees(s, where):
+    """The checked constructor, given the coefficients of a series the algebra built, returns the same series."""
+    assert hk.GradedSeries(s.rd, s.par, s.height, dict(s.coeffs), s.basis) == s, where
+    assert not [lam for lam, c in s.coeffs.items() if c.is_zero()], where
+    for lam in s.coeffs:
+        assert all(type(x) is int for x in lam), (where, lam)
+        assert s.par.height(lam) <= s.height and hk.in_support_cone(s.par, lam), (where, lam)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_built_series_equal_their_checked_rebuild(name):
+    rd = load_root_datum(name)
+    for J in index_subsets(rd.n_simple):
+        par = ParabolicType(rd, J)
+        height = 6
+        scale = hk.twist_scale(par)
+        mu, nu = hk.gk_mu(rd, par, height), hk.nu(rd, par, height)
+        built = {"gk_mu": mu, "nu": nu, "invert": mu.invert(), "convolve": hk.convolve(mu, nu)}
+        built["indicator"] = mu.to_basis(hk.INDICATOR_BASIS, scale)
+        if scale == 1:  # at scale 2 the indicator basis does not convert back
+            built["back to e"] = built["indicator"].to_basis(hk.E_BASIS)
+        built["bridge"] = hk.satake_character_bridge(rd, par, mu)
+        for piece in charring.u_P_graded_pieces(rd, par):
+            for t in (q_pow(int(scale * piece.level)), -ONE):
+                built["lambda", piece.level, t] = charring.lambda_series(rd, par, t, piece, height)
+                built["sym", piece.level, t] = charring.sym_series(rd, par, t, piece, height)
+        for what, s in built.items():
+            _assert_checked_rebuild_agrees(s, (name, J, what))
+
+
+def test_rank_one_product_refuses_a_factor_outside_the_support_cone():
+    rd = load_root_datum("A2")
+    par = ParabolicType(rd, [0])
+    a = (-1, 1)  # alpha_2-check minus alpha_1-check: positive height, but not in pos_U
+    assert par.height(a) > 0
+    with pytest.raises(hk.HeckeError, match="outside the support cone"):
+        hk.rank_one_product(rd, par, 6, [(a, ONE, ZERO)])
