@@ -120,8 +120,6 @@ def rays_from_inequalities(constraints, dim: int):
     pivots = linalg.pivot_columns(lin)
     section = [j for j in range(dim) if j not in pivots]
     d = len(section)
-    if d == 0:
-        return lin, []
     cons = _distinct_directions([tuple(c[j] for j in section) for c in cons])
     basis = linalg.pivot_columns(tuple(zip(*cons)))
     simplex = [cons[i] for i in basis]

@@ -52,73 +52,68 @@ class SphericalFunction:
         return max(map(self.par.height, self.values), default=0)
 
 
-def _apply_kernel(rd, par, series, phi, out_points, out_twist=None, in_twist=None):
-    """Twisted shift convolution out(lam) = out_twist(lam) sum kernel(theta) in_twist(lam + theta) phi(lam + theta).
+def _apply_kernel(par, series, phi, out_points):
+    """The untwisted shift convolution K: out(lam) = sum kernel(theta) phi(lam + theta), theta over the series' indicator kernel.
 
-    A twist is a function of (scale, point) with scale = twist_scale(par); None is the twist 1. The in twist
-    multiplies each input value once, and the out twist each output once, so every output is one
-    qfield.sum_of_products over its (kernel, input) pairs. With fewer requested outputs than input points,
-    each output pulls phi(lam + theta) over the kernel (|out| x |kernel| reads); otherwise every kernel term
-    is pushed from every input point (|kernel| x |phi|), keeping those that land on a requested output.
+    Each output is one qfield.sum_of_products over its (kernel, input) pairs. With fewer requested outputs than
+    input points, each output pulls phi(lam + theta) over the kernel (|out| x |kernel| reads); otherwise every
+    kernel term is pushed from every input point once (|kernel| x |phi|), and the groups kept are those of the
+    requested outputs, or with none requested those the series height certifies. A requested output it cannot
+    certify raises instead of truncating silently.
     """
     if series.par.indices != par.indices:
         raise IntertwineError("series parabolic does not match")
-    scale = twist_scale(par)
-    kernel = series.to_basis(INDICATOR_BASIS, scale).coeffs
+    if phi.par.indices != par.indices:
+        raise IntertwineError(f"function parabolic J={sorted(phi.par.indices)} does not match J={sorted(par.indices)}")
+    kernel = series.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs
     max_h = phi.max_height()
-    if out_points is None:
-        # default to the certified part of the potential support; requested
-        # points outside the certificate raise instead of truncating silently
-        potential = {tuple(map(sub, p, th)) for p in phi.values for th in kernel}
-        out_points = sorted(lam for lam in potential if max_h - par.height(lam) <= series.height)
-    else:
+    if out_points is not None:
         bad = [lam for lam in out_points if max_h - par.height(lam) > series.height]
         if bad:
             raise TruncationError(
                 f"series height {series.height} cannot certify outputs at {bad[:3]} "
                 f"(needs height {max(max_h - par.height(lam) for lam in bad)})"
             )
-    out_set = set(out_points)
-    values = phi.values if in_twist is None else {p: in_twist(scale, p) * v for p, v in phi.values.items()}
+        out_points = set(out_points)
     groups: dict[Vec, list] = {}
-    if len(out_set) < len(values):
-        for lam in out_set:
+    if out_points is not None and len(out_points) < len(phi.values):
+        for lam in out_points:
             pairs = []
             for theta, k in kernel.items():
-                v = values.get(tuple(map(add, lam, theta)))
+                v = phi.values.get(tuple(map(add, lam, theta)))
                 if v is not None:
                     pairs.append((k, v))
             groups[lam] = pairs
     else:
         for theta, k in kernel.items():
-            for p, v in values.items():
+            for p, v in phi.values.items():
                 lam = tuple(map(sub, p, theta))
-                if lam in out_set:
-                    pairs = groups.get(lam)
-                    if pairs is None:
-                        groups[lam] = [(k, v)]
-                    else:
-                        pairs.append((k, v))
-    out: dict[Vec, RatFunc] = {}
-    for lam, pairs in groups.items():
-        total = sum_of_products(pairs)
-        if not total.is_zero():
-            out[lam] = total if out_twist is None else out_twist(scale, lam) * total
+                if out_points is not None and lam not in out_points:
+                    continue
+                pairs = groups.get(lam)
+                if pairs is None:
+                    groups[lam] = [(k, v)]
+                else:
+                    pairs.append((k, v))
+        if out_points is None:
+            groups = {lam: pairs for lam, pairs in groups.items() if max_h - par.height(lam) <= series.height}
+    out = {lam: total for lam, pairs in groups.items() if not (total := sum_of_products(pairs)).is_zero()}
     window = SupportShape.make(phi.window.base, cones.neg_pos_U(par.indices))
-    return SphericalFunction._build(rd, par, out, window)
+    return SphericalFunction._build(phi.rd, par, out, window)
+
+
+def _twist(rd, par, phi, sign):
+    """T^sign: phi times q^(sign scale height(lam)) pointwise, scale = twist_scale(par); phi keeps its parabolic."""
+    scale = sign * twist_scale(par)
+    values = {lam: q_pow(scale * par.height(lam)) * v for lam, v in phi.values.items()}
+    return SphericalFunction._build(rd, phi.par, values, phi.window)
 
 
 def apply_R_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, phi: SphericalFunction, out_points=None) -> SphericalFunction:
-    """The K-invariant intertwining operator: modulus-inverse prefactor times shift convolution with the series."""
-    def out_twist(scale, lam):
-        return q_pow(scale * par.height(lam))
-
-    return _apply_kernel(rd, par, series, phi, out_points, out_twist=out_twist)
+    """The K-invariant intertwining operator R = T o K: the shift convolution with the series, then the modulus-inverse twist."""
+    return _twist(rd, par, _apply_kernel(par, series, phi, out_points), 1)
 
 
 def apply_R_inverse_K(rd: RootDatum, par: ParabolicType, series: GradedSeries, phi: SphericalFunction, out_points=None) -> SphericalFunction:
-    """The inverse operator: modulus evaluated at the input point inside the sum, kernel the inverse series."""
-    def in_twist(scale, p):
-        return q_pow(-scale * par.height(p))
-
-    return _apply_kernel(rd, par, series, phi, out_points, in_twist=in_twist)
+    """The inverse operator R^-1 = K o T^-1: the modulus twist at each input point, then the shift convolution with the inverse series."""
+    return _apply_kernel(par, series, _twist(rd, par, phi, -1), out_points)

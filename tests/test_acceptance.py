@@ -82,15 +82,11 @@ def _flip_sign_at(indices):
 
 
 def _inverse_twist_one_power_off(rd, par, series, phi, out_points=None):
-    """R^-1 with the twist q^(1 - scale height(lam + theta)) in place of q^(-scale height(lam + theta))."""
-
-    def out_twist(scale, lam):
-        return q_pow(1)
-
-    def in_twist(scale, p):
-        return q_pow(-scale * par.height(p))
-
-    return intertwine._apply_kernel(rd, par, series, phi, out_points, out_twist, in_twist)
+    """R^-1 with the input twist q^(1 - scale height(p)) in place of q^(-scale height(p))."""
+    scale = hecke.twist_scale(par)
+    values = {p: q_pow(1 - scale * par.height(p)) * v for p, v in phi.values.items()}
+    twisted = intertwine.SphericalFunction._build(rd, phi.par, values, phi.window)
+    return intertwine._apply_kernel(par, series, twisted, out_points)
 
 
 def _to_basis_untwisted(series, basis, scale=1):

@@ -657,3 +657,37 @@ def test_product_of_local_gk_series_over_closed_points_is_the_global_kernel(q, i
         product = gs._series_mul(product, local, EULER_ORDER)
     kernel = gs.nu_hat if inverse else gs.mu_hat
     assert product == [kernel(k, q) for k in range(EULER_ORDER + 1)]
+
+
+
+def _unbounded_t(qv):
+    return gs.TFunction(lambda d: ONE, upper=None, lower=None, qv=qv)
+
+
+def _unbounded_g(qv):
+    return gs.GFunction(lambda n: ONE, upper=None, qv=qv)
+
+
+def _finite_g(qv):
+    return gs.GFunction.from_dict({0: ONE}, qv)
+
+
+@pytest.mark.parametrize(
+    "operator, inputs, message",
+    [
+        pytest.param(operator, inputs, message, id=operator.__name__)
+        for operator, inputs, message in [
+            (gs.eis_B_minus, (_unbounded_t,), "opposite Eisenstein sum needs a support bound above"),
+            (gs.global_R, (_unbounded_t,), "forward intertwiner needs a support bound above"),
+            (gs.global_R_inverse, (_unbounded_t,), "inverse intertwiner needs a support bound above"),
+            (gs.naive_pairing, (_unbounded_g, _unbounded_g), "naive pairing needs one factor of certified finite support"),
+            (gs.t_pairing, (_unbounded_t, _unbounded_t), "pairing window is not certified finite"),
+            (gs.op_L, (_unbounded_g,), "L needs finitely supported input"),
+            (gs.form_B, (_finite_g, _unbounded_g), "the form needs finitely supported inputs"),
+        ]
+    ],
+)
+def test_operators_refuse_an_input_without_the_support_bound_they_need(operator, inputs, message):
+    qv = Q
+    with pytest.raises(gs.GlobalError, match=f"^{message}$"):
+        operator(*(make(qv) for make in inputs), qv)

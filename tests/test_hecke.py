@@ -478,3 +478,15 @@ def test_rank_one_product_refuses_a_factor_outside_the_support_cone():
     assert par.height(a) > 0
     with pytest.raises(hk.HeckeError, match="outside the support cone"):
         hk.rank_one_product(rd, par, 6, [(a, ONE, ZERO)])
+
+
+def test_series_guards_name_what_they_refuse():
+    rd = load_root_datum("A2")
+    par = ParabolicType(rd, [])
+    with pytest.raises(hk.HeckeError, match=r"^unknown basis 'x'$"):
+        hk.GradedSeries(rd, par, 4, {(0, 0): ONE}, "x")
+    ind = hk.gk_mu(rd, par, 4).to_basis(hk.INDICATOR_BASIS)
+    with pytest.raises(hk.HeckeError, match=r"^only the e-basis converts to the doubled indicator basis$"):
+        ind.to_basis(hk.INDICATOR_BASIS, 2)
+    with pytest.raises(hk.HeckeError, match=r"^mismatched bases; convert first$"):
+        hk.convolve(hk.gk_mu(rd, par, 4), ind)

@@ -144,6 +144,32 @@ def test_truncation_error_is_raised():
         iw.apply_R_K(rd, par, mu, phi, out_points=[(-4,)])
 
 
+def test_a_function_of_another_parabolic_is_refused():
+    # phi lives on J = [0]; its heights under the Levi's 2rho_P would certify a Borel height-3 series
+    # at (1, -1), where the Borel needs height 6 (certified value 2q^3 - 3q^2 + q + 1, not phi's 1)
+    rd = load_root_datum("A2")
+    borel, levi = ParabolicType(rd, []), ParabolicType(rd, [0])
+    values = {(1, -1): ONE, (1, 1): ONE, (2, 1): ONE}
+    mu = hk.gk_mu(rd, borel, 3)
+    for apply in (iw.apply_R_K, iw.apply_R_inverse_K):
+        with pytest.raises(iw.IntertwineError, match=r"function parabolic J=\[0\] does not match J=\[\]"):
+            apply(rd, borel, mu, make_phi(rd, levi, values))
+    phi = make_phi(rd, borel, values)
+    with pytest.raises(hk.TruncationError, match="needs height 6"):
+        iw.apply_R_K(rd, borel, mu, phi, out_points=[(1, -1)])
+    certified = iw.apply_R_K(rd, borel, hk.gk_mu(rd, borel, 6), phi, out_points=[(1, -1)])
+    assert certified.value((1, -1)) == 2 * Q**3 - 3 * Q**2 + Q + 1
+
+
+def test_a_series_of_another_parabolic_is_refused():
+    rd = load_root_datum("A2")
+    borel, levi = ParabolicType(rd, []), ParabolicType(rd, [0])
+    phi = make_phi(rd, borel, {(0, 0): ONE})
+    for apply in (iw.apply_R_K, iw.apply_R_inverse_K):
+        with pytest.raises(iw.IntertwineError, match="series parabolic does not match"):
+            apply(rd, borel, hk.gk_mu(rd, levi, 4), phi)
+
+
 def test_window_propagation_class():
     rd = load_root_datum("A2")
     par = ParabolicType(rd, [])

@@ -13,16 +13,20 @@ named from outside the package:
 A name in tests/ keeps nothing alive. Dunder methods are called by the language
 and are exempt. Every attribute stored in the package is read as an attribute
 somewhere, and the package holds no `assert` statement: a check there must not
-vanish under `python -O`.
+vanish under `python -O`. Each module imports, at module level or inside a
+function, only modules of its own row of the README's module table or of an
+earlier row, as the README says.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heckelat"
 PERFBENCH = ROOT / "perfbench"
+README = ROOT / "README.md"
 
 # name defined in src/heckelat -> (test file, test function that runs it)
 WITNESSES = {
@@ -110,3 +114,43 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _readme_layers() -> dict:
+    """{module: row} from the README's table of the package's modules, after the sentence that states the layering."""
+    lines = README.read_text(encoding="utf-8").split("each importing only those above it:", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[start + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        rows.append(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return {module: row for row, modules in enumerate(rows) for module in modules}
+
+
+def _imported_modules(tree, modules) -> set:
+    """The package modules that a module's import statements name, wherever in the module they stand."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (["heckelat"] if node.level == 1 else []) + (node.module.split(".") if node.module else [])
+            paths = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        found |= {path[1] for path in paths if len(path) > 1 and path[0] == "heckelat" and path[1] in modules}
+    return found
+
+
+def test_each_module_imports_only_its_own_or_earlier_rows_of_the_readme_table():
+    layers = _readme_layers()
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(layers) == sorted(modules)
+    upward = [
+        f"{module} imports {imported}"
+        for module in sorted(modules)
+        for imported in sorted(_imported_modules(_parse(PACKAGE / f"{module}.py"), modules))
+        if layers[imported] > layers[module]
+    ]
+    assert upward == []

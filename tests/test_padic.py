@@ -171,3 +171,35 @@ def test_ball_histogram():
 def test_sl3_precision_independence():
     for lam in [(1, 0), (1, 1)]:
         assert pd.mu_oracle("SL3", lam, 2, 3) == pd.mu_oracle("SL3", lam, 2, 4)
+
+
+def test_an_unknown_group_is_refused():
+    with pytest.raises(pd.OracleError, match=r"^unknown group 'SL4'$"):
+        pd.mu_oracle("SL4", (1, 1, 1), 2, 3)
+    with pytest.raises(pd.OracleError, match=r"^unknown group 'SL4'; expected SL2 or SL3$"):
+        pd.iwasawa_ord("SL4", ())
+    with pytest.raises(pd.OracleError, match=r"^unknown group 'SL4'$"):
+        pd.ball_histogram("SL4", 2, 1, 2)
+
+
+def test_an_sl2_coweight_with_two_coordinates_is_refused():
+    with pytest.raises(pd.OracleError, match="^SL2 coweights have one coordinate$"):
+        pd.mu_oracle("SL2", (1, 0), 2, 3)
+
+
+def test_the_sl2_cell_cap_is_checked_before_any_enumeration(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("cells enumerated")
+
+    monkeypatch.setattr(pd, "_fibre_measures", no_enumeration)
+    with pytest.raises(pd.OracleError, match="^cell count exceeds the cap$"):
+        pd.mu_oracle("SL2", (30,), 2, 3)
+
+
+@pytest.mark.parametrize("lam", [(-1, 0), (0, -1), (-2, 3)])
+def test_sl3_oracles_vanish_at_a_negative_coordinate_as_the_gk_table_does(lam):
+    rd = load_root_datum("A2")
+    table = hk.gk_mu(rd, ParabolicType(rd, []), 8).to_basis(hk.INDICATOR_BASIS)
+    assert table.coeff(lam).is_zero()
+    assert pd._mu_sl3_fast(lam, 2, 3) == 0
+    assert pd._mu_sl3_full(lam, 2, 3) == 0

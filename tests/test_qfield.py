@@ -378,3 +378,10 @@ def test_eval_matches_summing_powers():
             assert type(got) is Fraction and got == expected and str(got) == str(expected), (r, x)
             checked += 1
     assert checked > 1500
+
+
+def test_a_zero_denominator_and_a_non_number_are_refused():
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        RatFunc((1,), ())
+    with pytest.raises(TypeError, match=r"^cannot interpret 'x' as a rational function$"):
+        as_ratfunc("x")

@@ -516,3 +516,42 @@ def test_levi_involution_fixes_projection_classes():
         for lam in [(1, 0), (0, 1), (2, -1), (-1, 3)]:
             moved = tuple(int(x) for x in linalg.mat_vec(par.w0_levi, lam))
             assert rd.levi_solve(J, moved)[0] == rd.levi_solve(J, lam)[0]
+
+
+def _config(**changes):
+    """The A2 config with the given keys replaced; a value None removes its key."""
+    config = {"name": "A2", "rank": 2, "cartan": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]], "simple_roots": [[2, -1], [-1, 2]]}
+    config.update(changes)
+    return {k: v for k, v in config.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        pytest.param(_config(simple_roots=[[2, -1]]), r"^simple root and coroot lists must have equal length$", id="unequal-lists"),
+        pytest.param(_config(simple_coroots=[[1, 0], [0, 1, 0]]), r"^vector length does not match rank$", id="wrong-length"),
+        pytest.param(
+            _config(cartan=[[2, 1], [-1, 2]], simple_roots=[[2, 1], [-1, 2]]),
+            r"^off-diagonal Cartan entries must be <= 0$",
+            id="positive-off-diagonal",
+        ),
+        pytest.param(
+            _config(cartan=[[2, 0], [-1, 2]], simple_roots=[[2, 0], [-1, 2]]),
+            r"^Cartan matrix zero pattern must be symmetric$",
+            id="asymmetric-zeros",
+        ),
+        pytest.param([["A2"]], r"^config must be a mapping$", id="not-a-mapping"),
+        pytest.param("[1, 2]", r"^config must be a mapping$", id="json-not-a-mapping"),
+        pytest.param(_config(cartan=None, rank=None), r"^config missing keys: \['cartan', 'rank'\]$", id="missing-keys"),
+    ],
+)
+def test_load_refuses_a_malformed_config(config, message):
+    with pytest.raises(RootDatumError, match=message):
+        load_root_datum(config)
+
+
+def test_parabolic_indices_out_of_range_are_refused():
+    rd = load_root_datum("A2")
+    for bad in ([2], [0, -1]):
+        with pytest.raises(RootDatumError, match=rf"^parabolic indices out of range: \[{bad[-1]}\]$"):
+            ParabolicType(rd, bad)

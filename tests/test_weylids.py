@@ -110,3 +110,14 @@ def test_a1_survivor_is_levi_longest_element():
     assert par.w0_levi == ident(1)
     rep = wi.verify_vanishing_A(rd)
     assert rep.passed
+
+
+def test_sweeps_refuse_a_datum_above_the_rank_cap():
+    # inline A5: rank 5 > RANK_CAP, |W| = 720
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
+    coroots = [[int(i == j) for j in range(5)] for i in range(5)]
+    rd = load_root_datum({"name": "A5", "rank": 5, "cartan": cartan, "simple_coroots": coroots, "simple_roots": cartan})
+    assert rd.rank == 5 > wi.RANK_CAP
+    for sweep in (wi.verify_vanishing_A, wi.verify_vanishing_B):
+        with pytest.raises(wi.WeylIdentityError, match=r"^rank 5 exceeds the sweep cap 4$"):
+            sweep(rd)
