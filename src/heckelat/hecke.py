@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 from . import cones
 from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow, sum_of_products
-from .rootdata import ParabolicType, RootDatum, Vec
+from .rootdata import ParabolicType, RootDatum, Vec, same_parabolic
 
 
 class HeckeError(ValueError):
@@ -40,8 +40,8 @@ INDICATOR_BASIS = "indicator"
 
 
 def twist_scale(par: ParabolicType) -> int:
-    """1 if <rho_P, a> is integral on every unipotent coroot a, else 2: exponents are doubled (q = u^2)."""
-    return 1 if all(par.height(a) % 2 == 0 for a in par.pos_coroots_unipotent) else 2
+    """The parabolic's `ParabolicType.twist_scale`: 1 if <rho_P, a> is integral on every unipotent coroot a, else 2."""
+    return par.twist_scale
 
 
 class GradedSeries:
@@ -104,6 +104,7 @@ class GradedSeries:
     def __eq__(self, other):
         return (
             isinstance(other, GradedSeries)
+            and same_parabolic(self.par, other.par)
             and self.basis == other.basis
             and self.height == other.height
             and self.coeffs == other.coeffs

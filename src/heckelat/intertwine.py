@@ -8,7 +8,7 @@ from . import cones
 from .cones import SupportShape
 from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, twist_scale
 from .qfield import RatFunc, ZERO, as_ratfunc, q_pow, sum_of_products
-from .rootdata import ParabolicType, RootDatum, Vec
+from .rootdata import ParabolicType, RootDatum, Vec, same_parabolic
 
 
 class IntertwineError(ValueError):
@@ -46,7 +46,12 @@ class SphericalFunction:
         return self.values.get(tuple(int(x) for x in lam), ZERO)
 
     def __eq__(self, other):
-        return isinstance(other, SphericalFunction) and self.values == other.values
+        return (
+            isinstance(other, SphericalFunction)
+            and same_parabolic(self.par, other.par)
+            and self.window == other.window
+            and self.values == other.values
+        )
 
     def max_height(self):
         return max(map(self.par.height, self.values), default=0)

@@ -11,6 +11,8 @@ cell of their coordinate boxes through `_fibre_measures`. The SL3 oracle
 its digits below t^0, the only ones that move the valuations it tests, and
 evaluates the product minor on packed integers, not `LaurentElement`s;
 `_mu_sl3_full` stays the witness for that count and that arithmetic.
+`iwasawa_ord` checks a matrix's shape with one comparison of its row lengths
+against the group's precomputed [r] * r.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ _MINORS = {
     r: tuple((tuple(range(r - j, r)), tuple(combinations(range(r), j))) for j in range(r - 1, 0, -1))
     for r in _GROUP_SIZES.values()
 }
+# per group size r, the row lengths of an r x r matrix
+_SHAPES = {r: [r] * r for r in _GROUP_SIZES.values()}
 
 
 def iwasawa_ord(group: str, g) -> tuple[int, ...]:
@@ -123,7 +127,7 @@ def iwasawa_ord(group: str, g) -> tuple[int, ...]:
     r = _GROUP_SIZES.get(group)
     if r is None:
         raise OracleError(f"unknown group {group!r}; expected SL2 or SL3")
-    if len(g) != r or any(len(row) != r for row in g):
+    if list(map(len, g)) != _SHAPES[r]:
         raise OracleError("matrix size does not match the group")
     # coroot coordinates: n_k = -m_{r-k}, m_j the least valuation of the minors on the last j columns;
     # tuple() of a list, since tuple() of a generator resizes a fresh block per call that the tuple free list keeps

@@ -262,7 +262,7 @@ class RootDatum:
         From the identity, w := w s_j while some j in J has w(alpha-check_j) > 0;
         w s_j reflects each row of w. Each step lengthens w by one, so the walk
         stops after l(w0_J) steps, at the one element of W_J that sends every
-        alpha-check_j, j in J, negative.
+        alpha-check_j, j in J, negative. That w0_J is an involution is checked once, when the memo is filled.
         """
         key = frozenset(indices)
         if key not in self._longest:
@@ -270,6 +270,8 @@ class RootDatum:
             w = linalg.identity(self.rank)
             while (j := self._ascent(w, idx)) is not None:
                 w = tuple(reflect(row, self.weight_reflections[j]) for row in w)
+            if mat_mul(w, w) != linalg.identity(self.rank):
+                raise RootDatumError(f"w0_J for J={idx} does not square to the identity")
             self._longest[key] = w
         return self._longest[key]
 
@@ -333,7 +335,8 @@ class ParabolicType:
             raise RootDatumError(f"parabolic indices out of range: {bad}")
         idx = sorted(self.indices)
         self.pos_coroots_levi = tuple(a for a in rd.positive_coroots if rd.in_span_of_simples(a, idx))
-        self.pos_coroots_unipotent = tuple(a for a in rd.positive_coroots if a not in set(self.pos_coroots_levi))
+        levi = frozenset(self.pos_coroots_levi)
+        self.pos_coroots_unipotent = tuple(a for a in rd.positive_coroots if a not in levi)
         self.pos_roots_levi = tuple(
             chi for chi in rd.positive_roots if all(c == 0 for j, c in enumerate(rd.root_coords[chi]) if j not in self.indices)
         )
@@ -346,8 +349,11 @@ class ParabolicType:
             if self.height(rd.simple_coroots[j]) != 0:
                 raise RootDatumError("2rho_P does not annihilate the Levi coroots")
         self.w0_levi: Matrix = rd.longest_element(self.indices)
-        if mat_mul(self.w0_levi, self.w0_levi) != linalg.identity(rd.rank):
-            raise RootDatumError("w0_M does not square to the identity")
+
+    @functools.cached_property
+    def twist_scale(self) -> int:
+        """1 if <rho_P, a> is integral on every unipotent coroot a, else 2: exponents are doubled (q = u^2)."""
+        return 1 if all(self.height(a) % 2 == 0 for a in self.pos_coroots_unipotent) else 2
 
     def is_levi_invariant(self, values: dict) -> bool:
         """The map {lattice point: nonzero value} is constant along W_M-orbits (a missing point holds zero).
@@ -368,6 +374,11 @@ class ParabolicType:
 
     def __repr__(self):
         return f"ParabolicType({self.rd.name}, J={sorted(self.indices)})"
+
+
+def same_parabolic(a: ParabolicType, b: ParabolicType) -> bool:
+    """a and b are one J of one datum: the same objects, or equal index sets on data of equal configs (two loads of a preset)."""
+    return a is b or (a.indices == b.indices and (a.rd is b.rd or a.rd.config() == b.rd.config()))
 
 
 def dominance_leq(rd: RootDatum, parabolic: ParabolicType, lam, mu) -> bool:

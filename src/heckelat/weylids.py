@@ -1,6 +1,14 @@
 """Exhaustive verification of the Weyl-group and parabolic-sign identities behind the global operator calculus.
 
 A double coset W_{M'} w W_M is the orbit of w's columns and rows under simple reflections: no matrix is multiplied.
+
+Each vanishing sweep builds what does not depend on its case once per call,
+before its (J, w) loop: sweep A the table of every J' (its simple roots, its
+parabolic_sign, J') and, per w', the root permutation and the simple roots
+among w'(negative roots); sweep B, per case, the sorted simple indices inside
+and outside M' and every subset of the outside ones. The tables are per call,
+not cached per datum, so that a replaced `parabolic_sign` or `root_image` is
+read by the next sweep.
 """
 
 from __future__ import annotations
@@ -86,27 +94,33 @@ def verify_vanishing_A(rd: RootDatum) -> VanishingReport:
     if rd.rank > RANK_CAP:
         raise WeylIdentityError(f"rank {rd.rank} exceeds the sweep cap {RANK_CAP}")
     report = VanishingReport(rd.name, "A")
-    simple_set = set(rd.simple_roots)
+    simple_set = frozenset(rd.simple_roots)
     neg_roots = [tuple(-x for x in chi) for chi in rd.positive_roots]
+    # every J' once per call: (its simple roots, its sign, J')
+    levis = [
+        (frozenset(rd.simple_roots[j] for j in j2), parabolic_sign(rd, j2), frozenset(j2))
+        for j2 in index_subsets(rd.n_simple)
+    ]
+    # every w' once per call: its root permutation and the simple roots among w'(negative roots)
+    translates = []
+    for w in rd.weyl_elements:
+        image = rd.root_image(w)
+        translates.append((w, image, simple_set.intersection([image[chi] for chi in neg_roots])))
     for indices in index_subsets(rd.n_simple):
         par = ParabolicType(rd, indices)
-        roots_m = set(par.roots_levi)
-        for w in rd.weyl_elements:
+        roots_m = par.roots_levi
+        neg_outside_m = [chi for chi in neg_roots if chi not in roots_m]
+        for w, image, constraint_upper in translates:
             report.cases += 1
-            image = rd.root_image(w)
-            translated_neg = {image[chi] for chi in neg_roots}
-            translated_m = {image[chi] for chi in roots_m}
-            constraint_lower = {chi for chi in simple_set if chi in translated_m}
-            constraint_upper = {chi for chi in simple_set if chi in translated_neg}
+            constraint_lower = simple_set.intersection([image[chi] for chi in roots_m])
             total = 0
             admissible = []
-            for j2 in index_subsets(rd.n_simple):
-                simples_m2 = {rd.simple_roots[j] for j in j2}
-                if simples_m2 <= constraint_upper and constraint_lower <= simples_m2:
-                    total += parabolic_sign(rd, j2)
-                    admissible.append(frozenset(j2))
-            no_simple_hit = not ({image[chi] for chi in neg_roots if chi not in roots_m} & simple_set)
-            if total != 0 and not no_simple_hit:
+            for simples_m2, sign, j2 in levis:
+                if constraint_lower <= simples_m2 <= constraint_upper:
+                    total += sign
+                    admissible.append(j2)
+            hits_simple = any(image[chi] in simple_set for chi in neg_outside_m)
+            if total != 0 and hits_simple:
                 report.fail(f"J={sorted(indices)} w'={w}: nonzero sum hits a simple root")
             if w == par.w0_levi:
                 if total != parabolic_sign(rd, indices) or admissible != [frozenset(indices)]:
@@ -137,22 +151,17 @@ def verify_vanishing_B(rd: RootDatum) -> VanishingReport:
             if not all(_is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
                 continue
             report.cases += 1
-            # simple roots grouped by where w sends them
+            # simple roots grouped by where w sends them, each list ascending
             image = rd.root_image(w)
             simple_images = [image[chi] for chi in rd.simple_roots]
-            inside = frozenset(j for j, chi in enumerate(simple_images) if chi in pos_m2)
-            outside_pos = frozenset(
-                j for j, chi in enumerate(simple_images) if j not in inside and _is_positive_root(rd, chi)
-            )
-            empty_d = not outside_pos
-            if empty_d != (w == survivor):
+            inside = [j for j, chi in enumerate(simple_images) if chi in pos_m2]
+            outside_pos = [j for j, chi in enumerate(simple_images) if chi not in pos_m2 and _is_positive_root(rd, chi)]
+            if (not outside_pos) != (w == survivor):
                 report.fail(f"J'={sorted(j2)}: D empty iff w = w0^M' w0 fails at {w}")
+            extra_sets = [frozenset(outside_pos[i] for i in extra) for extra in index_subsets(len(outside_pos))]
             for j1 in index_subsets(len(inside)):
-                j1_set = frozenset(sorted(inside)[i] for i in j1)
-                total = 0
-                for extra in index_subsets(len(outside_pos)):
-                    extra_set = frozenset(sorted(outside_pos)[i] for i in extra)
-                    total += parabolic_sign(rd, j1_set | extra_set)
+                j1_set = frozenset(inside[i] for i in j1)
+                total = sum(parabolic_sign(rd, j1_set | extra_set) for extra_set in extra_sets)
                 if outside_pos and total != 0:
                     report.fail(f"J'={sorted(j2)} w={w} J1={sorted(j1_set)}: sum {total} != 0")
                 if not outside_pos and total != parabolic_sign(rd, j1_set):

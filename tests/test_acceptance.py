@@ -208,6 +208,11 @@ MUTANTS = [
         acceptance.check_weyl_identities, (("A2",),), weylids, "parabolic_sign", _flip_sign_at([0]),
         id="8-parabolic-sign-flipped-at-J0",
     ),
+    pytest.param(  # the per-w' table reads w'(positive roots): sweep A's upper constraint holds the wrong simple roots
+        acceptance.check_weyl_identities, (("A2",),), weylids, "verify_vanishing_A",
+        _source_mutant(weylids.verify_vanishing_A, "[image[chi] for chi in neg_roots]", "[image[chi] for chi in rd.positive_roots]"),
+        id="8-sweep-a-simple-hits-from-positive-roots",
+    ),
     pytest.param(  # the coset is w W_M alone: the right closure of w, without the column orbit under W_{M'}
         acceptance.check_weyl_identities, (("A2",),), weylids, "double_coset",
         _source_mutant(weylids.double_coset, "for cols in left]", "for cols in [tuple(zip(*w))]]"),

@@ -114,6 +114,27 @@ def test_basis_conversion_is_made_once_per_series(J):
         assert mu.to_basis(hk.INDICATOR_BASIS, 2) != converted
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_twist_scale_is_computed_once_per_parabolic(name):
+    rd = load_root_datum(name)
+    for J in index_subsets(rd.n_simple):
+        par = ParabolicType(rd, J)
+        recomputed = 1 if all(par.height(a) % 2 == 0 for a in par.pos_coroots_unipotent) else 2
+        assert "twist_scale" not in vars(par)
+        assert hk.twist_scale(par) == recomputed == par.twist_scale, (name, J)
+        assert vars(par)["twist_scale"] == recomputed  # kept on the parabolic after the first read
+
+
+def test_series_compare_their_datum_and_parabolic():
+    rd = load_root_datum("A2")
+    borel = hk.GradedSeries(rd, ParabolicType(rd, []), 4, {(0, 0): ONE})
+    assert borel != hk.GradedSeries(rd, ParabolicType(rd, [0]), 4, {(0, 0): ONE})
+    b2 = load_root_datum("B2")
+    assert borel != hk.GradedSeries(b2, ParabolicType(b2, []), 4, {(0, 0): ONE})
+    rd2 = load_root_datum("A2")  # a second load of the preset: equal by content
+    assert borel == hk.GradedSeries(rd2, ParabolicType(rd2, []), 4, {(0, 0): ONE})
+
+
 def test_series_are_read_only():
     rd = load_root_datum("A1")
     par = ParabolicType(rd, [])

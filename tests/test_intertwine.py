@@ -14,8 +14,10 @@ def make_phi(rd, par, values):
     return iw.SphericalFunction(rd, par, values, window)
 
 
-def checked(out):
-    """An intertwiner output, after asserting that the checked constructor accepts its values in its window unchanged."""
+def checked(out, par):
+    """An intertwiner output, after asserting that it lies on the operator's J and that the checked constructor
+    accepts its values in its window unchanged."""
+    assert out.par.indices == par.indices
     assert not [lam for lam, v in out.values.items() if v.is_zero()]
     assert iw.SphericalFunction(out.rd, out.par, out.values, out.window) == out
     return out
@@ -33,6 +35,20 @@ def test_a_support_point_outside_the_declared_window_is_refused():
             with pytest.raises(iw.IntertwineError, match="outside the declared window"):
                 iw.SphericalFunction(rd, par, values, window)
         iw.SphericalFunction(rd, par, {outside: ZERO}, window)  # a zero value is no support point
+
+
+def test_functions_compare_their_parabolic_and_window():
+    rd = load_root_datum("A2")
+    borel, p0 = ParabolicType(rd, []), ParabolicType(rd, [0])
+    assert make_phi(rd, borel, {(0, 0): ONE}) != make_phi(rd, p0, {(0, 0): ONE})
+
+    def window(*base):
+        return cones.SupportShape.make(base, cones.neg_pos_U(p0.indices))
+
+    phi = iw.SphericalFunction(rd, p0, {(0, 0): ONE}, window((0, 0)))
+    assert phi != iw.SphericalFunction(rd, p0, {(0, 0): ONE}, window((0, 0), (1, 1)))
+    rd2 = load_root_datum("A2")  # a second load of the preset: equal by content
+    assert phi == iw.SphericalFunction(rd2, ParabolicType(rd2, [0]), {(0, 0): ONE}, window((0, 0)))
 
 
 def test_zero_maps_to_zero():
@@ -97,11 +113,11 @@ def test_round_trip_both_orders(name, J):
         if not outer:
             continue
         need = sorted({tuple(a + b for a, b in zip(p, th)) for p in outer for th in mu.coeffs})
-        fwd = checked(iw.apply_R_K(rd, par, mu, phi, out_points=need))
-        back = checked(iw.apply_R_inverse_K(rd, par, nu_s, fwd, out_points=outer))
+        fwd = checked(iw.apply_R_K(rd, par, mu, phi, out_points=need), par)
+        back = checked(iw.apply_R_inverse_K(rd, par, nu_s, fwd, out_points=outer), par)
         assert all(back.value(p) == phi.value(p) for p in outer)
-        inv = checked(iw.apply_R_inverse_K(rd, par, nu_s, phi, out_points=need))
-        back = checked(iw.apply_R_K(rd, par, mu, inv, out_points=outer))
+        inv = checked(iw.apply_R_inverse_K(rd, par, nu_s, phi, out_points=need), par)
+        back = checked(iw.apply_R_K(rd, par, mu, inv, out_points=outer), par)
         assert all(back.value(p) == phi.value(p) for p in outer)
 
 
@@ -126,10 +142,10 @@ def test_pulled_outputs_equal_pushed_outputs(name, J, box, extra_height):
     low = min(phi.values, key=par.height)
     height = phi.max_height() - par.height(low) + extra_height
     for series, apply in ((hk.gk_mu(rd, par, height), iw.apply_R_K), (hk.nu(rd, par, height), iw.apply_R_inverse_K)):
-        pushed = checked(apply(rd, par, series, phi))
+        pushed = checked(apply(rd, par, series, phi), par)
         requested = sorted({low, *rng.sample(sorted(pushed.values), min(2, len(phi.values) - 2))})
         assert len(requested) < len(phi.values)
-        pulled = checked(apply(rd, par, series, phi, out_points=requested))
+        pulled = checked(apply(rd, par, series, phi, out_points=requested), par)
         assert set(pulled.values) <= set(requested)
         for lam in requested:
             assert pulled.value(lam) == pushed.value(lam), (name, J, apply.__name__, lam)

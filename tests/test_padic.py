@@ -116,6 +116,16 @@ def test_iwasawa_examples():
         pd.iwasawa_ord("SL3", sl2(zero))
 
 
+def test_iwasawa_ord_refuses_a_matrix_of_the_wrong_shape():
+    q, n = 3, 3
+    one, zero = _el(q, {0: 1}, n), _el(q, {}, n)
+    ragged = ((one, zero, zero), (zero, one), (zero, zero, one))
+    square2 = ((one, zero), (zero, one))
+    for group, g in (("SL3", ragged), ("SL2", ragged[:2]), ("SL3", square2)):
+        with pytest.raises(pd.OracleError, match="^matrix size does not match the group$"):
+            pd.iwasawa_ord(group, g)
+
+
 def test_sl2_oracle_values():
     assert pd.mu_oracle("SL2", (0,), 2, 3) == 1
     assert pd.mu_oracle("SL2", (1,), 2, 3) == 1  # q - 1

@@ -121,3 +121,99 @@ def test_sweeps_refuse_a_datum_above_the_rank_cap():
     for sweep in (wi.verify_vanishing_A, wi.verify_vanishing_B):
         with pytest.raises(wi.WeylIdentityError, match=r"^rank 5 exceeds the sweep cap 4$"):
             sweep(rd)
+
+
+def reference_vanishing_A(rd):
+    """Sweep A as first written: every per-datum and per-w' set rebuilt for each (J, w') case."""
+    report = wi.VanishingReport(rd.name, "A")
+    simple_set = set(rd.simple_roots)
+    neg_roots = [tuple(-x for x in chi) for chi in rd.positive_roots]
+    for indices in index_subsets(rd.n_simple):
+        par = ParabolicType(rd, indices)
+        roots_m = set(par.roots_levi)
+        for w in rd.weyl_elements:
+            report.cases += 1
+            image = rd.root_image(w)
+            translated_neg = {image[chi] for chi in neg_roots}
+            translated_m = {image[chi] for chi in roots_m}
+            constraint_lower = {chi for chi in simple_set if chi in translated_m}
+            constraint_upper = {chi for chi in simple_set if chi in translated_neg}
+            total = 0
+            admissible = []
+            for j2 in index_subsets(rd.n_simple):
+                simples_m2 = {rd.simple_roots[j] for j in j2}
+                if simples_m2 <= constraint_upper and constraint_lower <= simples_m2:
+                    total += wi.parabolic_sign(rd, j2)
+                    admissible.append(frozenset(j2))
+            no_simple_hit = not ({image[chi] for chi in neg_roots if chi not in roots_m} & simple_set)
+            if total != 0 and not no_simple_hit:
+                report.fail(f"J={sorted(indices)} w'={w}: nonzero sum hits a simple root")
+            if w == par.w0_levi:
+                if total != wi.parabolic_sign(rd, indices) or admissible != [frozenset(indices)]:
+                    report.fail(f"J={sorted(indices)} w'=w0_M: sum {total}, admissible {admissible}")
+            elif total != 0:
+                report.fail(f"J={sorted(indices)} w'={w}: nonzero sum {total}")
+    return report
+
+
+def reference_vanishing_B(rd):
+    """Sweep B as first written: the index sets re-sorted for every subset, the extra subsets rebuilt for every J1."""
+    report = wi.VanishingReport(rd.name, "B")
+    for j2 in index_subsets(rd.n_simple):
+        par2 = ParabolicType(rd, j2)
+        pos_m2 = set(par2.pos_roots_levi)
+        survivor = mat_mul(par2.w0_levi, rd.w0)
+        for w in rd.weyl_elements:
+            inv_image = rd.root_preimage(w)
+            if not all(wi._is_positive_root(rd, inv_image[chi]) for chi in par2.pos_roots_levi):
+                continue
+            report.cases += 1
+            image = rd.root_image(w)
+            simple_images = [image[chi] for chi in rd.simple_roots]
+            inside = frozenset(j for j, chi in enumerate(simple_images) if chi in pos_m2)
+            outside_pos = frozenset(
+                j for j, chi in enumerate(simple_images) if j not in inside and wi._is_positive_root(rd, chi)
+            )
+            if (not outside_pos) != (w == survivor):
+                report.fail(f"J'={sorted(j2)}: D empty iff w = w0^M' w0 fails at {w}")
+            for j1 in index_subsets(len(inside)):
+                j1_set = frozenset(sorted(inside)[i] for i in j1)
+                total = 0
+                for extra in index_subsets(len(outside_pos)):
+                    extra_set = frozenset(sorted(outside_pos)[i] for i in extra)
+                    total += wi.parabolic_sign(rd, j1_set | extra_set)
+                if outside_pos and total != 0:
+                    report.fail(f"J'={sorted(j2)} w={w} J1={sorted(j1_set)}: sum {total} != 0")
+                if not outside_pos and total != wi.parabolic_sign(rd, j1_set):
+                    report.fail(f"J'={sorted(j2)} w={w}: surviving sum wrong")
+    full = frozenset(range(rd.n_simple))
+    for j2 in index_subsets(rd.n_simple):
+        total = sum(wi.parabolic_sign(rd, j) for j in index_subsets(rd.n_simple) if frozenset(j2) <= frozenset(j))
+        expected = wi.parabolic_sign(rd, full) if frozenset(j2) == full else 0
+        report.cases += 1
+        if total != expected:
+            report.fail(f"Moebius sum from J2={sorted(j2)} is {total}, expected {expected}")
+    return report
+
+
+# (cases of sweep A, cases of sweep B): the perfbench sweep tasks hash these counts
+SWEEP_CASES = {"A1": (4, 5), "A2": (24, 17), "B2": (32, 21), "G2": (48, 29), "A3": (192, 83), "B3": (384, 155), "C3": (384, 155)}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sweeps_report_what_the_per_case_reference_reports(name):
+    rd = load_root_datum(name)
+    for sweep, reference in ((wi.verify_vanishing_A, reference_vanishing_A), (wi.verify_vanishing_B, reference_vanishing_B)):
+        assert sweep(rd) == reference(rd), (name, sweep.__name__)
+    if name in SWEEP_CASES:
+        assert (wi.verify_vanishing_A(rd).cases, wi.verify_vanishing_B(rd).cases) == SWEEP_CASES[name]
+
+
+def test_sweeps_fail_like_the_reference_under_a_flipped_sign(monkeypatch):
+    rd = load_root_datum("A2")
+    original = wi.parabolic_sign
+    monkeypatch.setattr(wi, "parabolic_sign", lambda rd, J: -original(rd, J) if frozenset(J) == {0} else original(rd, J))
+    for sweep, reference in ((wi.verify_vanishing_A, reference_vanishing_A), (wi.verify_vanishing_B, reference_vanishing_B)):
+        report = sweep(rd)
+        assert not report.passed and report.witnesses
+        assert report == reference(rd), sweep.__name__
