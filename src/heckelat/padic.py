@@ -5,12 +5,15 @@ the exponents [low, tail), exact there and undetermined from t^tail on, whose
 valuation (the exponent of its first nonzero digit) is found once when it is
 built. A cell fixes the digits of every unipotent coordinate below t^n, so the
 cells of a coordinate are the digit tuples of `product(range(q), repeat=k)`.
-`_mu_sl2`, `_mu_sl3_full` and `ball_histogram` evaluate `iwasawa_ord` on every
-cell of their coordinate boxes through `_fibre_measures`. The SL3 oracle
-`_mu_sl3_fast` enumerates the (x12, x23) cells the same way but counts x13 by
-its digits below t^0, the only ones that move the valuations it tests, and
-evaluates the product minor on packed integers, not `LaurentElement`s;
-`_mu_sl3_full` stays the witness for that count and that arithmetic.
+`_fibre_measures` evaluates `iwasawa_ord` on every cell of a coordinate box;
+`ball_histogram` and `_mu_sl3_full` run it, and it is the witness for the
+counts `mu_oracle` makes, in which no cell costs an `iwasawa_ord`. Each count
+enumerates only the digits that can move the coweight and lets each of its
+prefixes stand for the cells of the digits it leaves out. SL2's coweight is
+-min(v(x), 0), so `_mu_sl2` counts x by its digits below t^0. The SL3 oracle
+`_mu_sl3_fast` enumerates x12 below t^n2 and x23 below t^n1, the digits that
+reach the product minor below t^0, counts x13 by its digits below t^0, and
+evaluates the product minor on packed integers, not `LaurentElement`s.
 `iwasawa_ord` checks a matrix's shape with one comparison of its row lengths
 against the group's precomputed [r] * r.
 """
@@ -199,7 +202,21 @@ def _mu_sl2(lam, q: int, n: int) -> Fraction:
     w = target + 1
     if q ** (w + n) > CELL_CAP:
         raise OracleError("cell count exceeds the cap")
-    return _fibre_measures("SL2", q, (-w,), n).get((target,), Fraction(0))
+    # each prefix on [t^-w, t^0) stands for the q^n cells of its digits on [t^0, t^n), each of measure q^-n
+    return Fraction(_sl2_prefix_hits(q, w, target) * q**n, q**n)
+
+
+def _sl2_prefix_hits(q: int, w: int, target: int) -> int:
+    """The x with digits on [t^-w, t^0) whose coweight -min(v(x), 0) is target, counted by their first nonzero digit.
+
+    The minors of `iwasawa_ord` for SL2 are x and 1, so the coweight reads
+    only the exponent of x's first nonzero digit below t^0 (0 for none).
+    """
+    hits = 0
+    for digits in product(range(q), repeat=w):
+        v = next((i - w for i, d in enumerate(digits) if d), 0)
+        hits += -v == target
+    return hits
 
 
 def _sl3_window(lam, n: int) -> int:
@@ -244,13 +261,16 @@ def _packed_cells(q: int, lo: int, hi: int, bits: int, offset: int, negate: bool
 
 
 def _mu_sl3_fast(lam, q: int, n: int) -> Fraction:
-    """Enumerates the (x12, x23) cells and, for each pair, the digits of x13 below t^0.
+    """Enumerates x12 on [t^-n1, t^n2), x23 on [t^-n2, t^n1) and, for each pair, the digits of x13 below t^0.
 
     The minors of `iwasawa_ord` give n2 = -min(v(x13), v(x23), 0) and
     n1 = -min(v(x12*x23 - x13), v(x12), 0). Digits of x13 at t^0 and above move
     neither valuation below 0, and the precision `_sl3_window` demands keeps
     x12*x23 exact below t^1, so each prefix of x13 on [t^-w, t^0) that meets
     both conditions stands for the q^n cells of its digits on [t^0, t^n).
+    Below t^0 the coefficient of x12*x23 at t^e is the sum of a_i b_j over
+    i + j = e with i >= -n1 and j >= -n2, so i < n2 and j < n1: x12 stands for
+    the q^(n-n2) cells of its digits from t^n2 on, x23 for the q^(n-n1) from t^n1 on.
 
     The product minor is computed by Kronecker substitution: each digit sits in
     its own bit field, wide enough that no sum of digit products carries into
@@ -271,11 +291,11 @@ def _mu_sl3_fast(lam, q: int, n: int) -> Fraction:
     mask = (1 << bits) - 1
     below_0 = range(base, 0)
     prefixes = _packed_cells(q, -w, 0, bits, -w - base, negate=True)
-    cells12 = _packed_cells(q, -n1, n, bits, -n1 - n2 - base)
+    cells12 = _packed_cells(q, -n1, n2, bits, -n1 - n2 - base)
     total = 0
     # v(x23) < -n2 fails the last-column condition; v(x12) < -n1 fails the
     # single-entry minor condition: both skips are valuation-exact.
-    for x23, v23 in _packed_cells(q, -n2, n, bits, 0):
+    for x23, v23 in _packed_cells(q, -n2, n1, bits, 0):
         meets_n2 = [neg13 for neg13, v13 in prefixes if min(v13, v23) == -n2]
         for x12, v12 in cells12:
             p = x12 * x23
@@ -288,7 +308,7 @@ def _mu_sl3_fast(lam, q: int, n: int) -> Fraction:
                     minor >>= bits
                 if min(v, v12) == -n1:
                     total += 1
-    return Fraction(total * q**n, q ** (3 * n))
+    return Fraction(total * q ** (3 * n - n1 - n2), q ** (3 * n))
 
 
 def ball_histogram(group: str, q: int, ball_depth: int, precision: int) -> dict:

@@ -157,6 +157,19 @@ MUTANTS = [
         acceptance.check_gk_oracle, (), padic, "_mu_sl3_fast",
         _source_mutant(padic._mu_sl3_fast, "v = e\n", "v = e + 1\n"), id="1-sl3-product-minor-valuation-one-off",
     ),
+    pytest.param(  # each prefix's first nonzero digit is read one exponent higher, so its coweight is one lower
+        acceptance.check_gk_oracle, (), padic, "_sl2_prefix_hits",
+        _source_mutant(padic._sl2_prefix_hits, "(i - w for i", "(i - w + 1 for i"), id="1-sl2-first-digit-one-off",
+    ),
+    pytest.param(  # x12 loses its digit at t^(n2-1) (at lam = (0, 0) its window is empty already), the scaling is kept
+        acceptance.check_gk_oracle, (), padic, "_mu_sl3_fast",
+        _source_mutant(padic._mu_sl3_fast, "_packed_cells(q, -n1, n2, bits", "_packed_cells(q, -n1, max(n2 - 1, -n1), bits"),
+        id="1-sl3-x12-one-digit-short",
+    ),
+    pytest.param(  # right at precision 3, off by a factor q^(3-n) elsewhere: only the precision row can see it
+        acceptance.check_gk_oracle, (), padic, "_mu_sl2",
+        _source_mutant(padic._mu_sl2, "* q**n, q**n)", "* q**3, q**n)"), id="1-sl2-scaling-at-a-fixed-precision",
+    ),
     pytest.param(
         acceptance.check_inversion, (("A1", "A2"),), hecke.GradedSeries, "invert",
         _source_mutant(hecke.GradedSeries.invert, "value = -sum_of_products(pairs)", "value = sum_of_products(pairs)"),
@@ -231,6 +244,11 @@ MUTANTS = [
             " and self._ascent(tuple(reflect(row, self.weight_reflections[j]) for row in w), idx) is not None:",
         ),
         id="8-longest-element-descent-one-short",
+    ),
+    pytest.param(  # w0_J of J shifted by one index: an involution, so the datum loads, and rd.w0 (J full) is right
+        acceptance.check_weyl_identities, (("A2",),), RootDatum, "longest_element",
+        _source_mutant(RootDatum.longest_element, "idx = sorted(key)", "idx = sorted((j + 1) % self.n_simple for j in key)"),
+        id="8-longest-element-of-another-J",
     ),
     pytest.param(
         acceptance.check_character_identities, (), charring, "sym_series",
@@ -319,6 +337,22 @@ def test_mutant_fails_its_criterion(monkeypatch, check, args, module, attr, muta
     assert not result.passed, result.line()
     # a mutant that no longer runs against the code fails for that alone, not on its criterion
     assert not result.detail.startswith(("AttributeError:", "NameError:")), result.line()
+
+
+@pytest.mark.parametrize(
+    "row_id, detail",
+    [
+        ("1-sl2-scaling-at-a-fixed-precision", "precision dependence"),
+        ("8-longest-element-of-another-J", "w'=w0_M"),
+    ],
+)
+def test_mutant_fails_on_the_row_it_aims_at(monkeypatch, row_id, detail):
+    # these mutants each reach one branch that no other row does: the failure must come from it
+    [(check, args, module, attr, mutant)] = [row.values for row in MUTANTS if row.id == row_id]
+    monkeypatch.setattr(hecke, "_CONE_MEMO", {})
+    monkeypatch.setattr(module, attr, mutant)
+    result = check(*args)
+    assert not result.passed and detail in result.detail, result.line()
 
 
 def test_convolve_mutant_fails_on_the_identity_not_on_a_support_check(monkeypatch):

@@ -148,8 +148,21 @@ def test_sl2_oracle_matches_table_and_is_precision_independent():
             assert value == pd.mu_oracle("SL2", (n,), q, 4)
 
 
+def test_sl2_digit_count_equals_full_enumeration():
+    # the digit count against one iwasawa_ord per cell of t^-w O mod t^n, w = target + 1
+    for q in (2, 3):
+        for target in range(-1, 6):
+            for n in range(1, 5):
+                w = max(target + 1, 0)
+                if q ** (w + n) > 3**9:
+                    continue
+                full = pd._fibre_measures("SL2", q, (-w,), n).get((target,), Fraction(0))
+                assert pd._mu_sl2((target,), q, n) == full, (q, target, n)
+
+
 def test_sl3_fast_equals_full_enumeration():
-    for lam, q, n in [((0, 0), 2, 3), ((1, 0), 2, 3), ((0, 1), 2, 3), ((1, 1), 2, 3), ((0, 0), 3, 2)]:
+    # the last case has a precision above w + 1, so x12 and x23 have digits from t^n2 and t^n1 on below t^n
+    for lam, q, n in [((0, 0), 2, 3), ((1, 0), 2, 3), ((0, 1), 2, 3), ((1, 1), 2, 3), ((0, 0), 3, 2), ((0, 1), 2, 4)]:
         assert pd._mu_sl3_fast(lam, q, n) == pd._mu_sl3_full(lam, q, n), (lam, q, n)
 
 
@@ -201,7 +214,9 @@ def test_the_sl2_cell_cap_is_checked_before_any_enumeration(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("cells enumerated")
 
-    monkeypatch.setattr(pd, "_fibre_measures", no_enumeration)
+    monkeypatch.setattr(pd, "_sl2_prefix_hits", no_enumeration)
+    with pytest.raises(AssertionError, match="^cells enumerated$"):
+        pd.mu_oracle("SL2", (3,), 2, 3)
     with pytest.raises(pd.OracleError, match="^cell count exceeds the cap$"):
         pd.mu_oracle("SL2", (30,), 2, 3)
 
