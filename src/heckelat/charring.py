@@ -27,7 +27,7 @@ class GradedPiece:
     weights: tuple[Vec, ...]  # sorted, with multiplicity
 
 
-def u_P_graded_pieces(rd: RootDatum, par: ParabolicType) -> list[GradedPiece]:
+def u_P_graded_pieces(par: ParabolicType) -> list[GradedPiece]:
     """Partition of the non-Levi positive coroots by the pairing with rho_P (levels ascending)."""
     buckets: dict[Fraction, list[Vec]] = {}
     for a in par.pos_coroots_unipotent:

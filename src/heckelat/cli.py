@@ -169,11 +169,11 @@ def cmd_char(args, rd) -> int:
     if args.action == "pieces":
         out = [
             {"level": str(p.level), "weights": [list(w) for w in p.weights]}
-            for p in charring.u_P_graded_pieces(rd, par)
+            for p in charring.u_P_graded_pieces(par)
         ]
         print(json.dumps(out, sort_keys=True))
     elif args.action in ("lambda", "sym"):
-        pieces = charring.u_P_graded_pieces(rd, par)
+        pieces = charring.u_P_graded_pieces(par)
         idx = 1 if args.piece is None else args.piece
         if not 1 <= idx <= len(pieces):
             raise UsageError(f"piece index out of range 1..{len(pieces)}")
@@ -226,7 +226,7 @@ def cmd_oracle_mu(args, _rd) -> int:
     except padic.OracleError as e:
         raise UsageError(f"--q {args.q} with --coweight {args.coweight}: {e}") from None
     par = ParabolicType(rd, [])
-    height = max(2 * sum(lam), 2)
+    height = max(par.height(lam), 2)
     table = hecke.gk_mu(rd, par, height).to_basis(hecke.INDICATOR_BASIS).coeff(lam).eval(Fraction(args.q))
     print(f"measure,{measure}")
     print(f"gk_table,{table}")
@@ -234,7 +234,7 @@ def cmd_oracle_mu(args, _rd) -> int:
     return 0 if measure == table else 1
 
 
-def cmd_weyl_identities(args, rd) -> int:
+def cmd_weyl_identities(_args, rd) -> int:
     rep_a = weylids.verify_vanishing_A(rd)
     rep_b = weylids.verify_vanishing_B(rd)
     print("identity,cases,result,witnesses")

@@ -39,11 +39,6 @@ E_BASIS = "e"
 INDICATOR_BASIS = "indicator"
 
 
-def twist_scale(par: ParabolicType) -> int:
-    """The parabolic's `ParabolicType.twist_scale`: 1 if <rho_P, a> is integral on every unipotent coroot a, else 2."""
-    return par.twist_scale
-
-
 class GradedSeries:
     """Truncated series supported on lattice points of the unipotent cone.
 
@@ -115,7 +110,7 @@ class GradedSeries:
         """The same element in the given basis: the indicator coefficient at lam is c q^{<rho_P, lam>}.
 
         With scale 2 the indicator coefficients are read in u = q^{1/2}: c(u^2) u^{<2rho_P, lam>}.
-        That is integral where <rho_P, lam> is not; twist_scale picks the scale.
+        That is integral where <rho_P, lam> is not; ParabolicType.twist_scale picks the scale.
         A second call with the same basis and scale returns the same object.
         """
         if scale != 1 and (self.basis, basis) != (E_BASIS, INDICATOR_BASIS):
@@ -191,8 +186,8 @@ def convolve(s1: GradedSeries, s2: GradedSeries) -> GradedSeries:
     over its pairs; a sum that cancels to zero is dropped. The second series is walked in height order, so
     its walk stops at the height bound.
     """
-    if s1.par.indices != s2.par.indices or s1.rd is not s2.rd and s1.rd.config() != s2.rd.config():
-        raise HeckeError("mismatched parabolic types")
+    if not same_parabolic(s1.par, s2.par):
+        raise HeckeError(f"mismatched parabolic types: {s1.par} and {s2.par}")
     if s1.basis != s2.basis:
         raise HeckeError("mismatched bases; convert first")
     h = min(s1.height, s2.height)
@@ -289,21 +284,21 @@ def satake_character_bridge(rd: RootDatum, par: ParabolicType, s: GradedSeries) 
     """Reinterpret a W_M-invariant e-basis series as an element of the completed character ring.
 
     The character-side coefficient at a lattice point is the indicator-basis
-    coefficient there, read in u = q^{1/2} when twist_scale(par) is 2; products
+    coefficient there, read in u = q^{1/2} when par.twist_scale is 2; products
     of series correspond to products of characters.
     """
     if not s.par.is_levi_invariant(s.coeffs):
         raise HeckeError("series is not W_M-invariant")
-    return GradedSeries._build(rd, par, s.height, s.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs)
+    return GradedSeries._build(rd, par, s.height, s.to_basis(INDICATOR_BASIS, par.twist_scale).coeffs)
 
 
 def _lambda_product_side(rd, par, height: int, swap: bool) -> GradedSeries:
     """Product over graded pieces of Lambda(q^{a-1}, piece)/Lambda(q^a, piece) (or its reciprocal)."""
     from .charring import u_P_graded_pieces
 
-    scale = twist_scale(par)
+    scale = par.twist_scale
     factors = []
-    for piece in u_P_graded_pieces(rd, par):
+    for piece in u_P_graded_pieces(par):
         t, s = q_pow(int(scale * (piece.level - 1))), q_pow(int(scale * piece.level))
         if swap:
             t, s = s, t
@@ -315,7 +310,7 @@ def verify_series_reformulation(rd: RootDatum, par: ParabolicType, height: int) 
     """Check both character-ring reformulations of the GK series and its inverse.
 
     Levels with half-integral values are handled by doubling all exponents
-    (q -> u^2, see twist_scale), which is injective on Q(q).
+    (q -> u^2, see ParabolicType.twist_scale), which is injective on Q(q).
     """
     smu = satake_character_bridge(rd, par, gk_mu(rd, par, height))
     snu = satake_character_bridge(rd, par, nu(rd, par, height))
@@ -339,8 +334,8 @@ def verify_alternating_sym_expansion(rd: RootDatum, par: ParabolicType, height: 
     """
     from .charring import lambda_series, sym_series, u_P_graded_pieces
 
-    scale = twist_scale(par)
-    for piece in u_P_graded_pieces(rd, par):
+    scale = par.twist_scale
+    for piece in u_P_graded_pieces(par):
         e_hi = int(scale * piece.level)
         e_lo = int(scale * (piece.level - 1))
         lam_hi = lambda_series(rd, par, q_pow(e_hi), piece, height)

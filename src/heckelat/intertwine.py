@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from . import cones
 from .cones import SupportShape
-from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError, twist_scale
+from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError
 from .qfield import RatFunc, ZERO, as_ratfunc, q_pow, sum_of_products
 from .rootdata import ParabolicType, RootDatum, Vec, same_parabolic
 
@@ -16,9 +15,14 @@ class IntertwineError(ValueError):
 
 
 class SphericalFunction:
-    """Finitely supported function on lattice coweights inside a declared support window; the constructor checks every point."""
+    """Finitely supported function on lattice coweights inside a declared support window of the parabolic's cone.
+
+    The constructor checks the window's cone against the parabolic once, then every point against the window.
+    """
 
     def __init__(self, rd: RootDatum, par: ParabolicType, values: dict, window: SupportShape):
+        if window.cone != par.indices:
+            raise IntertwineError(f"window cone -pos_U of J={sorted(window.cone)} does not belong to {par}")
         self.rd = rd
         self.par = par
         self.values: dict[Vec, RatFunc] = {}
@@ -64,13 +68,12 @@ def _apply_kernel(par, series, phi, out_points):
     input points, each output pulls phi(lam + theta) over the kernel (|out| x |kernel| reads); otherwise every
     kernel term is pushed from every input point once (|kernel| x |phi|), and the groups kept are those of the
     requested outputs, or with none requested those the series height certifies. A requested output it cannot
-    certify raises instead of truncating silently.
+    certify raises instead of truncating silently. The output keeps phi's window, whose cone is J.
     """
-    if series.par.indices != par.indices:
-        raise IntertwineError("series parabolic does not match")
-    if phi.par.indices != par.indices:
-        raise IntertwineError(f"function parabolic J={sorted(phi.par.indices)} does not match J={sorted(par.indices)}")
-    kernel = series.to_basis(INDICATOR_BASIS, twist_scale(par)).coeffs
+    for name, other in (("series", series.par), ("function", phi.par)):
+        if not same_parabolic(other, par):
+            raise IntertwineError(f"{name} parabolic {other} does not match the operator's {par}")
+    kernel = series.to_basis(INDICATOR_BASIS, par.twist_scale).coeffs
     max_h = phi.max_height()
     if out_points is not None:
         bad = [lam for lam in out_points if max_h - par.height(lam) > series.height]
@@ -103,13 +106,12 @@ def _apply_kernel(par, series, phi, out_points):
         if out_points is None:
             groups = {lam: pairs for lam, pairs in groups.items() if max_h - par.height(lam) <= series.height}
     out = {lam: total for lam, pairs in groups.items() if not (total := sum_of_products(pairs)).is_zero()}
-    window = SupportShape.make(phi.window.base, cones.neg_pos_U(par.indices))
-    return SphericalFunction._build(phi.rd, par, out, window)
+    return SphericalFunction._build(phi.rd, par, out, phi.window)
 
 
 def _twist(rd, par, phi, sign):
-    """T^sign: phi times q^(sign scale height(lam)) pointwise, scale = twist_scale(par); phi keeps its parabolic."""
-    scale = sign * twist_scale(par)
+    """T^sign: phi times q^(sign scale height(lam)) pointwise, scale = par.twist_scale; phi keeps its parabolic."""
+    scale = sign * par.twist_scale
     values = {lam: q_pow(scale * par.height(lam)) * v for lam, v in phi.values.items()}
     return SphericalFunction._build(rd, phi.par, values, phi.window)
 

@@ -130,7 +130,7 @@ def _pdiv_exact(a: Coeffs, b: Coeffs) -> Coeffs:
     return _strip(out)
 
 
-def _poly_str(a: Coeffs, var: str) -> str:
+def _poly_str(a: Coeffs) -> str:
     if not a:
         return "0"
     parts = []
@@ -142,7 +142,7 @@ def _poly_str(a: Coeffs, var: str) -> str:
             term = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            term = f"{mag}{var}" + (f"^{k}" if k > 1 else "")
+            term = f"{mag}q" + (f"^{k}" if k > 1 else "")
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -313,11 +313,11 @@ class RatFunc:
         return _rf(2 * self._v, stretch(self._n), stretch(self._d))
 
     # -- printing -----------------------------------------------------------
-    def to_str(self, var: str = "q") -> str:
+    def to_str(self) -> str:
         num, den = self.num, self.den
         if den == (1,):
-            return _poly_str(num, var)
-        return f"({_poly_str(num, var)})/({_poly_str(den, var)})"
+            return _poly_str(num)
+        return f"({_poly_str(num)})/({_poly_str(den)})"
 
     def __str__(self):
         return self.to_str()

@@ -8,7 +8,10 @@ A RootDatum owns the lattice coordinates: int tables of every coroot and root
 on the simple coroots and roots, built by reflecting coordinate vectors with
 the Cartan matrix, and the one Levi solve (`levi_solve`, with det C_J and the
 int adjugate of each Cartan principal submatrix C_J cached) behind the
-Langlands retraction and the dominance order.
+Langlands retraction and the dominance order. The same coordinates give the
+one Levi test: a ParabolicType of J puts a positive coroot or root in its Levi
+exactly when its coordinates vanish off J, and every other positive coroot in
+its unipotent radical.
 
 Loading a datum enumerates no Weyl group: |W| comes from the root heights, and
 w0, like every w0_J, by descent in l(w0) steps. No reflection is a matrix: a
@@ -279,11 +282,6 @@ class RootDatum:
         """The first j in idx with w(alpha-check_j) a positive coroot, that is l(w s_j) > l(w); None if there is none."""
         return next((j for j in idx if min(self.coroot_coords[mat_vec(w, self.simple_coroots[j])]) >= 0), None)
 
-    def in_span_of_simples(self, v: Vec, indices) -> bool:
-        """The coroot v is a combination of the simple coroots listed in indices."""
-        allowed = set(indices)
-        return all(c == 0 for j, c in enumerate(self.coroot_coords[v]) if j not in allowed)
-
     def levi_solve(self, indices, lam) -> tuple[tuple, tuple, int]:
         """(d (lam - sum_j c_j alpha-check_j), d c, d) over j in J, where C_J c = (<alpha_j, lam>)_{j in J} and d = det C_J > 0.
 
@@ -333,19 +331,21 @@ class ParabolicType:
         bad = [i for i in self.indices if not 0 <= i < rd.n_simple]
         if bad:
             raise RootDatumError(f"parabolic indices out of range: {bad}")
-        idx = sorted(self.indices)
-        self.pos_coroots_levi = tuple(a for a in rd.positive_coroots if rd.in_span_of_simples(a, idx))
-        levi = frozenset(self.pos_coroots_levi)
-        self.pos_coroots_unipotent = tuple(a for a in rd.positive_coroots if a not in levi)
-        self.pos_roots_levi = tuple(
-            chi for chi in rd.positive_roots if all(c == 0 for j, c in enumerate(rd.root_coords[chi]) if j not in self.indices)
-        )
+        off = [j for j in range(rd.n_simple) if j not in self.indices]
+
+        def in_levi(coords) -> bool:
+            """The Levi test: a positive coroot or root lies in the Levi iff its coordinates on the simples vanish off J."""
+            return not any(coords[j] for j in off)
+
+        self.pos_coroots_levi = tuple(a for a in rd.positive_coroots if in_levi(rd.coroot_coords[a]))
+        self.pos_coroots_unipotent = tuple(a for a in rd.positive_coroots if not in_levi(rd.coroot_coords[a]))
+        self.pos_roots_levi = tuple(chi for chi in rd.positive_roots if in_levi(rd.root_coords[chi]))
         self.roots_levi = frozenset(self.pos_roots_levi) | frozenset(tuple(-x for x in c) for c in self.pos_roots_levi)
         self.two_rho_check_levi: Covec = (
             tuple(sum(col) for col in zip(*self.pos_roots_levi)) if self.pos_roots_levi else (0,) * rd.rank
         )
         self.two_rho_check_P: Covec = tuple(a - b for a, b in zip(rd.two_rho_check, self.two_rho_check_levi))
-        for j in idx:
+        for j in self.indices:
             if self.height(rd.simple_coroots[j]) != 0:
                 raise RootDatumError("2rho_P does not annihilate the Levi coroots")
         self.w0_levi: Matrix = rd.longest_element(self.indices)

@@ -83,7 +83,7 @@ def _flip_sign_at(indices):
 
 def _inverse_twist_one_power_off(rd, par, series, phi, out_points=None):
     """R^-1 with the input twist q^(1 - scale height(p)) in place of q^(-scale height(p))."""
-    scale = hecke.twist_scale(par)
+    scale = par.twist_scale
     values = {p: q_pow(1 - scale * par.height(p)) * v for p, v in phi.values.items()}
     twisted = intertwine.SphericalFunction._build(rd, phi.par, values, phi.window)
     return intertwine._apply_kernel(par, series, twisted, out_points)

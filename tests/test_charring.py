@@ -13,19 +13,19 @@ from heckelat.rootdata import PRESET_NAMES, ParabolicType, dominance_leq, index_
 def test_graded_pieces_borel():
     rd = load_root_datum("A2")
     par = ParabolicType(rd, [])
-    pieces = ch.u_P_graded_pieces(rd, par)
+    pieces = ch.u_P_graded_pieces(par)
     assert [(p.level, p.weights) for p in pieces] == [
         (Fraction(1), ((0, 1), (1, 0))),
         (Fraction(2), ((1, 1),)),
     ]
     rd1 = load_root_datum("A1")
-    pieces1 = ch.u_P_graded_pieces(rd1, ParabolicType(rd1, []))
+    pieces1 = ch.u_P_graded_pieces(ParabolicType(rd1, []))
     assert pieces1 == [ch.GradedPiece(Fraction(1), ((1,),))]
 
 
 def test_graded_pieces_maximal_parabolic_half_levels():
     rd = load_root_datum("A2")
-    pieces = ch.u_P_graded_pieces(rd, ParabolicType(rd, [0]))
+    pieces = ch.u_P_graded_pieces(ParabolicType(rd, [0]))
     assert len(pieces) == 1
     assert pieces[0].level == Fraction(3, 2)
     assert pieces[0].weights == ((0, 1), (1, 1))
@@ -37,7 +37,7 @@ def test_piece_partition_covers_unipotent_roots():
         for mask in range(1 << rd.n_simple):
             J = [i for i in range(rd.n_simple) if mask >> i & 1]
             par = ParabolicType(rd, J)
-            pieces = ch.u_P_graded_pieces(rd, par)
+            pieces = ch.u_P_graded_pieces(par)
             multiset = sorted(w for p in pieces for w in p.weights)
             assert multiset == sorted(par.pos_coroots_unipotent)
 
@@ -45,12 +45,12 @@ def test_piece_partition_covers_unipotent_roots():
 def test_lambda_series_small_cases():
     rd = load_root_datum("A1")
     par = ParabolicType(rd, [])
-    piece = ch.u_P_graded_pieces(rd, par)[0]
+    piece = ch.u_P_graded_pieces(par)[0]
     ls = ch.lambda_series(rd, par, Q, piece, 10)
     assert ls.coeff((0,)) == ONE and ls.coeff((1,)) == -Q
     rd2 = load_root_datum("A2")
     par2 = ParabolicType(rd2, [])
-    two = ch.u_P_graded_pieces(rd2, par2)[0]
+    two = ch.u_P_graded_pieces(par2)[0]
     ls2 = ch.lambda_series(rd2, par2, Q, two, 8)
     assert ls2.coeff((1, 1)) == Q**2  # cross term of the two factors
 
@@ -58,7 +58,7 @@ def test_lambda_series_small_cases():
 def test_sym_series_geometric_and_kostant():
     rd = load_root_datum("A1")
     par = ParabolicType(rd, [])
-    piece = ch.u_P_graded_pieces(rd, par)[0]
+    piece = ch.u_P_graded_pieces(par)[0]
     ss = ch.sym_series(rd, par, Q, piece, 12)
     for n in range(7):
         assert ss.coeff((n,)) == Q**n
@@ -85,7 +85,7 @@ def test_lambda_times_sym_is_unit():
     for name, J in [("A2", []), ("B2", []), ("A2", [0])]:
         rd = load_root_datum(name)
         par = ParabolicType(rd, J)
-        for piece in ch.u_P_graded_pieces(rd, par):
+        for piece in ch.u_P_graded_pieces(par):
             scale = 1 if piece.level.denominator == 1 else 2
             for exponent in (int(scale * piece.level), int(scale * (piece.level - 1))):
                 t = q_pow(exponent)
@@ -249,7 +249,7 @@ def test_decompose_rejects_non_invariant():
 def test_product_bilinearity_over_grading():
     rd = load_root_datum("A2")
     par = ParabolicType(rd, [0])
-    piece = ch.u_P_graded_pieces(rd, par)[0]
+    piece = ch.u_P_graded_pieces(par)[0]
     s1 = ch.lambda_series(rd, par, Q, piece, 6)
     s2 = ch.sym_series(rd, par, 2, piece, 6)
     prod = s1 * s2

@@ -29,8 +29,13 @@ def test_convolution_rejects_mismatch():
     rd = load_root_datum("A2")
     s1 = hk.GradedSeries.unit(rd, ParabolicType(rd, []), 6)
     s2 = hk.GradedSeries.unit(rd, ParabolicType(rd, [0]), 6)
-    with pytest.raises(hk.HeckeError):
+    with pytest.raises(hk.HeckeError, match=r"^mismatched parabolic types: ParabolicType\(A2, J=\[\]\) and ParabolicType\(A2, J=\[0\]\)$"):
         hk.convolve(s1, s2)
+    b2 = load_root_datum("B2")  # same rank and J, another datum
+    with pytest.raises(hk.HeckeError, match=r"^mismatched parabolic types: ParabolicType\(A2, J=\[\]\) and ParabolicType\(B2, J=\[\]\)$"):
+        hk.convolve(s1, hk.GradedSeries.unit(b2, ParabolicType(b2, []), 6))
+    rd2 = load_root_datum("A2")  # a second load of the preset is the same datum
+    assert hk.convolve(s1, hk.GradedSeries.unit(rd2, ParabolicType(rd2, []), 6)) == s1
 
 
 def test_gk_tables_rank_one():
@@ -104,7 +109,7 @@ def test_basis_conversion_roundtrip_and_halfpow_error():
 def test_basis_conversion_is_made_once_per_series(J):
     rd = load_root_datum("A2")
     par = ParabolicType(rd, J)
-    scale = hk.twist_scale(par)
+    scale = par.twist_scale
     mu = hk.gk_mu(rd, par, 8)
     converted = mu.to_basis(hk.INDICATOR_BASIS, scale)
     assert mu.to_basis(hk.INDICATOR_BASIS, scale) is converted
@@ -121,7 +126,7 @@ def test_twist_scale_is_computed_once_per_parabolic(name):
         par = ParabolicType(rd, J)
         recomputed = 1 if all(par.height(a) % 2 == 0 for a in par.pos_coroots_unipotent) else 2
         assert "twist_scale" not in vars(par)
-        assert hk.twist_scale(par) == recomputed == par.twist_scale, (name, J)
+        assert par.twist_scale == recomputed, (name, J)
         assert vars(par)["twist_scale"] == recomputed  # kept on the parabolic after the first read
 
 
@@ -307,7 +312,7 @@ def test_invert_equals_its_reference_on_character_series(name):
     rd = load_root_datum(name)
     for J in index_subsets(rd.n_simple):
         par = ParabolicType(rd, J)
-        for piece in charring.u_P_graded_pieces(rd, par):
+        for piece in charring.u_P_graded_pieces(par):
             for build in (charring.lambda_series, charring.sym_series):
                 s = build(rd, par, q_pow(2), piece, 8)
                 assert s.invert() == _invert_reference(s), (name, J, piece.level)
@@ -336,9 +341,9 @@ def _sym_reference(rd, par, t, piece, height):
 
 def _lambda_ratio_reference(rd, par, height, swap):
     """The Lambda-ratio side as lambda_series(num) * lambda_series(den).invert(), piece by piece."""
-    scale = hk.twist_scale(par)
+    scale = par.twist_scale
     out = hk.GradedSeries.unit(rd, par, height)
-    for piece in charring.u_P_graded_pieces(rd, par):
+    for piece in charring.u_P_graded_pieces(par):
         num_t, den_t = q_pow(int(scale * (piece.level - 1))), q_pow(int(scale * piece.level))
         if swap:
             num_t, den_t = den_t, num_t
@@ -356,7 +361,7 @@ def test_character_series_equal_their_references(name):
             for swap in (False, True):
                 want = _lambda_ratio_reference(rd, par, height, swap)
                 assert hk._lambda_product_side(rd, par, height, swap) == want, (name, J, height, swap)
-            for piece in charring.u_P_graded_pieces(rd, par):
+            for piece in charring.u_P_graded_pieces(par):
                 for t in (Q, q_pow(-1), q_pow(3), RatFunc((1,), (2,)), 2, 0, -1):
                     where = (name, J, piece.level, t, height)
                     assert charring.lambda_series(rd, par, t, piece, height) == _lambda_reference(rd, par, t, piece, height), where
@@ -424,7 +429,7 @@ def test_lambda_series_hands_no_zero_coefficient_to_the_series(monkeypatch):
         return original(rd, par, height, coeffs, basis)
 
     monkeypatch.setattr(hk.GradedSeries, "_build", recording)
-    for piece in charring.u_P_graded_pieces(rd, par):
+    for piece in charring.u_P_graded_pieces(par):
         for t in (ONE, -ONE, q_pow(piece.level), q_pow(-1)):
             s = charring.lambda_series(rd, par, t, piece, 8)
             assert s == _lambda_reference(rd, par, t, piece, 8)
@@ -477,14 +482,14 @@ def test_built_series_equal_their_checked_rebuild(name):
     for J in index_subsets(rd.n_simple):
         par = ParabolicType(rd, J)
         height = 6
-        scale = hk.twist_scale(par)
+        scale = par.twist_scale
         mu, nu = hk.gk_mu(rd, par, height), hk.nu(rd, par, height)
         built = {"gk_mu": mu, "nu": nu, "invert": mu.invert(), "convolve": hk.convolve(mu, nu)}
         built["indicator"] = mu.to_basis(hk.INDICATOR_BASIS, scale)
         if scale == 1:  # at scale 2 the indicator basis does not convert back
             built["back to e"] = built["indicator"].to_basis(hk.E_BASIS)
         built["bridge"] = hk.satake_character_bridge(rd, par, mu)
-        for piece in charring.u_P_graded_pieces(rd, par):
+        for piece in charring.u_P_graded_pieces(par):
             for t in (q_pow(int(scale * piece.level)), -ONE):
                 built["lambda", piece.level, t] = charring.lambda_series(rd, par, t, piece, height)
                 built["sym", piece.level, t] = charring.sym_series(rd, par, t, piece, height)

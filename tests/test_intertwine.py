@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_matrix_oracle_dense_convolution():
     par = ParabolicType(rd, [0])
     height = 15
     mu = hk.gk_mu(rd, par, height)
-    scale = hk.twist_scale(par)
+    scale = par.twist_scale
     kernel = mu.to_basis(hk.INDICATOR_BASIS, scale).coeffs
     rng = random.Random(23)
     pts = [(a, b) for a in range(-1, 2) for b in range(-1, 2)]
@@ -168,7 +169,7 @@ def test_a_function_of_another_parabolic_is_refused():
     values = {(1, -1): ONE, (1, 1): ONE, (2, 1): ONE}
     mu = hk.gk_mu(rd, borel, 3)
     for apply in (iw.apply_R_K, iw.apply_R_inverse_K):
-        with pytest.raises(iw.IntertwineError, match=r"function parabolic J=\[0\] does not match J=\[\]"):
+        with pytest.raises(iw.IntertwineError, match=r"function parabolic ParabolicType\(A2, J=\[0\]\) does not match the operator's ParabolicType\(A2, J=\[\]\)"):
             apply(rd, borel, mu, make_phi(rd, levi, values))
     phi = make_phi(rd, borel, values)
     with pytest.raises(hk.TruncationError, match="needs height 6"):
@@ -180,10 +181,51 @@ def test_a_function_of_another_parabolic_is_refused():
 def test_a_series_of_another_parabolic_is_refused():
     rd = load_root_datum("A2")
     borel, levi = ParabolicType(rd, []), ParabolicType(rd, [0])
+    b2 = load_root_datum("B2")
+    b2_borel = ParabolicType(b2, [])  # the same rank and J on another datum
     phi = make_phi(rd, borel, {(0, 0): ONE})
-    for apply in (iw.apply_R_K, iw.apply_R_inverse_K):
-        with pytest.raises(iw.IntertwineError, match="series parabolic does not match"):
-            apply(rd, borel, hk.gk_mu(rd, levi, 4), phi)
+    for other, series in ((levi, hk.gk_mu), (b2_borel, hk.gk_mu), (b2_borel, hk.nu)):
+        for apply in (iw.apply_R_K, iw.apply_R_inverse_K):
+            with pytest.raises(iw.IntertwineError, match=rf"^series parabolic {re.escape(repr(other))} does not match the operator's ParabolicType\(A2, J=\[\]\)$"):
+                apply(rd, borel, series(other.rd, other, 4), phi)
+    rd2 = load_root_datum("A2")  # a second load of the preset is the same datum
+    again = ParabolicType(rd2, [])
+    out = iw.apply_R_K(rd, borel, hk.gk_mu(rd2, again, 4), make_phi(rd2, again, {(0, 0): ONE}))
+    assert out == iw.apply_R_K(rd, borel, hk.gk_mu(rd, borel, 4), phi)
+
+
+def _borel_and_function(name):
+    rd = load_root_datum(name)
+    par = ParabolicType(rd, [])
+    return par, make_phi(rd, par, {(0, 0): ONE, (1, 0): Q, (1, 1): ONE})
+
+
+# B2 and A2 share rank 2 and J = [], and these points lie in both Borel cones, so only the datum tells them apart
+@pytest.mark.parametrize(
+    "apply, operator, series, function",
+    [
+        (iw.apply_R_K, "B2", hk.gk_mu, "A2"),
+        (iw.apply_R_inverse_K, "B2", hk.nu, "A2"),
+        (iw.apply_R_K, "A2", hk.gk_mu, "B2"),
+        (iw.apply_R_inverse_K, "A2", hk.nu, "B2"),
+    ],
+    ids=["R-B2-mu-on-A2", "R-inverse-B2-nu-on-A2", "R-A2-mu-on-B2", "R-inverse-A2-nu-on-B2"],
+)
+def test_a_function_of_another_datum_is_refused(apply, operator, series, function):
+    par, _ = _borel_and_function(operator)
+    _, phi = _borel_and_function(function)
+    with pytest.raises(iw.IntertwineError, match=rf"^function parabolic ParabolicType\({function}, J=\[\]\) does not match"):
+        apply(par.rd, par, series(par.rd, par, 6), phi)
+
+
+def test_a_window_of_another_parabolic_is_refused_before_any_point():
+    rd = load_root_datum("A2")
+    borel, levi = ParabolicType(rd, []), ParabolicType(rd, [0])
+    window = cones.SupportShape.make([(0, 0)], cones.neg_pos_U(levi.indices))
+    for values in ({}, {(0, 0): ZERO}, {(0, 0): ONE}):
+        with pytest.raises(iw.IntertwineError, match=r"^window cone -pos_U of J=\[0\] does not belong to ParabolicType\(A2, J=\[\]\)$"):
+            iw.SphericalFunction(rd, borel, values, window)
+    assert iw.SphericalFunction(rd, levi, {}, window).values == {}
 
 
 def test_window_propagation_class():
@@ -193,6 +235,7 @@ def test_window_propagation_class():
     phi = make_phi(rd, par, {(1, 1): ONE})
     out = iw.apply_R_K(rd, par, mu, phi)
     # output window has the downward cone type: every computed point sits below the base
+    assert out.window is phi.window
     assert out.window.cone == cones.neg_pos_U(par.indices)
     for lam in out.values:
         assert out.window.contains(par, lam)
@@ -200,7 +243,7 @@ def test_window_propagation_class():
 
 def _asymptotics(rd, par, height):
     """The asymptotics of the basic spherical vector: the inverse series in the indicator basis."""
-    return hk.nu(rd, par, height).to_basis(hk.INDICATOR_BASIS, hk.twist_scale(par))
+    return hk.nu(rd, par, height).to_basis(hk.INDICATOR_BASIS, par.twist_scale)
 
 
 def test_asymptotics_values():

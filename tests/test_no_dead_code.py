@@ -11,8 +11,9 @@ named from outside the package:
   listed with the test that runs it.
 
 A name in tests/ keeps nothing alive. Dunder methods are called by the language
-and are exempt. Every attribute stored in the package is read as an attribute
-somewhere, and the package holds no `assert` statement: a check there must not
+and are exempt. Every parameter of a function in the package is read in its
+body unless its name starts with `_` (dunder methods again exempt). Every
+attribute stored in the package is read as an attribute somewhere, and the package holds no `assert` statement: a check there must not
 vanish under `python -O`. Each module imports, at module level or inside a
 function, only modules of its own row of the README's module table or of an
 earlier row, as the README says.
@@ -104,6 +105,25 @@ def test_every_stored_attribute_is_read():
     }
     stored = {node.attr for node in _nodes(PACKAGE) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
     assert sorted(stored - read) == []
+
+
+def test_every_parameter_is_read_in_its_body():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Lambda):
+                name, body = "<lambda>", [node.body]
+            else:
+                name, body = node.name, node.body
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            unread += [f"{path.relative_to(ROOT)}:{node.lineno} {name}({p})" for p in params if p not in read and not p.startswith("_")]
+    assert unread == []
 
 
 def test_no_assert_in_the_package():

@@ -319,7 +319,7 @@ def test_recorded_inverses_invert(config):
 
 def _longest_by_scan(rd, J):
     """w0_J as first defined: the one element of W_J sending every positive Levi coroot to a negative coroot."""
-    levi = [a for a in rd.positive_coroots if rd.in_span_of_simples(a, J)]
+    levi = ParabolicType(rd, J).pos_coroots_levi
     found = [w for w in rd.subgroup(J) if all(min(rd.coroot_coords[linalg.mat_vec(w, a)]) < 0 for a in levi)]
     assert len(found) == 1, J
     return found[0]
@@ -336,6 +336,22 @@ def test_longest_element_by_descent_is_the_scan_definition(config):
         assert rd.longest_element(J) == w0, J
         assert ParabolicType(rd, J).w0_levi is rd.longest_element(reversed(J))  # memoised per J, not per order
     assert rd.w0 == _longest_by_scan(rd, range(rd.n_simple))
+
+
+@pytest.mark.parametrize("config", [row[1] for row in LONGEST_DATA], ids=[row[0] for row in LONGEST_DATA])
+def test_levi_split_agrees_with_the_rank_of_the_levi_simples(config):
+    # a positive coroot (root) lies in the Levi iff it is a combination of J's simple coroots (roots): adding it keeps the rank |J|
+    rd = load_root_datum(config)
+    for J in index_subsets(rd.n_simple):
+        par = ParabolicType(rd, J)
+
+        def in_levi(simples, v):
+            return linalg.rank([simples[j] for j in J] + [v]) == len(J)
+
+        assert par.pos_coroots_levi == tuple(a for a in rd.positive_coroots if in_levi(rd.simple_coroots, a)), J
+        assert par.pos_coroots_unipotent == tuple(a for a in rd.positive_coroots if not in_levi(rd.simple_coroots, a)), J
+        assert par.pos_roots_levi == tuple(chi for chi in rd.positive_roots if in_levi(rd.simple_roots, chi)), J
+        assert len(par.pos_roots_levi) == len(par.pos_coroots_levi), J
 
 
 def _invariant_by_walk(par, values):
