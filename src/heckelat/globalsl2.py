@@ -1,7 +1,10 @@
 """Fully computable global model for rank one over the projective line: bundle counts, Eisenstein/constant-term operators, the degree-shift intertwiner, and the operators L, L^{-1}, and the bilinear form B.
 
 Every formula is parametric in qv, which may be the formal variable of Q(q) or an
-exact rational number. All normalizations follow mes(K) = 1 and
+exact rational number. Each function that computes with qv first calls
+qfield.numeric_q: an integral q >= 2 becomes a LaurentNumber, so the values lie in
+Z[1/q] as exact n q^v, with a Fraction wherever a value leaves Z[1/q] (the pairings
+divide by q-1); any other rational q stays a Fraction. All normalizations follow mes(K) = 1 and
 mes(U(A)/U(F)) = 1; on the projective line this gives mes(O_A) = q, which is the
 source of the extra factor of q in the modulus twists below (see docs/conventions.md).
 
@@ -13,6 +16,8 @@ one over bundle classes and the torus one, divide by (q-1) once, after their sum
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .qfield import numeric_q
 
 PROBE = 8  # degrees below a pseudo-compactness certificate that op_L_inverse re-checks
 
@@ -39,6 +44,7 @@ def _one_like(qv):
 
 def aut_count(n: int, qv):
     """Order of the automorphism group of the rank-two trivial-determinant bundle O(n) + O(-n)."""
+    qv = numeric_q(qv)
     if n == 0:
         return qv * (qv - 1) * (qv + 1)
     return (qv - 1) * qv ** (2 * n + 1)
@@ -217,11 +223,13 @@ def gk_degree_series_euler(order: int, qv, inverse: bool = False) -> list:
 
 def mu_hat(m: int, qv):
     """Global forward kernel coefficient: 1 at m = 0, q^{2m} - q^{2m-2} for m >= 1."""
+    qv = numeric_q(qv)
     return _one_like(qv) if m == 0 else qv ** (2 * m) - qv ** (2 * m - 2)
 
 
 def nu_hat(m: int, qv):
     """Global inverse kernel coefficient: 1 at m = 0, 1 - q^2 for m >= 1."""
+    qv = numeric_q(qv)
     return _one_like(qv) if m == 0 else 1 - qv**2
 
 
@@ -241,12 +249,12 @@ class TFunction:
         self._memo: dict[int, object] = {}
         self.upper = upper
         self.lower = lower
-        self._zero = _zero_like(qv)
+        self._zero = _zero_like(numeric_q(qv))
 
     @classmethod
     def from_dict(cls, values: dict, qv) -> "TFunction":
         vals = {int(k): v for k, v in values.items() if v != 0}
-        zero = _zero_like(qv)
+        zero = _zero_like(numeric_q(qv))
         return cls(lambda d: vals.get(d, zero), upper=max(vals, default=0), lower=min(vals, default=0), qv=qv)
 
     def value(self, d: int):
@@ -331,6 +339,7 @@ def eis_B(phi: TFunction, qv) -> GFunction:
     from each degree to the one above it, this is
     (Eis phi)(n) = q^2 U(-n) - U(-n - 1) + phi(n) for every n >= 0.
     """
+    qv = numeric_q(qv)
     if phi.lower is None:
         raise GlobalError("Eisenstein sum needs a support bound below (plus-type window)")
     q2 = qv**2
@@ -368,6 +377,7 @@ def ct_kernel(n: int, d: int, qv):
     Equals the adjoint kernel (q-1) q^{2d+1} sigma(n, d) / aut(n) for the
     groupoid pairings; for d >= 0 it collapses to the identity matrix.
     """
+    qv = numeric_q(qv)
     if d >= 0:
         return _one_like(qv) if n == d else _zero_like(qv)
     if n == -d:
@@ -389,6 +399,7 @@ def ct_B(f: GFunction, qv) -> TFunction:
     whose weight steps by q^{-2} from each n to the next, this is
     CT f(d) = c(0, -1) f(0) + q^2 V(-d) - V(-d - 1).
     """
+    qv = numeric_q(qv)
     q2 = qv**2
     middle = _running_sum(qv**-3, qv**-2, f.value, 1, 1, _zero_like(qv))
     c0_f0 = ct_kernel(0, -1, qv) * f.value(0)
@@ -415,6 +426,7 @@ def global_R(psi: TFunction, qv) -> TFunction:
     T(d) = sum_{e >= d} q^{2e-1} psi(e), whose weight steps by q^{-2} from each
     degree to the one below it, R(psi)(d) = q^2 T(d) + (mu_hat(1) - q^2) T(d + 1).
     """
+    qv = numeric_q(qv)
     if psi.upper is None:
         raise GlobalError("forward intertwiner needs a support bound above")
     q2 = qv**2
@@ -436,6 +448,7 @@ def global_R_inverse(phi: TFunction, qv) -> TFunction:
     S(d) = sum_{e >= d} q^{-2e-1} phi(e), whose weight steps by q^2 from each
     degree to the one below it, R^{-1}(phi)(d) = S(d) + (nu_hat(1) - 1) S(d + 1).
     """
+    qv = numeric_q(qv)
     if phi.upper is None:
         raise GlobalError("inverse intertwiner needs a support bound above")
     c = nu_hat(1, qv) - 1
@@ -457,6 +470,7 @@ def naive_pairing(f1: GFunction, f2: GFunction, qv):
     aut(0) = (q-1) q (q+1) and aut(n) = (q-1) q^{2n+1} for n >= 1, so this is
     f1(0) f2(0) / (q (q+1)) + sum_{n >= 1} q^{-2n-1} f1(n) f2(n), over (q-1).
     """
+    qv = numeric_q(qv)
     if f1.upper is None and f2.upper is None:
         raise GlobalError("naive pairing needs one factor of certified finite support")
     upper = min(x for x in (f1.upper, f2.upper) if x is not None)
@@ -470,7 +484,7 @@ def naive_pairing(f1: GFunction, f2: GFunction, qv):
 
 def t_weight(d: int, qv):
     """The monomial q^{-2d-1}: the degree-d torus measure is q^{-2d-1}/(q-1), and t_pairing divides by (q-1) once."""
-    return qv ** (-2 * d - 1)
+    return numeric_q(qv) ** (-2 * d - 1)
 
 
 def t_pairing(phi1: TFunction, phi2: TFunction, qv):
@@ -479,6 +493,7 @@ def t_pairing(phi1: TFunction, phi2: TFunction, qv):
     The weight is read from t_weight at the lowest degree of the window and steps by q^{-2} from there.
     The opposite side's weight q^{2d-1}/(q-1) is this one at -d: pair the negated functions instead.
     """
+    qv = numeric_q(qv)
     uppers = [x for x in (phi1.upper, phi2.upper) if x is not None]
     lowers = [x for x in (phi1.lower, phi2.lower) if x is not None]
     if not uppers or not lowers:

@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 from . import cones
 from .qfield import ONE, RatFunc, ZERO, as_ratfunc, q_pow, sum_of_products
-from .rootdata import ParabolicType, RootDatum, Vec, same_parabolic
+from .rootdata import ParabolicType, RootDatum, Vec, same_datum, same_parabolic
 
 
 class HeckeError(ValueError):
@@ -56,6 +56,8 @@ class GradedSeries:
     def __init__(self, rd: RootDatum, par: ParabolicType, height: int, coeffs: dict, basis: str = E_BASIS):
         if basis not in (E_BASIS, INDICATOR_BASIS):
             raise HeckeError(f"unknown basis {basis!r}")
+        if not same_datum(rd, par.rd):
+            raise HeckeError(f"datum {rd.name} is not the datum of {par}")
         height = int(height)
         clean: dict[Vec, RatFunc] = {}
         for k, v in coeffs.items():

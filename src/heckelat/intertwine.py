@@ -7,7 +7,7 @@ from operator import add, sub
 from .cones import SupportShape
 from .hecke import INDICATOR_BASIS, GradedSeries, TruncationError
 from .qfield import RatFunc, ZERO, as_ratfunc, q_pow, sum_of_products
-from .rootdata import ParabolicType, RootDatum, Vec, same_parabolic
+from .rootdata import ParabolicType, RootDatum, Vec, same_datum, same_parabolic
 
 
 class IntertwineError(ValueError):
@@ -110,7 +110,12 @@ def _apply_kernel(par, series, phi, out_points):
 
 
 def _twist(rd, par, phi, sign):
-    """T^sign: phi times q^(sign scale height(lam)) pointwise, scale = par.twist_scale; phi keeps its parabolic."""
+    """T^sign: phi times q^(sign scale height(lam)) pointwise, scale = par.twist_scale; phi keeps its parabolic.
+
+    rd, which the public operators take beside par, must be par's datum.
+    """
+    if not same_datum(rd, par.rd):
+        raise IntertwineError(f"datum {rd.name} is not the datum of the operator's {par}")
     scale = sign * par.twist_scale
     values = {lam: q_pow(scale * par.height(lam)) * v for lam, v in phi.values.items()}
     return SphericalFunction._build(rd, phi.par, values, phi.window)

@@ -24,6 +24,14 @@ pseudo-remainder sequence in Z[q]) runs only where a non-constant d appears.
 `num` and `den` give the element as one coprime pair in Z[q], q^v moved to the
 side it belongs to; that is the pair the printer reads. `Fraction` appears only
 at the boundary: `from_fraction`, `eval`, `q_pow` and the hash of a constant.
+
+At a numeric q the global operators do not use RatFunc. `numeric_q` turns an
+integral q >= 2 into a `LaurentNumber`, an exact n q^v in Z[1/q] stored with q
+not dividing n: sums and products of these are integer arithmetic, with no gcd.
+Where a value leaves Z[1/q] (a division by q - 1 or q + 1, a non-integral
+Fraction operand), or q itself is not an integer (3/2), the value is the
+`Fraction` it equals. A LaurentNumber prints, hashes and compares as that
+Fraction.
 """
 
 from __future__ import annotations
@@ -516,3 +524,122 @@ def as_ratfunc(x) -> RatFunc:
     if r is NotImplemented:
         raise TypeError(f"cannot interpret {x!r} as a rational function")
     return r
+
+
+# ---------------------------------------------------------------------------
+# numbers n q^v at an integral q
+
+
+class LaurentNumber:
+    """n q^v at an integral q >= 2, with q not dividing n and zero as n = v = 0: an element of Z[1/q].
+
+    The form is unique, so equality compares (n, v). A sum or product with another one at the same q, an int
+    or an integral Fraction stays in the class, as integer arithmetic with no gcd; so does a quotient by a
+    divisor of n (a unit times q^k, say) and a power with an exponent >= 0 or a unit n. Any other operation is
+    done on the Fraction the number equals, which it also prints, hashes and compares as. `numeric_q` builds q.
+    """
+
+    __slots__ = ("q", "n", "v")
+
+    def __init__(self, q: int, n: int, v: int):  # a triple already in canonical form; no operation changes it
+        self.q, self.n, self.v = q, n, v
+
+    def _fraction(self) -> Fraction:
+        return Fraction(self.n * self.q**self.v) if self.v >= 0 else Fraction(self.n, self.q**-self.v)
+
+    def __add__(self, other):
+        b = _lift(self.q, other)
+        return self._fraction() + other if b is None else _laurent_number_sum(self.q, self.n, self.v, b.n, b.v)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        b = _lift(self.q, other)
+        return self._fraction() - other if b is None else _laurent_number_sum(self.q, self.n, self.v, -b.n, b.v)
+
+    def __rsub__(self, other):
+        b = _lift(self.q, other)
+        return other - self._fraction() if b is None else _laurent_number_sum(self.q, b.n, b.v, -self.n, self.v)
+
+    def __neg__(self):
+        return LaurentNumber(self.q, -self.n, self.v)
+
+    def __mul__(self, other):
+        b = _lift(self.q, other)
+        return self._fraction() * other if b is None else _canonical(self.q, self.n * b.n, self.v + b.v)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = _lift(self.q, other)
+        if b is None or not b.n or self.n % b.n:
+            return self._fraction() / other
+        return _canonical(self.q, self.n // b.n, self.v - b.v)
+
+    def __rtruediv__(self, other):
+        b = _lift(self.q, other)
+        if b is None or not self.n or b.n % self.n:
+            return other / self._fraction()
+        return _canonical(self.q, b.n // self.n, b.v - self.v)
+
+    def __pow__(self, k):
+        if type(k) is not int or k < 0 and self.n not in (1, -1):
+            return self._fraction() ** k
+        return _canonical(self.q, self.n ** abs(k), self.v * k)
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __eq__(self, other):
+        b = _lift(self.q, other)
+        return self._fraction() == other if b is None else self.n == b.n and self.v == b.v
+
+    def __hash__(self):
+        return hash(self._fraction())
+
+    def __str__(self):
+        return str(self._fraction())
+
+    def __repr__(self):
+        return f"LaurentNumber({self.n}*{self.q}^{self.v})"
+
+
+def _canonical(q: int, n: int, v: int) -> LaurentNumber:
+    """n q^v in canonical form: the powers of q dividing n move into v (at q = 4, 2 * 2 is q^1)."""
+    if not n:
+        return LaurentNumber(q, 0, 0)
+    while not n % q:
+        n //= q
+        v += 1
+    return LaurentNumber(q, n, v)
+
+
+def _lift(q: int, x):
+    """x as a LaurentNumber at q, for one at q, an int or an integral Fraction; None for anything else."""
+    if type(x) is LaurentNumber:
+        return x if x.q == q else None
+    if isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1:
+        return _canonical(q, int(x), 0)
+    return None
+
+
+def _laurent_number_sum(q: int, n1: int, v1: int, n2: int, v2: int) -> LaurentNumber:
+    """n1 q^v1 + n2 q^v2 for canonical terms: at unequal valuations q divides only the shifted term, so only
+    a sum at one valuation is brought to canonical form again (at q = 2, odd + odd is even)."""
+    if not n2:
+        return LaurentNumber(q, n1, v1)
+    if not n1:
+        return LaurentNumber(q, n2, v2)
+    if v1 > v2:
+        n1, v1, n2, v2 = n2, v2, n1, v1
+    if v1 == v2:
+        return _canonical(q, n1 + n2, v1)
+    return LaurentNumber(q, n1 + n2 * q ** (v2 - v1), v1)
+
+
+def numeric_q(qv):
+    """qv as the global operators compute with it: an integral q >= 2, int or Fraction, as the LaurentNumber q;
+    anything else (Q, 3/2, a LaurentNumber) unchanged."""
+    if type(qv) in (int, Fraction) and qv.denominator == 1 and qv.numerator >= 2:
+        return LaurentNumber(qv.numerator, 1, 1)
+    return qv

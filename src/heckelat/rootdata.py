@@ -376,9 +376,14 @@ class ParabolicType:
         return f"ParabolicType({self.rd.name}, J={sorted(self.indices)})"
 
 
+def same_datum(a: RootDatum, b: RootDatum) -> bool:
+    """a and b are one datum: the same object, or equal configs (two loads of a preset)."""
+    return a is b or a.config() == b.config()
+
+
 def same_parabolic(a: ParabolicType, b: ParabolicType) -> bool:
-    """a and b are one J of one datum: the same objects, or equal index sets on data of equal configs (two loads of a preset)."""
-    return a is b or (a.indices == b.indices and (a.rd is b.rd or a.rd.config() == b.rd.config()))
+    """a and b are one J of one datum: the same objects, or equal index sets on one datum (`same_datum`)."""
+    return a is b or (a.indices == b.indices and same_datum(a.rd, b.rd))
 
 
 def dominance_leq(rd: RootDatum, parabolic: ParabolicType, lam, mu) -> bool:

@@ -312,6 +312,16 @@ MUTANTS = [
         acceptance.check_global_roundtrip, (), globalsl2, "nu_hat",
         _changed_at(globalsl2.nu_hat, lambda m: m == 1, lambda c, qv: c + 1), id="9b-nu-hat-1-plus-1",
     ),
+    pytest.param(  # at numeric q, the term of higher valuation is shifted up one power of q too few
+        acceptance.check_global_roundtrip, (), qfield, "_laurent_number_sum",
+        _source_mutant(qfield._laurent_number_sum, "q ** (v2 - v1)", "q ** (v2 - v1 - 1)"),
+        id="9b-laurent-number-alignment-off-by-one",
+    ),
+    pytest.param(  # a sum at one valuation keeps the powers of q in n (odd + odd at q = 2): == reads the canonical form
+        acceptance.check_global_roundtrip, (), qfield, "_laurent_number_sum",
+        _source_mutant(qfield._laurent_number_sum, "_canonical(q, n1 + n2, v1)", "LaurentNumber(q, n1 + n2, v1)"),
+        id="9b-laurent-number-sum-not-renormalised",
+    ),
     pytest.param(
         acceptance.check_global_form, (5,), globalsl2, "nu_hat",
         _changed_at(globalsl2.nu_hat, lambda m: m == 1, lambda c, qv: c + 1), id="9c-nu-hat-1-plus-1",
@@ -344,10 +354,13 @@ def test_mutant_fails_its_criterion(monkeypatch, check, args, module, attr, muta
     [
         ("1-sl2-scaling-at-a-fixed-precision", "precision dependence"),
         ("8-longest-element-of-another-J", "w'=w0_M"),
+        ("9b-laurent-number-alignment-off-by-one", "honest constant term differs from the certificate"),
+        ("9b-laurent-number-sum-not-renormalised", "honest constant term differs from the certificate"),
     ],
 )
 def test_mutant_fails_on_the_row_it_aims_at(monkeypatch, row_id, detail):
-    # these mutants each reach one branch that no other row does: the failure must come from it
+    # these mutants each reach one branch that no other row does, or (the numeric-q rows) could fail by an
+    # exception of the arithmetic instead of the identity: the failure must come from the named condition
     [(check, args, module, attr, mutant)] = [row.values for row in MUTANTS if row.id == row_id]
     monkeypatch.setattr(hecke, "_CONE_MEMO", {})
     monkeypatch.setattr(module, attr, mutant)

@@ -691,3 +691,67 @@ def test_operators_refuse_an_input_without_the_support_bound_they_need(operator,
     qv = Q
     with pytest.raises(gs.GlobalError, match=f"^{message}$"):
         operator(*(make(qv) for make in inputs), qv)
+
+
+# ---------------------------------------------------------------------------
+# Numeric q against the formal one: at an integral q the operators compute in qfield.LaurentNumber (n q^v),
+# falling back to Fraction where a value leaves Z[1/q]; every value must be the formal value evaluated at q.
+
+NUMERIC_QS = (Fraction(2), Fraction(3), Fraction(4), Fraction(3, 2))
+
+
+def _draw(rng, lo, hi, fractions):
+    choices = (-3, -1, 1, 2, 5) + ((Fraction(1, 2), Fraction(-3, 4)) if fractions else ())
+    return {n: rng.choice(choices) for n in range(lo, hi + 1)}
+
+
+def _assert_values_at(q, numeric, formal, points):
+    for x in points:
+        assert numeric.value(x) == qfield.as_ratfunc(formal.value(x)).eval(q), x
+
+
+@pytest.mark.parametrize("q", NUMERIC_QS, ids=str)
+def test_numeric_operators_equal_the_formal_ones_evaluated_at_q(q):
+    for n in range(0, 5):
+        assert gs.aut_count(n, q) == gs.aut_count(n, Q).eval(q), n
+    for n in range(0, 7):
+        for d in range(-7, 4):
+            assert gs.ct_kernel(n, d, q) == gs.ct_kernel(n, d, Q).eval(q), (n, d)
+    for m in range(0, 7):
+        assert gs.mu_hat(m, q) == gs.mu_hat(m, Q).eval(q) and gs.nu_hat(m, q) == gs.nu_hat(m, Q).eval(q), m
+    rng = random.Random(37)
+    for trial in range(5):
+        fractions = trial > 0  # the first trial keeps to integer inputs, where an integral q never leaves Z[1/q]
+        on = {qv: {} for qv in (q, Q)}
+        draws = {"f1": (0, 4), "f2": (0, 3), "phi1": (-4, 2), "phi2": (-2, 3)}
+        for name, (lo, hi) in draws.items():
+            values = _draw(rng, lo, hi, fractions)
+            kind = gs.GFunction if name.startswith("f") else gs.TFunction
+            for qv in on:
+                on[qv][name] = kind.from_dict(values, qv)
+        ops = {  # name: (operator on the inputs at qv, points read)
+            "eis_B": (lambda a, qv: gs.eis_B(a["phi1"], qv), range(0, 9)),
+            "eis_B_minus": (lambda a, qv: gs.eis_B_minus(a["phi1"], qv), range(0, 9)),
+            "ct_B": (lambda a, qv: gs.ct_B(a["f1"], qv), range(-9, 6)),
+            "global_R": (lambda a, qv: gs.global_R(a["phi1"], qv), range(-9, 4)),
+            "global_R_inverse": (lambda a, qv: gs.global_R_inverse(a["phi1"], qv), range(-9, 4)),
+            "op_L": (lambda a, qv: gs.op_L(a["f1"], qv), range(0, 9)),
+            "op_L certificate": (lambda a, qv: gs.op_L(a["f1"], qv).psc_ct, range(-12, 4)),
+            "op_L_inverse": (lambda a, qv: gs.op_L_inverse(gs.op_L(a["f1"], qv), qv), range(0, 9)),
+        }
+        for name, (op, points) in ops.items():
+            _assert_values_at(q, op(on[q], q), op(on[Q], Q), points)
+        for pairing, x, y in ((gs.naive_pairing, "f1", "f2"), (gs.t_pairing, "phi1", "phi2"), (gs.form_B, "f1", "f2")):
+            assert pairing(on[q][x], on[q][y], q) == pairing(on[Q][x], on[Q][y], Q).eval(q), (trial, pairing.__name__)
+
+
+def test_integral_q_stays_in_laurent_numbers_and_the_euler_oracle_on_fractions():
+    f = gs.GFunction.from_dict({0: 2, 1: -1, 3: 5}, Fraction(2))
+    g = gs.op_L(f, Fraction(2))
+    back = gs.op_L_inverse(g, Fraction(2))
+    assert all(type(v) is qfield.LaurentNumber for v in [g.value(n) for n in range(6)] + [back.value(n) for n in range(6)])
+    one = gs.GFunction.from_dict({0: 1}, 3)  # an int q too; 1/aut(0) = 1/((q - 1) q (q + 1)) leaves Z[1/3]
+    assert gs.naive_pairing(one, one, 3) == Fraction(1, 24) and type(gs.naive_pairing(one, one, 3)) is Fraction
+    for q in (2, 3, 4):
+        series = gs.gk_degree_series_euler(5, Fraction(q)) + gs.gk_degree_series_euler(5, Fraction(q), inverse=True)
+        assert all(type(c) is Fraction for c in series), q

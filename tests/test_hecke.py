@@ -506,6 +506,16 @@ def test_rank_one_product_refuses_a_factor_outside_the_support_cone():
         hk.rank_one_product(rd, par, 6, [(a, ONE, ZERO)])
 
 
+def test_a_series_refuses_a_datum_that_is_not_its_parabolics():
+    a2, b2 = load_root_datum("A2"), load_root_datum("B2")
+    borel = ParabolicType(a2, [])
+    with pytest.raises(hk.HeckeError, match=r"^datum B2 is not the datum of ParabolicType\(A2, J=\[\]\)$"):
+        hk.GradedSeries(b2, borel, 4, {(0, 0): ONE})
+    again = load_root_datum("A2")  # a second load of the preset is the same datum
+    assert again is not a2
+    assert hk.GradedSeries(again, borel, 4, {(0, 0): ONE, (1, 0): Q}) == hk.GradedSeries(a2, borel, 4, {(0, 0): ONE, (1, 0): Q})
+
+
 def test_series_guards_name_what_they_refuse():
     rd = load_root_datum("A2")
     par = ParabolicType(rd, [])

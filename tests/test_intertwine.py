@@ -218,6 +218,18 @@ def test_a_function_of_another_datum_is_refused(apply, operator, series, functio
         apply(par.rd, par, series(par.rd, par, 6), phi)
 
 
+# the operators take rd beside par: a B2 datum with the A2 Borel would build a function of both
+@pytest.mark.parametrize("apply, series", [(iw.apply_R_K, hk.gk_mu), (iw.apply_R_inverse_K, hk.nu)], ids=["R", "R-inverse"])
+def test_a_datum_that_is_not_the_parabolics_is_refused(apply, series):
+    par, phi = _borel_and_function("A2")
+    kernel = series(par.rd, par, 6)
+    with pytest.raises(iw.IntertwineError, match=r"^datum B2 is not the datum of the operator's ParabolicType\(A2, J=\[\]\)$"):
+        apply(load_root_datum("B2"), par, kernel, phi)
+    again = load_root_datum("A2")  # a second load of the preset is the same datum
+    assert again is not par.rd
+    assert apply(again, par, kernel, phi) == apply(par.rd, par, kernel, phi)
+
+
 def test_a_window_of_another_parabolic_is_refused_before_any_point():
     rd = load_root_datum("A2")
     borel, levi = ParabolicType(rd, []), ParabolicType(rd, [0])

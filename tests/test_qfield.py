@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 
 from heckelat.qfield import (
-    ONE, Q, QFieldError, RatFunc, ZERO, _content, _padd, _pdiv_exact, _pgcd, _pmul, _pneg, as_ratfunc, q_pow, sum_of_products,
+    ONE, Q, LaurentNumber, QFieldError, RatFunc, ZERO, _content, _padd, _pdiv_exact, _pgcd, _pmul, _pneg, as_ratfunc,
+    numeric_q, q_pow, sum_of_products,
 )
 
 
@@ -385,3 +386,74 @@ def test_a_zero_denominator_and_a_non_number_are_refused():
         RatFunc((1,), ())
     with pytest.raises(TypeError, match=r"^cannot interpret 'x' as a rational function$"):
         as_ratfunc("x")
+
+
+# ---------------------------------------------------------------------------
+# LaurentNumber: n q^v at an integral q, which must act as the Fraction it equals
+
+
+def _in_z_inverse_q(x: Fraction, q: int) -> bool:
+    """x lies in Z[1/q]: its denominator divides a power of q."""
+    d = x.denominator
+    while (g := gcd(d, q)) > 1:
+        d //= g
+    return d == 1
+
+
+def _rand_laurent_number(rng, q):
+    """(x, the Fraction it equals) for x = c q^k built through the class; c may be divisible by q."""
+    c, k = rng.choice([0, 1, -1, 2, 3, -4, 6, 9, q, -2 * q]), rng.randint(-3, 3)
+    return c * numeric_q(q) ** k, Fraction(c) * Fraction(q) ** k
+
+
+def _assert_laurent_number(x, want, q):
+    """x is a canonical LaurentNumber at q that compares, hashes and prints as want."""
+    assert type(x) is LaurentNumber and x.q == q, (x, want)
+    assert (x.n, x.v) == (0, 0) if x.n == 0 else x.n % q != 0, x
+    assert x == want and want == x and hash(x) == hash(want) and str(x) == str(want), (x, want)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 6))
+def test_laurent_numbers_act_as_the_fractions_they_equal(q):
+    rng = random.Random(q)
+    for _ in range(300):
+        (a, fa), (b, fb) = _rand_laurent_number(rng, q), _rand_laurent_number(rng, q)
+        k = rng.choice([5, -2, q, Fraction(7), Fraction(-2 * q)])  # ints and integral Fractions stay in the class
+        _assert_laurent_number(a, fa, q)
+        for got, want in [
+            (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa), (a**3, fa**3), (a**0, 1),
+            (a + k, fa + k), (k + a, k + fa), (a - k, fa - k), (k - a, k - fa), (a * k, fa * k), (k * a, k * fa),
+        ]:
+            _assert_laurent_number(got, want, q)
+        for x, y, fx, fy in ((a, b, fa, fb), (a, k, fa, k), (k, a, k, fa)):
+            if fy:
+                got, want = x / y, fx / fy
+                assert got == want and hash(got) == hash(want) and str(got) == str(want), (x, y)
+                if any(abs(fy) == Fraction(q) ** m for m in range(-8, 9)):  # by a unit times q^m: stays in Z[1/q]
+                    _assert_laurent_number(got, want, q)
+                if not _in_z_inverse_q(want, q):
+                    assert type(got) is Fraction, (x, y)
+        r = Fraction(rng.choice([1, -5]), rng.choice([7, 11]))  # a Fraction outside Z[1/q]: the Fraction's arithmetic
+        for got, want in ((a + r, fa + r), (r + a, r + fa), (a - r, fa - r), (r - a, r - fa), (a * r, fa * r), (r * a, r * fa)):
+            assert type(got) is Fraction and got == want
+
+
+def test_laurent_number_canonical_form_printing_and_fallbacks():
+    q2, q3, q4 = numeric_q(Fraction(2)), numeric_q(3), numeric_q(Fraction(4))
+    half = 2 * q4**-1
+    assert (half.n, half.v) == (2, -1) and str(half) == "1/2" and half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {Fraction(1, 2): "x"}[half] == "x" and {half: "x"}[Fraction(1, 2)] == "x" and len({half, Fraction(1, 2)}) == 1
+    four = q4**0 * 2 * 2  # at q = 4 a product is divisible by q
+    assert (four.n, four.v) == (1, 1) and four == 4 and hash(four) == hash(4)
+    zero = q3 - q3
+    assert (zero.n, zero.v) == (0, 0) and zero == 0 and not zero and str(zero) == "0" and hash(zero) == 0
+    assert 1 / q2 == Fraction(1, 2) and type(1 / q2) is LaurentNumber
+    assert (5 * q3**2) / -q3 == -15 and type((5 * q3**2) / -q3) is LaurentNumber
+    for got, want in ((1 / (q3 - 1), Fraction(1, 2)), (q2 / 3, Fraction(2, 3)), ((3 * q2) ** -1, Fraction(1, 6)), (q2 / (q2 + 1), Fraction(2, 3))):
+        assert type(got) is Fraction and got == want
+    with pytest.raises(ZeroDivisionError):
+        q2 / (q2 - q2)
+    assert repr(q2**-3 * 5) == "LaurentNumber(5*2^-3)"
+    assert numeric_q(q3) is q3 and numeric_q(Q) is Q
+    for other in (Fraction(3, 2), Fraction(1), Fraction(-2), 1):
+        assert numeric_q(other) is other
