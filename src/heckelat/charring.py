@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -19,12 +19,10 @@ class CharError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    """One graded piece of the dual nilpotent radical: its level and its weight multiset."""
+class GradedPiece(namedtuple("GradedPiece", "level weights")):
+    """One graded piece of the dual nilpotent radical: its level (a Fraction) and its weight multiset (sorted, with multiplicity)."""
 
-    level: Fraction
-    weights: tuple[Vec, ...]  # sorted, with multiplicity
+    __slots__ = ()
 
 
 def u_P_graded_pieces(par: ParabolicType) -> list[GradedPiece]:

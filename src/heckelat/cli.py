@@ -12,7 +12,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from . import __version__, acceptance, charring, cones, globalsl2 as gs, hecke, intertwine as iw, padic, weylids
+from . import __version__, charring, cones, globalsl2 as gs, hecke, intertwine as iw, padic, weylids
 from .qfield import Q, RatFunc, as_ratfunc
 from .rootdata import PRESET_NAMES, ParabolicType, index_subsets, load_root_datum
 
@@ -304,6 +304,8 @@ def cmd_global(args, _rd) -> int:
 
 
 def cmd_verify_all(args, _rd) -> int:
+    from . import acceptance  # loaded by this command alone
+
     results = acceptance.run_all(emit=print, datum=args.datum)
     return 0 if all(r.passed for r in results) else 1
 

@@ -20,7 +20,7 @@ vector tuple. W_M enters only as orbits under its simple reflections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -204,12 +204,13 @@ def cone_member(rd: RootDatum, cone: frozenset, lam) -> bool:
     return in_pos_U(ParabolicType(rd, cone), vneg(lam))
 
 
-@dataclass(frozen=True)
-class SupportShape:
-    """The window {b - c : b in base, c in pos_U}, a finite union of translates of -pos_U; cone names it by J."""
+class SupportShape(namedtuple("SupportShape", "base cone")):
+    """The window {b - c : b in base, c in pos_U}, a finite union of translates of -pos_U; cone names it by J.
 
-    base: tuple
-    cone: frozenset
+    base is a sorted tuple of points and cone a frozenset of simple-root indices.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def make(base, cone: frozenset) -> "SupportShape":

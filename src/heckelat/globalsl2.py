@@ -468,18 +468,21 @@ def naive_pairing(f1: GFunction, f2: GFunction, qv):
     """Groupoid-weighted sum over bundle classes: sum_n f1(n) f2(n) / aut(n).
 
     aut(0) = (q-1) q (q+1) and aut(n) = (q-1) q^{2n+1} for n >= 1, so this is
-    f1(0) f2(0) / (q (q+1)) + sum_{n >= 1} q^{-2n-1} f1(n) f2(n), over (q-1).
+    f1(0) f2(0) + sum_{n >= 1} (q+1) q^{-2n} f1(n) f2(n), over (q-1) q (q+1): the
+    weights (q+1) q^{-2n} lie in Z[1/q], so at an integral q the sum stays there
+    and only the one division at the end leaves it.
     """
     qv = numeric_q(qv)
     if f1.upper is None and f2.upper is None:
         raise GlobalError("naive pairing needs one factor of certified finite support")
     upper = min(x for x in (f1.upper, f2.upper) if x is not None)
-    acc = f1.value(0) * f2.value(0) / (qv * (qv + 1))
-    weight, ratio = qv**-3, qv**-2
+    acc = f1.value(0) * f2.value(0)
+    ratio = qv**-2
+    weight = (qv + 1) * ratio
     for n in range(1, upper + 1):
         acc = acc + weight * (f1.value(n) * f2.value(n))
         weight = weight * ratio
-    return acc / (qv - 1)
+    return acc / ((qv - 1) * qv * (qv + 1))
 
 
 def t_weight(d: int, qv):

@@ -28,10 +28,10 @@ at the boundary: `from_fraction`, `eval`, `q_pow` and the hash of a constant.
 At a numeric q the global operators do not use RatFunc. `numeric_q` turns an
 integral q >= 2 into a `LaurentNumber`, an exact n q^v in Z[1/q] stored with q
 not dividing n: sums and products of these are integer arithmetic, with no gcd.
-Where a value leaves Z[1/q] (a division by q - 1 or q + 1, a non-integral
-Fraction operand), or q itself is not an integer (3/2), the value is the
-`Fraction` it equals. A LaurentNumber prints, hashes and compares as that
-Fraction.
+Where a value leaves Z[1/q] (a division by q - 1 or q + 1, a Fraction operand
+whose denominator is not a power of q), or q itself is not an integer (3/2),
+the value is the `Fraction` it equals. A LaurentNumber prints, hashes and
+compares as that Fraction.
 """
 
 from __future__ import annotations
@@ -534,9 +534,10 @@ class LaurentNumber:
     """n q^v at an integral q >= 2, with q not dividing n and zero as n = v = 0: an element of Z[1/q].
 
     The form is unique, so equality compares (n, v). A sum or product with another one at the same q, an int
-    or an integral Fraction stays in the class, as integer arithmetic with no gcd; so does a quotient by a
-    divisor of n (a unit times q^k, say) and a power with an exponent >= 0 or a unit n. Any other operation is
-    done on the Fraction the number equals, which it also prints, hashes and compares as. `numeric_q` builds q.
+    or a Fraction over a power of q stays in the class, as integer arithmetic with no gcd; so does a quotient
+    by a divisor of n (a unit times q^k, say) and a power with an exponent >= 0 or a unit n. Any other
+    operation is done on the Fraction the number equals, which it also prints, hashes and compares as.
+    `numeric_q` builds q.
     """
 
     __slots__ = ("q", "n", "v")
@@ -615,11 +616,19 @@ def _canonical(q: int, n: int, v: int) -> LaurentNumber:
 
 
 def _lift(q: int, x):
-    """x as a LaurentNumber at q, for one at q, an int or an integral Fraction; None for anything else."""
+    """x as a LaurentNumber at q, for one at q, an int or a Fraction whose denominator is a power q^k (3/4 at
+    q = 2 is 3 q^-2; 1/2 at q = 4 is not lifted); None for anything else."""
     if type(x) is LaurentNumber:
         return x if x.q == q else None
-    if isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1:
+    if isinstance(x, int):
         return _canonical(q, int(x), 0)
+    if isinstance(x, Fraction):
+        d, v = x.denominator, 0
+        while not d % q:
+            d //= q
+            v -= 1
+        if d == 1:
+            return _canonical(q, x.numerator, v)
     return None
 
 

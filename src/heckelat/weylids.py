@@ -13,8 +13,6 @@ read by the next sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import mat_mul
 from .rootdata import Matrix, ParabolicType, RootDatum, index_subsets, orbit
 
@@ -70,13 +68,28 @@ def check_w_bullet_transversal(rd: RootDatum, par: ParabolicType, par2: Paraboli
     return covered == set(rd.weyl_elements)
 
 
-@dataclass
 class VanishingReport:
-    datum: str
-    kind: str
-    passed: bool = True
-    cases: int = 0
-    witnesses: list = field(default_factory=list)
+    """One sweep over one datum: the cases it checked and, when it failed, up to ten witnesses.
+
+    Two reports are equal when every field is; equal reports are what a sweep and its per-case reference must return.
+    """
+
+    def __init__(self, datum: str, kind: str):
+        self.datum = datum
+        self.kind = kind
+        self.passed = True
+        self.cases = 0
+        self.witnesses: list[str] = []
+
+    def __eq__(self, other):
+        if not isinstance(other, VanishingReport):
+            return NotImplemented
+        return (self.datum, self.kind, self.passed, self.cases, self.witnesses) == (
+            other.datum, other.kind, other.passed, other.cases, other.witnesses
+        )
+
+    def __repr__(self):
+        return f"VanishingReport({self.datum!r}, {self.kind!r}, passed={self.passed}, cases={self.cases}, witnesses={self.witnesses!r})"
 
     def fail(self, msg: str) -> None:
         self.passed = False

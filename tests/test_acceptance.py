@@ -295,9 +295,9 @@ MUTANTS = [
         acceptance.check_global_adjunction, (5,), globalsl2, "eis_B",
         _source_mutant(globalsl2.eis_B, "q2 * below(-n)", "below(-n)"), id="9a-eis-drops-the-q-squared",
     ),
-    pytest.param(  # the n = 0 term is f1(0) f2(0) over (q-1) in place of q(q+1), before the sum's own division by (q-1)
+    pytest.param(  # the n = 0 term is f1(0) f2(0) over (q-1)^2 in place of aut(0) = (q-1) q (q+1)
         acceptance.check_global_adjunction, (5,), globalsl2, "naive_pairing",
-        _source_mutant(globalsl2.naive_pairing, "/ (qv * (qv + 1))", "/ (qv - 1)"),
+        _source_mutant(globalsl2.naive_pairing, "acc = f1.value(0) * f2.value(0)", "acc = f1.value(0) * f2.value(0) * (qv * (qv + 1)) / (qv - 1)"),
         id="9a-naive-pairing-n0-over-q-minus-1",
     ),
     pytest.param(  # the weights q^{-2e-1} of the suffix sum step by q per degree downward, not q^2

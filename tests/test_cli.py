@@ -400,3 +400,26 @@ def test_one_parser_serves_a_sequence_of_commands_as_fresh_processes_do(capsys, 
         else:
             assert (code, stdout, manifest) == (0, out, man + "\n")
     assert cli._parser.cache_info().currsize == 1
+
+
+def test_the_import_path_loads_neither_acceptance_nor_the_class_builders():
+    """Every module but acceptance, imported under `python -S` and running one command, leaves the
+    acceptance suite, dataclasses and the modules it pulls in (inspect) and typing unloaded."""
+    modules = sorted(p.stem for p in (SRC / "heckelat").glob("*.py") if p.stem not in ("__init__", "acceptance"))
+    assert "cli" in modules and "globalsl2" in modules
+    script = "\n".join([
+        "import sys",
+        "import heckelat",
+        *(f"import heckelat.{name}" for name in modules),
+        "out, _ = heckelat.cli.run_capture(['gk', '--datum', 'A2', '--height', '4'])",
+        "assert 'coefficient' in out",
+        "print(' '.join(sorted(sys.modules)))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "heckelat.cli" in loaded
+    assert sorted(loaded & {"heckelat.acceptance", "dataclasses", "inspect", "typing"}) == []

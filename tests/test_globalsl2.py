@@ -745,6 +745,24 @@ def test_numeric_operators_equal_the_formal_ones_evaluated_at_q(q):
             assert pairing(on[q][x], on[q][y], q) == pairing(on[Q][x], on[Q][y], Q).eval(q), (trial, pairing.__name__)
 
 
+def test_naive_pairing_at_an_integral_q_leaves_z_inverse_q_once(monkeypatch):
+    # the sum over n stays in Z[1/q]; only the one division by aut(0) at the end reads a Fraction
+    values = {upper: {n: 2 * n + 1 for n in range(upper + 1)} for upper in (3, 9)}
+    formal = {upper: gs.GFunction.from_dict(v, Q) for upper, v in values.items()}
+    want = {upper: gs.naive_pairing(f, f, Q).eval(Fraction(2)) for upper, f in formal.items()}
+    calls = []
+    fraction = qfield.LaurentNumber._fraction
+    monkeypatch.setattr(qfield.LaurentNumber, "_fraction", lambda self: calls.append(self) or fraction(self))
+    counts, got = {}, {}
+    for upper, v in values.items():
+        f = gs.GFunction.from_dict(v, 2)
+        calls.clear()
+        got[upper] = gs.naive_pairing(f, f, 2)
+        counts[upper] = len(calls)
+    monkeypatch.undo()
+    assert got == want and counts[9] == counts[3] <= 2, counts
+
+
 def test_integral_q_stays_in_laurent_numbers_and_the_euler_oracle_on_fractions():
     f = gs.GFunction.from_dict({0: 2, 1: -1, 3: 5}, Fraction(2))
     g = gs.op_L(f, Fraction(2))

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from heckelat.qfield import (
-    ONE, Q, LaurentNumber, QFieldError, RatFunc, ZERO, _content, _padd, _pdiv_exact, _pgcd, _pmul, _pneg, as_ratfunc,
+    ONE, Q, LaurentNumber, QFieldError, RatFunc, ZERO, _content, _lift, _padd, _pdiv_exact, _pgcd, _pmul, _pneg, as_ratfunc,
     numeric_q, q_pow, sum_of_products,
 )
 
@@ -418,7 +418,8 @@ def test_laurent_numbers_act_as_the_fractions_they_equal(q):
     rng = random.Random(q)
     for _ in range(300):
         (a, fa), (b, fb) = _rand_laurent_number(rng, q), _rand_laurent_number(rng, q)
-        k = rng.choice([5, -2, q, Fraction(7), Fraction(-2 * q)])  # ints and integral Fractions stay in the class
+        # ints and Fractions over a power of q stay in the class
+        k = rng.choice([5, -2, q, Fraction(7), Fraction(-2 * q), Fraction(5, q**2), Fraction(-1, q)])
         _assert_laurent_number(a, fa, q)
         for got, want in [
             (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa), (a**3, fa**3), (a**0, 1),
@@ -454,6 +455,14 @@ def test_laurent_number_canonical_form_printing_and_fallbacks():
     with pytest.raises(ZeroDivisionError):
         q2 / (q2 - q2)
     assert repr(q2**-3 * 5) == "LaurentNumber(5*2^-3)"
+    # a Fraction over a power q^k is lifted as (numerator, -k); one over another divisor of a power of q is not
+    for q, x, nv in ((2, Fraction(3, 4), (3, -2)), (4, Fraction(3, 16), (3, -2)), (3, Fraction(-2), (-2, 0))):
+        lifted = _lift(q, x)
+        assert (lifted.n, lifted.v) == nv and lifted == x and x == lifted and hash(lifted) == hash(x), (q, x)
+        _assert_laurent_number(numeric_q(q) + x, q + x, q)
+        _assert_laurent_number(x * numeric_q(q), x * q, q)
+    assert _lift(4, Fraction(1, 2)) is None and _lift(2, Fraction(1, 6)) is None
+    assert type(q4 + Fraction(1, 2)) is Fraction and q4 + Fraction(1, 2) == Fraction(9, 2)
     assert numeric_q(q3) is q3 and numeric_q(Q) is Q
     for other in (Fraction(3, 2), Fraction(1), Fraction(-2), 1):
         assert numeric_q(other) is other
